@@ -313,6 +313,9 @@ def cmd_tradeoff(args) -> int:
         "rate_at_alpha0": first.rate,
         "rate_at_alpha1": last.rate,
         "randomized_dominates_hull": dominance,
+        "ba_probes": curve.ba_probes,
+        "ba_unconverged": curve.ba_unconverged,
+        "max_duality_gap": max(pt.gap for pt in curve.points),
         "pass": dominance,
     })
     print(f"[{'PASS' if dominance else 'FAIL'}] randomized curve dominates the "

@@ -205,6 +205,49 @@ def test_ba_curve_monotone_convex_on_toy():
         assert mid <= 0.5 * (left + right) + 1e-8
 
 
+def test_ba_probe_cache_reuse_adds_no_probes():
+    rng = np.random.default_rng(8)
+    d = rng.uniform(0.0, 1.0, (3, 4))
+    p = np.array([0.2, 0.3, 0.5])
+    cache = {}
+    grid = np.linspace(0.0, math.log2(3), 12)
+    first = [blahut_arimoto(d, p, float(r), probe_cache=cache) for r in grid]
+    assert sum(res.iterations for res in first) == len(cache) > 0
+    again = [blahut_arimoto(d, p, float(r), probe_cache=cache) for r in grid]
+    assert sum(res.iterations for res in again) == 0
+    assert [res.distortion for res in again] == [res.distortion for res in first]
+
+
+def test_ba_certificate_holds_and_can_fail():
+    rng = np.random.default_rng(5)
+    d = rng.uniform(0.0, 1.0, (3, 4))
+    p = rng.dirichlet(np.ones(3) * 3.0)
+    r = 0.5 * math.log2(3)
+    ref = distortion_rate_oracle(d, p, r)
+    tol = 1e-6
+    full = blahut_arimoto(d, p, r, tol=tol)
+    assert full.gap <= tol
+    # distortion minus gap is a lower bound on D(r); the oracle's value is
+    # achievable, so it cannot lie below it
+    assert full.distortion - full.gap <= ref + 1e-9
+    crude = blahut_arimoto(d, p, r, tol=tol, max_iter=1)
+    assert crude.mutual_info_bits <= r + tol
+    assert crude.gap > tol
+    assert crude.distortion - crude.gap <= ref + 1e-9
+
+
+def test_ba_is_shift_invariant_at_steep_slopes():
+    # near the lossless rate the chord slopes are steep; a common offset in
+    # the losses must shift D(r) by exactly that offset, not underflow
+    d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]])
+    p = np.array([0.5, 0.5])
+    base = blahut_arimoto(d, p, 0.999)
+    for offset in (50.0, 500.0):
+        res = blahut_arimoto(d + offset, p, 0.999)
+        assert res.distortion - offset == pytest.approx(base.distortion, abs=1e-6)
+        assert res.gap <= 1e-6
+
+
 def test_ba_rejects_unreachable_rows():
     d = np.array([[np.inf, np.inf], [0.0, 1.0]])
     with pytest.raises(ValueError):
@@ -239,6 +282,19 @@ def test_tradeoff_curve_invariants_and_policies(switching, switching_model):
     # with anonymity to spare, staying fully visible is optimal
     for _, dist in curve.points[0].policy.rules:
         assert dist == ((frozenset(), 1.0),)
+
+
+def test_switching_frontier_matches_closed_form(switching, switching_model):
+    # D(R) on the switching network is the straight chord from the common
+    # column (rate 0, loss 4/3) to the lossless floor (rate log2 6, loss 0)
+    topo, prior = switching
+    grid = np.linspace(0.0, 1.0, 33).tolist()
+    curve = tradeoff_curve(prior, topo, 1.0, grid, model=switching_model)
+    for pt in curve.points:
+        share = min(1.0, math.log2(24) * (1.0 - pt.alpha) / math.log2(6))
+        assert pt.rate == pytest.approx(8.0 / 3.0 + 4.0 / 3.0 * share, abs=1e-9)
+    assert curve.ba_probes <= 2
+    assert curve.ba_unconverged == 0
 
 
 def test_tradeoff_dominates_deterministic_hull(switching, switching_model):

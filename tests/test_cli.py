@@ -87,6 +87,15 @@ def test_tradeoff_files_and_dominance(tmp_path):
         assert (tmp_path / name).exists()
 
 
+def test_tradeoff_report_certifies_the_curve(tmp_path):
+    assert run(["tradeoff", "--alpha-points", "9", "--sim-packets", "40000",
+                "--out-dir", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "tradeoff_report.json").read_text())
+    assert doc["ba_probes"] == 1
+    assert doc["ba_unconverged"] == 0
+    assert 0.0 <= doc["max_duality_gap"] <= 1e-6
+
+
 def test_repeat_runs_are_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -124,11 +125,15 @@ class CovertPolicy:
             rules.append((session, ((b, 1.0),)))
         return cls(rules=tuple(rules))
 
+    @cached_property
+    def _by_session(self) -> dict:
+        return dict(self.rules)
+
     def distribution(self, session: Session):
-        for s, dist in self.rules:
-            if s == session:
-                return dist
-        raise KeyError("session not covered by policy")
+        try:
+            return self._by_session[session]
+        except KeyError:
+            raise KeyError("session not covered by policy") from None
 
 
 def _as_policy(policy_or_covert, prior: SessionPrior) -> CovertPolicy:

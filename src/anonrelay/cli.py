@@ -65,27 +65,17 @@ def _rows_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _drop_flags(result: relay_core.MatchResult) -> np.ndarray:
-    arr = np.sort(np.concatenate([result.pairs[:, 0], result.dropped_arrivals]))
-    dropped = result.dropped_arrivals
-    if dropped.size == 0:
-        return np.zeros(arr.size, dtype=bool)
-    idx = np.minimum(np.searchsorted(dropped, arr), dropped.size - 1)
-    return dropped[idx] == arr
-
-
 def _relay_strict(args, rows):
     horizon = args.packets / args.cs
     arrivals = gen_poisson(GenSpec(args.cs, horizon, args.seed), node_id="in")
     departures = gen_poisson(GenSpec(args.cb, horizon, args.seed), node_id="out")
     res = relay_core.bounded_greedy_match(arrivals, departures, args.delta)
-    flags = _drop_flags(res)
     rows.append(
         _check_row(
             "strict-loss-fraction",
             analytic.loss_fraction(args.cs, args.cb, args.delta),
             res.drop_fraction,
-            batch_stderr(flags, 100),
+            batch_stderr(res.dropped_mask(arrivals), 100),
         )
     )
     if args.dump_match:
@@ -104,7 +94,7 @@ def _relay_priority(args, rows):
             "priority-top-loss",
             analytic.loss_fraction(args.cs, args.cb, args.delta),
             top.drop_fraction,
-            batch_stderr(_drop_flags(top), 100),
+            batch_stderr(top.dropped_mask(s1), 100),
         )
     )
     rows.append(_check_row("priority-low-rate", math.nan, low.n_matched / horizon, math.nan))
@@ -115,7 +105,7 @@ def _relay_priority(args, rows):
                 f"equal-priority-loss-{sched.node_id}",
                 shared,
                 res.drop_fraction,
-                batch_stderr(_drop_flags(res), 100),
+                batch_stderr(res.dropped_mask(sched), 100),
             )
         )
 
@@ -147,7 +137,7 @@ def _relay_avg(args, rows):
                 "avg-mode-loss-fraction",
                 analytic.loss_fraction(cs_hat, cb_hat, window),
                 res.drop_fraction,
-                batch_stderr(_drop_flags(res), 100),
+                batch_stderr(res.dropped_mask(arrivals), 100),
             )
         )
 

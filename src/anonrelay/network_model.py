@@ -57,7 +57,11 @@ class NetworkConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Topology:
-    """Directed graph with a per-node transmission capacity."""
+    """Directed graph with a per-node transmission capacity.
+
+    A topology also holds the visible optima of the sessions evaluated in it:
+    `max_sum_rate_visible` solves each (session, topology) LP once.
+    """
 
     bounds: tuple[RateBound, ...]
     edges: frozenset
@@ -76,6 +80,10 @@ class Topology:
     @cached_property
     def capacities(self) -> dict[str, float]:
         return {b.node_id: b.capacity for b in self.bounds}
+
+    @cached_property
+    def _visible_optima(self) -> dict:
+        return {}  # (session, exact) -> max_sum_rate_visible result
 
     def capacity(self, node: str) -> float:
         try:
@@ -200,14 +208,22 @@ def max_sum_rate_visible(session: Session, topo: Topology, exact: bool = False):
     Fractional packing program: maximize the sum of per-path rates subject to
     each node carrying at most its capacity across all paths through it.
     Returns (optimum, per-path rates).
+
+    Visible optima are solved once per (session, topology) and held by the
+    topology; the session is validated in the topology on that first solve,
+    and both are frozen, so later calls return the held result.
     """
-    session.validate_in(topo)
-    paths = session.paths
-    nodes = sorted({v for p in paths for v in p})
-    rows = [[1.0 if node in p else 0.0 for p in paths] for node in nodes]
-    caps = [topo.capacity(node) for node in nodes]
-    value, rates = solve_packing_lp(rows, caps, [1.0] * len(paths), exact=exact)
-    return value, tuple(rates)
+    key = (session, exact)
+    held = topo._visible_optima.get(key)
+    if held is None:
+        session.validate_in(topo)
+        paths = session.paths
+        nodes = sorted({v for p in paths for v in p})
+        rows = [[1.0 if node in p else 0.0 for p in paths] for node in nodes]
+        caps = [topo.capacity(node) for node in nodes]
+        value, rates = solve_packing_lp(rows, caps, [1.0] * len(paths), exact=exact)
+        held = topo._visible_optima[key] = (value, tuple(rates))
+    return held
 
 
 @dataclass(frozen=True)
@@ -259,14 +275,6 @@ def _toposort_interior(paths) -> list[str]:
     if len(order) != len(interior):
         raise NetworkConfigError("session relay graph has a cycle")
     return order
-
-
-def _drop_flags(arrivals: np.ndarray, dropped: np.ndarray) -> np.ndarray:
-    if dropped.size == 0:
-        return np.zeros(arrivals.size, dtype=bool)
-    idx = np.searchsorted(dropped, arrivals)
-    idx = np.minimum(idx, dropped.size - 1)
-    return dropped[idx] == arrivals
 
 
 def _boosted_rates(session, topo, lam_v, covert, boost) -> list[float]:
@@ -343,7 +351,7 @@ def _run_session_sim(paths, caps, covert, src_rates, delay, horizon, seed, proc_
             for key, res in results.items():
                 i = tag_of[key]
                 streams[i] = res.pairs[:, 1].copy()
-                flags = _drop_flags(keyed[key], res.dropped_arrivals)
+                flags = res.dropped_mask(keyed[key])
                 stats[i] = RelayPathStats(
                     n_in=int(keyed[key].size),
                     n_dropped=int(res.dropped_arrivals.size),
@@ -407,9 +415,8 @@ def simulate_session(
     cascade losses measured here are the numerical ground truth where no
     closed form exists.
     """
-    session.validate_in(topo)
     covert = frozenset(covert) & session.interior_nodes
-    _, lam_v = max_sum_rate_visible(session, topo)
+    _, lam_v = max_sum_rate_visible(session, topo)  # validates the session
     rates = _boosted_rates(session, topo, lam_v, covert, boost)
     return _run_session_sim(
         session.paths, topo.capacities, covert, rates, delay, horizon, seed, proc_delay
@@ -507,9 +514,8 @@ def covert_sum_rate(
     is measured by a cached seeded simulation. `mode="analytic"` demands no
     path cross more than one covert relay; "auto" simulates only when needed.
     """
-    session.validate_in(topo)
     covert = frozenset(covert) & session.interior_nodes
-    lv, lam_v = max_sum_rate_visible(session, topo)
+    lv, lam_v = max_sum_rate_visible(session, topo)  # validates the session
     paths = session.paths
     covert_on_path = [[v for v in p[1:-1] if v in covert] for p in paths]
     cascaded = any(len(c) > 1 for c in covert_on_path)

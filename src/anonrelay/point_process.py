@@ -42,8 +42,9 @@ class MissingBoundError(KeyError):
     """Raised when a schedule has no matching per-node rate bound."""
 
 
-def _as_epochs(values) -> np.ndarray:
-    x = np.asarray(values, dtype=float)
+def _check_epochs(x: np.ndarray) -> np.ndarray:
+    """Return `x` unchanged if it is a valid epoch sequence: one-dimensional,
+    finite, nonnegative and strictly increasing; raise ScheduleError if not."""
     if x.ndim != 1:
         raise ScheduleError(f"epochs must be one-dimensional, got shape {x.shape}")
     if x.size:
@@ -53,7 +54,11 @@ def _as_epochs(values) -> np.ndarray:
             raise ScheduleError("epochs must be nonnegative")
         if x.size > 1 and not (np.diff(x) > 0.0).all():
             raise ScheduleError("epochs must be strictly increasing")
-    x = x.copy()
+    return x
+
+
+def _as_epochs(values) -> np.ndarray:
+    x = _check_epochs(np.asarray(values, dtype=float)).copy()
     x.flags.writeable = False
     return x
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import analytic
 from ._util import fmt, substream
-from .point_process import EmptyScheduleError, Schedule, empirical_rate
+from .point_process import EmptyScheduleError, Schedule, _check_epochs, empirical_rate
 
 __all__ = [
     "MatchResult",
@@ -99,11 +99,28 @@ class MatchResult:
             and np.array_equal(d, dep)
         )
 
+    def dropped_mask(self, arrivals) -> np.ndarray:
+        """One flag per arrival epoch, in arrival order: True where that
+        arrival is in `dropped_arrivals`."""
+        arr = _epoch_array(arrivals)
+        dropped = self.dropped_arrivals
+        if dropped.size == 0:
+            return np.zeros(arr.size, dtype=bool)
+        idx = np.minimum(np.searchsorted(dropped, arr), dropped.size - 1)
+        return dropped[idx] == arr
+
 
 def _epoch_array(x) -> np.ndarray:
     if isinstance(x, Schedule):
         return x.epochs
     return np.asarray(x, dtype=float)
+
+
+def _checked_epoch_array(x) -> np.ndarray:
+    """`_epoch_array` holding a raw sequence to the Schedule rules without
+    copying it; a Schedule was checked when it was built."""
+    arr = _epoch_array(x)
+    return arr if isinstance(x, Schedule) else _check_epochs(arr)
 
 
 def bounded_greedy_match(arrivals, departures, delay: float) -> MatchResult:
@@ -112,12 +129,13 @@ def bounded_greedy_match(arrivals, departures, delay: float) -> MatchResult:
     Departure epochs are scanned in time order; each takes the oldest waiting
     arrival no older than `delay`, else transmits a dummy. Arrivals whose
     window expires are dropped, as are any still waiting when the departure
-    stream ends.
+    stream ends. Raw epoch sequences must be finite, nonnegative and
+    strictly increasing, like a Schedule's; others raise ScheduleError.
     """
     if not (delay >= 0.0):
         raise ValueError(f"delay must be nonnegative, got {delay}")
-    arr = _epoch_array(arrivals).tolist()
-    dep = _epoch_array(departures).tolist()
+    arr = _checked_epoch_array(arrivals).tolist()
+    dep = _checked_epoch_array(departures).tolist()
 
     pair_a: list[float] = []
     pair_d: list[float] = []

@@ -6,6 +6,7 @@ import pytest
 from oracles import distortion_rate_oracle
 
 from anonrelay import anonymity_opt as ao
+from anonrelay import network_model as nm
 from anonrelay.anonymity_opt import (
     AnonymityInfeasibleError,
     CovertPolicy,
@@ -104,6 +105,34 @@ def test_policy_validation(switching):
         CovertPolicy(rules=((s, ((frozenset({"M1"}), 0.4),)),))
     with pytest.raises(ValueError):
         CovertPolicy(rules=((s, ((frozenset({"S1"}), 1.0),)),))
+
+
+def test_policy_looks_up_sessions_by_value(switching):
+    _, prior = switching
+    policy = CovertPolicy.deterministic({"M2", "M4"}, prior)
+    s = prior.sessions[7]
+    twin = Session(paths=s.paths)
+    assert twin is not s
+    assert policy.distribution(twin) == ((frozenset({"M2", "M4"}), 1.0),)
+    with pytest.raises(KeyError):
+        policy.distribution(Session(paths=(("S1", "M1", "M2", "D9"),)))
+
+
+def test_distortion_model_solves_one_lp_per_session(monkeypatch):
+    calls = []
+    solve = nm.solve_packing_lp
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(nm, "solve_packing_lp", counting)
+    topo, prior = switching_topology(2.0)
+    model = build_distortion_model(prior, topo, 1.0, sim_packets=2_000, seed=5)
+    assert len(calls) == 24
+    assert np.isfinite(model.d).sum() == 24 * 16
+    deterministic_points(prior, topo, 1.0, sim_packets=2_000, seed=5)
+    assert len(calls) == 24
 
 
 def test_best_deterministic_zero_target_keeps_everything_visible(switching):

@@ -182,6 +182,65 @@ def test_analytic_mode_refuses_cascades():
         covert_sum_rate(prior.sessions[0], {"M1", "M2"}, topo, 1.0, mode="analytic")
 
 
+def _count_solves(monkeypatch) -> list:
+    """Route the network model's LP solver through a recorder of each
+    call's `exact` flag."""
+    calls = []
+    solve = nm.solve_packing_lp
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("exact", False))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(nm, "solve_packing_lp", counting)
+    return calls
+
+
+def test_covert_rates_solve_each_visible_lp_once(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    topo, prior = switching_topology(2.0)
+    s = prior.sessions[3]
+    first = covert_sum_rate(s, {"M1", "M3"}, topo, 1.0)
+    assert len(calls) == 1
+    again = covert_sum_rate(s, {"M1", "M3"}, topo, 1.0)
+    covert_sum_rate(s, {"M2"}, topo, 1.0)
+    simulate_session(s, frozenset(), topo, 1.0, horizon=100.0, seed=1)
+    assert len(calls) == 1
+    assert again.sum_rate == first.sum_rate
+    # another topology, even an equal one, solves afresh
+    covert_sum_rate(s, {"M1", "M3"}, switching_topology(2.0)[0], 1.0)
+    assert len(calls) == 2
+
+
+def test_visible_optimum_held_per_exactness(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    topo, prior = switching_topology(2.0)
+    s = prior.sessions[0]
+    approx = max_sum_rate_visible(s, topo)
+    exact = max_sum_rate_visible(s, topo, exact=True)
+    assert calls == [False, True]
+    assert max_sum_rate_visible(s, topo) is approx
+    assert max_sum_rate_visible(s, topo, exact=True) is exact
+    assert calls == [False, True]
+    assert exact[0] == pytest.approx(approx[0], abs=1e-12)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_invalid_session_always_raises(warm):
+    topo, prior = switching_topology(2.0)
+    bad = Session(paths=(("S1", "M2", "D1"),))  # S1 has no edge to M2
+    if warm:
+        for s in prior.sessions:
+            covert_sum_rate(s, {"M1", "M3"}, topo, 1.0)
+    for _ in range(2):
+        with pytest.raises(NetworkConfigError):
+            covert_sum_rate(bad, frozenset(), topo, 1.0)
+        with pytest.raises(NetworkConfigError):
+            simulate_session(bad, frozenset(), topo, 1.0, horizon=10.0, seed=0)
+        with pytest.raises(NetworkConfigError):
+            max_sum_rate_visible(bad, topo)
+
+
 def test_simulate_all_visible_recovers_lp_rates():
     topo, prior = switching_topology(2.0)
     s = prior.sessions[0]

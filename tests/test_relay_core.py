@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from oracles import min_drops_exhaustive
 
 from anonrelay import analytic
-from anonrelay.point_process import EmptyScheduleError, GenSpec, Schedule, gen_poisson
+from anonrelay.point_process import (
+    EmptyScheduleError,
+    GenSpec,
+    Schedule,
+    ScheduleError,
+    gen_poisson,
+)
 from anonrelay.relay_core import (
     MatchResult,
     PriorityOrder,
@@ -62,6 +68,9 @@ def test_match_partitions_and_fifo(arr, dep, delay):
     departures = _epochs(dep)
     r = bounded_greedy_match(arrivals, departures, delay)
     assert r.verify_partition(arrivals, departures)
+    mask = r.dropped_mask(arrivals)
+    assert np.array_equal(mask, np.isin(arrivals, r.dropped_arrivals))
+    assert np.array_equal(arrivals[mask], r.dropped_arrivals)
     if r.n_matched:
         d = r.delays
         assert d.min() >= 0.0 and d.max() <= delay
@@ -78,6 +87,23 @@ def test_drops_nonincreasing_in_window(arr, dep, d1, d2):
         bounded_greedy_match(arrivals, departures, hi).n_dropped
         <= bounded_greedy_match(arrivals, departures, lo).n_dropped
     )
+
+
+@pytest.mark.parametrize("bad", [
+    [0.1, math.nan, 0.9],     # not finite
+    [0.1, math.inf],          # not finite
+    [-0.5, 1.0],              # negative
+    [0.5, 1.0, 1.0, 2.0],     # repeated epoch
+    [0.5, 2.0, 1.0],          # out of order
+])
+@pytest.mark.parametrize("side", ["arrivals", "departures"])
+def test_match_rejects_malformed_raw_epochs(bad, side):
+    good = [0.25, 0.75, 1.5]
+    arrivals, departures = (bad, good) if side == "arrivals" else (good, bad)
+    with pytest.raises(ScheduleError):
+        bounded_greedy_match(arrivals, departures, 1.0)
+    with pytest.raises(ScheduleError):
+        bounded_greedy_match(np.asarray(arrivals), np.asarray(departures), 1.0)
 
 
 def test_greedy_matches_exhaustive_minimum_drops():

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._util import fmt
+from ._util import convex_hull, fmt
 from .network_model import (
     Session,
     SessionPrior,
@@ -88,8 +88,8 @@ class ObservationCollisionError(RuntimeError):
     means the observation map is broken."""
 
 
-def entropy_bits(prior: SessionPrior) -> float:
-    """Shannon entropy of the session prior, in bits."""
+def entropy_bits(prior) -> float:
+    """Shannon entropy in bits of the prior's `probs` (a `DistortionModel` has them too)."""
     return -sum(p * math.log2(p) for p in prior.probs)
 
 
@@ -198,13 +198,6 @@ class DetPoint:
     sum_rate: float
 
 
-def _relay_universe(prior: SessionPrior) -> list[str]:
-    nodes = set()
-    for s in prior.sessions:
-        nodes.update(s.interior_nodes)
-    return sorted(nodes)
-
-
 def expected_covert_rate(prior, covert, topo, delay, sim_packets, seed, boost) -> float:
     total = 0.0
     for session, p in prior.entries:
@@ -216,6 +209,13 @@ def expected_covert_rate(prior, covert, topo, delay, sim_packets, seed, boost) -
     return total
 
 
+def _subsets(relays: Sequence[str]):
+    """Every subset of `relays` as a frozenset, smallest first."""
+    for size in range(len(relays) + 1):
+        for combo in itertools.combinations(relays, size):
+            yield frozenset(combo)
+
+
 def deterministic_points(
     prior: SessionPrior,
     topo: Topology,
@@ -224,23 +224,19 @@ def deterministic_points(
     seed: int = 0,
     boost: bool = True,
     max_relays: int = 20,
+    model: Optional[DistortionModel] = None,
 ) -> tuple[DetPoint, ...]:
-    """(anonymity, expected sum rate) of every fixed covert subset."""
-    relays = _relay_universe(prior)
+    """(anonymity, expected sum rate) of every fixed covert subset, smallest
+    first, read off the distortion model for this prior and delay (built
+    here unless given)."""
+    relays = sorted(set().union(*(s.interior_nodes for s in prior.sessions)))
     if len(relays) > max_relays:
         raise ValueError(f"{len(relays)} relays exceed the enumeration cap {max_relays}")
-    points = []
-    for size in range(len(relays) + 1):
-        for combo in itertools.combinations(relays, size):
-            b = frozenset(combo)
-            points.append(
-                DetPoint(
-                    covert=b,
-                    alpha=anonymity_level(b, prior),
-                    sum_rate=expected_covert_rate(prior, b, topo, delay, sim_packets, seed, boost),
-                )
-            )
-    return tuple(points)
+    model = _model_for(prior, topo, delay, model, sim_packets, seed, boost)
+    return tuple(
+        DetPoint(covert=b, alpha=model.anonymity(b), sum_rate=model.covert_rate(b))
+        for b in _subsets(relays)
+    )
 
 
 def best_deterministic(
@@ -258,26 +254,15 @@ def best_deterministic(
     the cheapest set of covert relays."""
     if alpha_target > 1.0:
         raise AnonymityInfeasibleError(alpha_target, 1.0, frozenset())
-    relays = _relay_universe(prior)
-    if len(relays) > max_relays:
-        raise ValueError(f"{len(relays)} relays exceed the enumeration cap {max_relays}")
-    best: Optional[DetPoint] = None
-    best_alpha = -1.0
-    best_alpha_covert: frozenset = frozenset()
-    for size in range(len(relays) + 1):
-        for combo in itertools.combinations(relays, size):
-            b = frozenset(combo)
-            alpha = anonymity_level(b, prior)
-            if alpha > best_alpha:
-                best_alpha = alpha
-                best_alpha_covert = b
-            if alpha + 1e-12 < alpha_target:
-                continue
-            rate = expected_covert_rate(prior, b, topo, delay, sim_packets, seed, boost)
-            if best is None or rate > best.sum_rate + 1e-15:
-                best = DetPoint(covert=b, alpha=alpha, sum_rate=rate)
-    if best is None:
-        raise AnonymityInfeasibleError(alpha_target, best_alpha, best_alpha_covert)
+    points = deterministic_points(prior, topo, delay, sim_packets, seed, boost, max_relays)
+    feasible = [p for p in points if p.alpha + 1e-12 >= alpha_target]
+    if not feasible:
+        top = max(points, key=lambda p: p.alpha)
+        raise AnonymityInfeasibleError(alpha_target, top.alpha, top.covert)
+    best = feasible[0]
+    for p in feasible[1:]:
+        if p.sum_rate > best.sum_rate + 1e-15:
+            best = p
     return best
 
 
@@ -288,7 +273,9 @@ class DistortionModel:
     Rows are sessions, columns are observations; the entry is the drop in
     achievable sum rate for the unique covert subset turning that session
     into that observation, and +inf where no subset does. This is the loss
-    matrix the distortion-rate computation minimises over.
+    matrix the distortion-rate computation minimises over. A covert set
+    fixed for every session picks one cell per row, so `covert_rate` and
+    `anonymity` read deterministic strategies off the model.
     """
 
     sessions: tuple[Session, ...]
@@ -300,6 +287,36 @@ class DistortionModel:
     rate_zero: float
     delay: float
     metadata: dict
+
+    @cached_property
+    def _column(self) -> dict:
+        return {(si, b): oi for (si, oi), b in self.covert_for.items()}
+
+    def _columns(self, covert) -> list[int]:
+        covert = frozenset(covert)
+        return [self._column[(si, covert & s.interior_nodes)]
+                for si, s in enumerate(self.sessions)]
+
+    def covert_rate(self, covert) -> float:
+        """Expected sum rate with `covert` covert in every session, rate_zero
+        minus sum_s p_s * d[s, col], added up as sum_s p_s * (lambda_v[s] -
+        d[s, col]) so that each term is the session's covert sum rate."""
+        cols = self._columns(covert)
+        losses = self.d[np.arange(len(cols)), cols].tolist()
+        return sum(p * (lv - loss)
+                   for p, lv, loss in zip(self.probs.tolist(), self.lambda_v, losses))
+
+    def anonymity(self, covert) -> float:
+        """`anonymity_level` of a fixed covert set: a column is one
+        observation, so H(S|O) sums p_s * log2(m / p_s), m the prior mass of
+        the session's column; a session alone in its column adds exactly 0."""
+        h_prior = entropy_bits(self)
+        if h_prior <= 0.0:
+            return 1.0
+        cols = self._columns(covert)
+        mass = np.bincount(cols, weights=self.probs).tolist()
+        terms = zip(cols, self.probs.tolist())
+        return float(-sum(p * math.log2(p / mass[c]) for c, p in terms) / h_prior)
 
 
 def build_distortion_model(
@@ -336,30 +353,28 @@ def build_distortion_model(
         lambda_v.append(lv)
         row: dict = {}
         seen: dict = {}
-        for size in range(len(relays) + 1):
-            for combo in itertools.combinations(relays, size):
-                b = frozenset(combo)
-                obs = observe(session, b)
-                if obs in seen:
-                    raise ObservationCollisionError(
-                        f"covert sets {sorted(seen[obs])} and {sorted(b)} give one "
-                        f"observation for the same session"
-                    )
-                seen[obs] = b
-                res = covert_sum_rate(
-                    session, b, topo, delay,
-                    mode="auto", sim_packets=sim_packets, seed=seed, boost=boost,
+        for b in _subsets(relays):
+            obs = observe(session, b)
+            if obs in seen:
+                raise ObservationCollisionError(
+                    f"covert sets {sorted(seen[obs])} and {sorted(b)} give one "
+                    f"observation for the same session"
                 )
-                if res.mode == "simulated":
-                    n_sim += 1
-                loss = lv - res.sum_rate
-                if abs(loss) < 1e-12:
-                    loss = 0.0
-                oi = obs_index.setdefault(obs, len(observations))
-                if oi == len(observations):
-                    observations.append(obs)
-                row[oi] = loss
-                covert_for[(si, oi)] = b
+            seen[obs] = b
+            res = covert_sum_rate(
+                session, b, topo, delay,
+                mode="auto", sim_packets=sim_packets, seed=seed, boost=boost,
+            )
+            if res.mode == "simulated":
+                n_sim += 1
+            loss = lv - res.sum_rate
+            if abs(loss) < 1e-12:
+                loss = 0.0
+            oi = obs_index.setdefault(obs, len(observations))
+            if oi == len(observations):
+                observations.append(obs)
+            row[oi] = loss
+            covert_for[(si, oi)] = b
         rows.append(row)
 
     d = np.full((len(sessions), len(observations)), np.inf)
@@ -379,6 +394,16 @@ def build_distortion_model(
         metadata={"sim_packets": sim_packets, "seed": seed, "boost": boost,
                   "simulated_entries": n_sim},
     )
+
+
+def _model_for(prior, topo, delay, model, sim_packets, seed, boost) -> DistortionModel:
+    """The given model, checked against the prior and delay, or a new one."""
+    if model is None:
+        return build_distortion_model(prior, topo, delay, sim_packets, seed, boost)
+    if (model.sessions != prior.sessions or not np.array_equal(model.probs, prior.probs)
+            or model.delay != delay):
+        raise ValueError("distortion model was built for another prior or delay")
+    return model
 
 
 @dataclass(frozen=True, eq=False)
@@ -644,10 +669,7 @@ def tradeoff_curve(
     back through the uniqueness of the covert set given (session,
     observation).
     """
-    if model is None:
-        model = build_distortion_model(
-            prior, topo, delay, sim_packets=sim_packets, seed=seed, boost=boost
-        )
+    model = _model_for(prior, topo, delay, model, sim_packets, seed, boost)
     h = entropy_bits(prior)
     points = []
     probe_cache: dict = {}
@@ -685,42 +707,26 @@ def deterministic_hull(points: Sequence[tuple[float, float]]) -> list[tuple[floa
 
     Returns (rate, alpha) vertices, sorted by alpha, after discarding every
     point strictly below some convex combination of others. Anonymity can
-    always be thrown away, so the envelope extends flat to the left.
+    always be thrown away, so the envelope extends flat to the left: it is
+    the upper chain of the convex hull (monotone chain) from the best-rate
+    point rightwards, plus that rate at the smallest alpha.
     """
     if not points:
         raise ValueError("need at least one point")
-    alphas = sorted({a for _, a in points})
-    out = []
-    for a in alphas:
-        out.append((deterministic_hull_value(points, a), a))
-    pruned = []
-    for r, a in out:
-        while len(pruned) >= 2:
-            (r0, a0), (r1, a1) = pruned[-2], pruned[-1]
-            if a1 > a0 and abs((r1 - r0) * (a - a0) - (r - r0) * (a1 - a0)) <= 1e-12:
-                pruned.pop()  # collinear middle point
-            else:
-                break
-        pruned.append((r, a))
-    return pruned
+    ccw = convex_hull((a, r) for r, a in points)  # (alpha, rate), counter-clockwise
+    right = ccw.index(max(ccw))
+    upper = (ccw[right:] + ccw[:1])[::-1]  # over the top, left to right
+    best = max(range(len(upper)), key=lambda k: (upper[k][1], k))  # best rate, rightmost
+    hull = [(r, a) for a, r in upper[best:]]
+    if ccw[0][0] < hull[0][1]:
+        hull.insert(0, (hull[0][0], ccw[0][0]))
+    return hull
 
 
 def deterministic_hull_value(points: Sequence[tuple[float, float]], alpha: float) -> float:
     """Best rate reachable at anonymity >= alpha by mixing deterministic
-    strategies across sessions."""
-    best = -math.inf
-    pts = [(float(r), float(a)) for r, a in points]
-    for r, a in pts:
-        if a >= alpha - 1e-12:
-            best = max(best, r)
-    for (r1, a1), (r2, a2) in itertools.combinations(pts, 2):
-        lo, hi = (r1, a1), (r2, a2)
-        if lo[1] > hi[1]:
-            lo, hi = hi, lo
-        if lo[1] - 1e-12 <= alpha <= hi[1] + 1e-12 and hi[1] > lo[1]:
-            t = (alpha - lo[1]) / (hi[1] - lo[1])
-            t = min(1.0, max(0.0, t))
-            best = max(best, lo[0] + t * (hi[0] - lo[0]))
-    if not math.isfinite(best):
+    strategies across sessions: the hull interpolated at alpha."""
+    hull = deterministic_hull(points)
+    if alpha > hull[-1][1] + 1e-12:
         raise ValueError(f"no deterministic point reaches anonymity {alpha}")
-    return best
+    return float(np.interp(alpha, [a for _, a in hull], [r for r, _ in hull]))

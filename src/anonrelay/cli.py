@@ -273,9 +273,7 @@ def cmd_tradeoff(args) -> int:
     curve = anonymity_opt.tradeoff_curve(
         prior, topo, args.delta, grid.tolist(), model=model
     )
-    det = anonymity_opt.deterministic_points(
-        prior, topo, args.delta, sim_packets=args.sim_packets, seed=args.seed
-    )
+    det = anonymity_opt.deterministic_points(prior, topo, args.delta, model=model)
     det_pairs = [(p.sum_rate, p.alpha) for p in det]
     hull = anonymity_opt.deterministic_hull(det_pairs)
     dominance = all(

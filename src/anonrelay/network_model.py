@@ -123,6 +123,32 @@ class Session:
             out.update(p[1:-1])
         return frozenset(out)
 
+    @cached_property
+    def relay_order(self) -> tuple[str, ...]:
+        """Interior relays in topological order along the paths, ties by
+        name; a cyclic relay graph raises `NetworkConfigError` every time."""
+        succ: dict[str, set] = {v: set() for v in self.interior_nodes}
+        indeg = {v: 0 for v in self.interior_nodes}
+        for p in self.paths:
+            inner = p[1:-1]
+            for u, v in zip(inner, inner[1:]):
+                if v not in succ[u]:
+                    succ[u].add(v)
+                    indeg[v] += 1
+        ready = sorted(v for v, d in indeg.items() if d == 0)
+        order: list[str] = []
+        while ready:
+            v = ready.pop(0)
+            order.append(v)
+            for w in sorted(succ[v]):
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    ready.append(w)
+            ready.sort()
+        if len(order) != len(self.interior_nodes):
+            raise NetworkConfigError("session relay graph has a cycle")
+        return tuple(order)
+
     def validate_in(self, topo: Topology) -> None:
         for p in self.paths:
             if not topo.is_valid_path(p):
@@ -252,31 +278,6 @@ class SessionSimResult:
     seed: int
 
 
-def _toposort_interior(paths) -> list[str]:
-    interior = {v for p in paths for v in p[1:-1]}
-    succ: dict[str, set] = {v: set() for v in interior}
-    indeg = {v: 0 for v in interior}
-    for p in paths:
-        inner = [v for v in p[1:-1]]
-        for u, v in zip(inner, inner[1:]):
-            if v not in succ[u]:
-                succ[u].add(v)
-                indeg[v] += 1
-    ready = sorted(v for v, d in indeg.items() if d == 0)
-    order: list[str] = []
-    while ready:
-        v = ready.pop(0)
-        order.append(v)
-        for w in sorted(succ[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-        ready.sort()
-    if len(order) != len(interior):
-        raise NetworkConfigError("session relay graph has a cycle")
-    return order
-
-
 def _boosted_rates(session, topo, lam_v, covert, boost) -> list[float]:
     """Per-path source emission rates. A source whose next hop is covert may
     spend its whole capacity on that stream; redundancy there converts to
@@ -301,7 +302,7 @@ def _boosted_rates(session, topo, lam_v, covert, boost) -> list[float]:
     return rates
 
 
-def _run_session_sim(paths, caps, covert, src_rates, delay, horizon, seed, proc_delay):
+def _run_session_sim(session, caps, covert, src_rates, delay, horizon, seed, proc_delay):
     """Push seeded Poisson source streams through the session hop by hop.
 
     Visible relays forward every received epoch (dummy packets from covert
@@ -311,6 +312,7 @@ def _run_session_sim(paths, caps, covert, src_rates, delay, horizon, seed, proc_
     downstream next hops and ride visible chains until a covert relay or a
     destination swallows them.
     """
+    paths = session.paths
     streams: list[np.ndarray] = []
     for i, rate in enumerate(src_rates):
         if rate <= 0.0:
@@ -334,7 +336,8 @@ def _run_session_sim(paths, caps, covert, src_rates, delay, horizon, seed, proc_
     dummy_inbox: dict[str, list[np.ndarray]] = {}
     relay_stats: dict[str, dict[int, RelayPathStats]] = {}
 
-    for node in _toposort_interior(paths):
+    dests = {p[-1] for p in paths}
+    for node in session.relay_order:
         feeding = [i for i, p in enumerate(paths) if node in p[1:-1]]
         fwd_dummies = np.sort(np.concatenate(dummy_inbox.pop(node, [np.empty(0)])))
         if node in covert:
@@ -361,33 +364,23 @@ def _run_session_sim(paths, caps, covert, src_rates, delay, horizon, seed, proc_
             node_schedules[node] = dep
             # dummies (and any forwarded dummies die here: a relay can read
             # the routing layer, so chaff is never matched onward)
-            some = results[sorted(results)[0]] if results else None
-            dummies = some.dummy_departures if some is not None else dep
-            hops = sorted({next_hop[(i, node)] for i in feeding})
-            dests = {p[-1] for p in paths}
-            hops = [h for h in hops if h not in dests]
-            if hops and dummies.size:
-                pick = substream(seed, "chaff", node).integers(0, len(hops), dummies.size)
-                for j, h in enumerate(hops):
-                    dummy_inbox.setdefault(h, []).append(dummies[pick == j])
+            chaff = results[min(results)].dummy_departures if results else dep
         else:
             outs = []
             for i in feeding:
                 streams[i] = streams[i] + proc_delay
                 outs.append(streams[i])
-            fwd = fwd_dummies + proc_delay
-            node_schedules[node] = np.sort(np.concatenate(outs + [fwd]))
-            hops = sorted({next_hop[(i, node)] for i in feeding})
-            dests = {p[-1] for p in paths}
-            hops = [h for h in hops if h not in dests]
-            if hops and fwd.size:
-                pick = substream(seed, "chaff", node).integers(0, len(hops), fwd.size)
-                for j, h in enumerate(hops):
-                    dummy_inbox.setdefault(h, []).append(fwd[pick == j])
+            chaff = fwd_dummies + proc_delay
+            node_schedules[node] = np.sort(np.concatenate(outs + [chaff]))
+        hops = [h for h in sorted({next_hop[(i, node)] for i in feeding}) if h not in dests]
+        if hops and chaff.size:
+            pick = substream(seed, "chaff", node).integers(0, len(hops), chaff.size)
+            for j, h in enumerate(hops):
+                dummy_inbox.setdefault(h, []).append(chaff[pick == j])
 
     delivered = tuple(int(s.size) for s in streams)
     return SessionSimResult(
-        paths=tuple(paths),
+        paths=paths,
         delivered_counts=delivered,
         path_rates=tuple(d / horizon for d in delivered),
         relay_stats=relay_stats,
@@ -419,7 +412,7 @@ def simulate_session(
     _, lam_v = max_sum_rate_visible(session, topo)  # validates the session
     rates = _boosted_rates(session, topo, lam_v, covert, boost)
     return _run_session_sim(
-        session.paths, topo.capacities, covert, rates, delay, horizon, seed, proc_delay
+        session, topo.capacities, covert, rates, delay, horizon, seed, proc_delay
     )
 
 
@@ -539,7 +532,7 @@ def covert_sum_rate(
             key,
             lambda: (
                 _run_session_sim(
-                    paths, topo.capacities, covert, rates, delay, horizon, seed, 1e-6
+                    session, topo.capacities, covert, rates, delay, horizon, seed, 1e-6
                 ),
                 order,
             ),
@@ -565,7 +558,7 @@ def covert_sum_rate(
     eps: dict[tuple[int, str], EpsEstimate] = {}
     stream_rate = list(rates)
     first_covert = {(i, c[0]) for i, c in enumerate(covert_on_path) if c}
-    for node in _toposort_interior(paths):
+    for node in session.relay_order:
         if node not in covert:
             continue
         through = [i for i, p in enumerate(paths) if node in p[1:-1]]

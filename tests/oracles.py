@@ -1,8 +1,9 @@
 """Independent oracles the tests check the library against.
 
 Nothing here shares code with the implementations under test: drop counts
-come from exhaustive matching enumeration, and distortion-rate values from
-direct constrained minimisation over the conditional simplex.
+come from exhaustive matching enumeration, distortion-rate values from
+direct constrained minimisation over the conditional simplex, and the
+deterministic time-sharing hull from a scan over every pair of points.
 """
 from __future__ import annotations
 
@@ -120,3 +121,40 @@ def distortion_rate_oracle(d: np.ndarray, p: np.ndarray, rate_bits: float,
         if _mutual_info_bits(q, p) <= rate_bits + 1e-7:
             best = min(best, float(np.sum(p[:, None] * q * d)))
     return best
+
+
+def hull_value_pairwise(points, alpha: float) -> float:
+    """Best rate at anonymity >= alpha over the points themselves and every
+    mixture of two of them; raises ValueError when no point reaches alpha."""
+    best = -math.inf
+    pts = [(float(r), float(a)) for r, a in points]
+    for r, a in pts:
+        if a >= alpha - 1e-12:
+            best = max(best, r)
+    for (r1, a1), (r2, a2) in itertools.combinations(pts, 2):
+        lo, hi = (r1, a1), (r2, a2)
+        if lo[1] > hi[1]:
+            lo, hi = hi, lo
+        if lo[1] - 1e-12 <= alpha <= hi[1] + 1e-12 and hi[1] > lo[1]:
+            t = (alpha - lo[1]) / (hi[1] - lo[1])
+            t = min(1.0, max(0.0, t))
+            best = max(best, lo[0] + t * (hi[0] - lo[0]))
+    if not math.isfinite(best):
+        raise ValueError(f"no deterministic point reaches anonymity {alpha}")
+    return best
+
+
+def hull_pairwise(points) -> list[tuple[float, float]]:
+    """(rate, alpha) vertices of the time-sharing envelope: the pairwise
+    value at every distinct alpha, collinear middle points dropped."""
+    pruned: list[tuple[float, float]] = []
+    for a in sorted({a for _, a in points}):
+        r = hull_value_pairwise(points, a)
+        while len(pruned) >= 2:
+            (r0, a0), (r1, a1) = pruned[-2], pruned[-1]
+            if abs((r1 - r0) * (a - a0) - (r - r0) * (a1 - a0)) <= 1e-12:
+                pruned.pop()
+            else:
+                break
+        pruned.append((r, a))
+    return pruned

@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import distortion_rate_oracle
+from oracles import distortion_rate_oracle, hull_pairwise, hull_value_pairwise
 
 from anonrelay import anonymity_opt as ao
 from anonrelay import network_model as nm
@@ -351,6 +354,91 @@ def test_hull_excludes_dominated_points():
     assert (3.9, 0.4) not in hull
     assert (1.0, 0.7) not in hull
     assert deterministic_hull_value(pts, 0.7) > 1.0
+
+
+# Dyadic grids keep every cross product exact, so collinear means exactly
+# collinear for the hull and the reference alike.
+_grid_point = st.tuples(st.integers(0, 64).map(lambda j: j / 16),
+                        st.integers(0, 32).map(lambda k: k / 32))
+
+
+@st.composite
+def _collinear_run(draw):
+    j0, k0 = draw(st.integers(0, 64)), draw(st.integers(0, 16))
+    dj, dk = draw(st.integers(-8, 8)), draw(st.integers(1, 4))
+    return [((j0 + i * dj) / 16, (k0 + i * dk) / 32) for i in range(draw(st.integers(2, 5)))]
+
+
+_point_sets = st.builds(lambda pts, runs: pts + [p for run in runs for p in run],
+                        st.lists(_grid_point, min_size=1, max_size=12),
+                        st.lists(_collinear_run(), max_size=2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(pts=_point_sets, below=st.floats(0.0, 1.0), between=st.lists(st.integers(0, 63),
+                                                                     max_size=4))
+@example(pts=[(3.0, 0.5)], below=0.25, between=[])
+@example(pts=[(1.0, 0.5), (2.0, 0.5), (2.0, 0.25), (0.5, 1.0), (0.5, 0.75)],
+         below=0.0, between=[0])
+def test_hull_matches_pairwise_reference(pts, below, between):
+    assert deterministic_hull(pts) == hull_pairwise(pts)
+    alphas = [a for _, a in pts]
+    lo, hi = min(alphas), max(alphas)
+    # midway between grid alphas, where the reference's 1e-12 alpha slack
+    # cannot reach a point
+    mids = [(k + 0.5) / 32 for k in between if (k + 0.5) / 32 <= hi]
+    for a in alphas + [lo - below] + mids:
+        assert deterministic_hull_value(pts, a) == pytest.approx(
+            hull_value_pairwise(pts, a), abs=1e-12)
+    with pytest.raises(ValueError):
+        deterministic_hull_value(pts, hi + 1e-9)
+
+
+@pytest.mark.parametrize("network", ["switching", "leaky_network"])
+def test_points_read_off_the_model_match_direct_enumeration(network, request):
+    topo, prior = request.getfixturevalue(network)
+    model = build_distortion_model(prior, topo, 1.0, sim_packets=20_000, seed=4)
+    points = deterministic_points(prior, topo, 1.0, model=model)
+    assert points == deterministic_points(prior, topo, 1.0, sim_packets=20_000, seed=4)
+    relays = sorted(set().union(*(s.interior_nodes for s in prior.sessions)))
+    assert [p.covert for p in points] == [
+        frozenset(c) for k in range(len(relays) + 1) for c in itertools.combinations(relays, k)
+    ]
+    ref = {}
+    for p in points:
+        alpha = anonymity_level(p.covert, prior)
+        rate = expected_covert_rate(prior, p.covert, topo, 1.0, 20_000, 4, True)
+        assert p.alpha == pytest.approx(alpha, abs=1e-12)
+        assert p.sum_rate == pytest.approx(rate, abs=1e-12)
+        ref[p.covert] = (alpha, rate)
+    # brute force over the direct values: first subset within 1e-15 of the best
+    for target in sorted({0.0, 1.0} | {a for a, _ in ref.values()}):
+        want = None
+        for b, (a, r) in ref.items():
+            if a + 1e-12 >= target and (want is None or r > ref[want][1] + 1e-15):
+                want = b
+        if want is None:
+            with pytest.raises(AnonymityInfeasibleError):
+                best_deterministic(prior, topo, target, 1.0, sim_packets=20_000, seed=4)
+        else:
+            best = best_deterministic(prior, topo, target, 1.0, sim_packets=20_000, seed=4)
+            assert best.covert == want
+
+
+def test_model_for_another_prior_or_delay_is_rejected(switching, switching_model):
+    topo, prior = switching
+    skewed = SessionPrior(entries=tuple(
+        (s, (2.0 if k < 12 else 1.0) / 36.0) for k, s in enumerate(prior.sessions)))
+    reordered = SessionPrior(entries=prior.entries[::-1])
+    calls = (
+        lambda pr, delay: tradeoff_curve(pr, topo, delay, [0.5], model=switching_model),
+        lambda pr, delay: deterministic_points(pr, topo, delay, model=switching_model),
+    )
+    for call in calls:
+        for pr, delay in ((prior, 2.0), (skewed, 1.0), (reordered, 1.0)):
+            with pytest.raises(ValueError, match="another prior or delay"):
+                call(pr, delay)
+        call(prior, 1.0)
 
 
 @pytest.fixture(scope="module")

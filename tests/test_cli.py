@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from anonrelay import anonymity_opt as ao
 from anonrelay import network_model as nm
 from anonrelay.cli import main
 
@@ -72,12 +73,23 @@ def test_switching_reports_exact_alphas(tmp_path):
     assert doc["table"][2]["alpha"] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_tradeoff_files_and_dominance(tmp_path):
+def test_tradeoff_files_and_dominance(tmp_path, monkeypatch):
+    calls = []
+    covert_sum_rate = ao.covert_sum_rate
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return covert_sum_rate(*args, **kwargs)
+
+    monkeypatch.setattr(ao, "covert_sum_rate", counting)
     code = run([
         "tradeoff", "--alpha-points", "5", "--sim-packets", "40000",
         "--out-dir", str(tmp_path),
     ])
     assert code == 0
+    # one covert rate per model cell (24 sessions x 16 covert subsets); the
+    # deterministic points are read off the model
+    assert len(calls) == 24 * 16
     doc = json.loads((tmp_path / "tradeoff_report.json").read_text())
     assert doc["randomized_dominates_hull"]
     assert doc["rate_at_alpha0"] == pytest.approx(4.0, abs=1e-9)

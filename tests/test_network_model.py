@@ -241,6 +241,26 @@ def test_invalid_session_always_raises(warm):
             max_sum_rate_visible(bad, topo)
 
 
+def test_cyclic_session_always_raises():
+    # X precedes Y on one path and follows it on the other: no relay order
+    nodes = ["A", "B", "X", "Y", "D1", "D2"]
+    topo = Topology(
+        bounds=tuple(RateBound(n, 2.0) for n in nodes),
+        edges=frozenset({("A", "X"), ("X", "Y"), ("Y", "D1"),
+                         ("B", "Y"), ("Y", "X"), ("X", "D2")}),
+    )
+    cyclic = Session(paths=(("A", "X", "Y", "D1"), ("B", "Y", "X", "D2")))
+    for _ in range(2):
+        with pytest.raises(NetworkConfigError, match="cycle"):
+            covert_sum_rate(cyclic, frozenset(), topo, 1.0)
+        with pytest.raises(NetworkConfigError, match="cycle"):
+            simulate_session(cyclic, frozenset(), topo, 1.0, horizon=10.0, seed=0)
+    assert "relay_order" not in vars(cyclic)
+    line = Session(paths=(("A", "X", "Y", "D1"), ("B", "Y", "D2")))
+    assert line.relay_order == ("X", "Y")
+    assert line.relay_order is line.relay_order
+
+
 def test_simulate_all_visible_recovers_lp_rates():
     topo, prior = switching_topology(2.0)
     s = prior.sessions[0]

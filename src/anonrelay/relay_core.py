@@ -123,6 +123,53 @@ def _checked_epoch_array(x) -> np.ndarray:
     return arr if isinstance(x, Schedule) else _check_epochs(arr)
 
 
+def _match_index(arr: np.ndarray, dep: np.ndarray, delay: float) -> np.ndarray:
+    """The greedy matching kernel of both matchers: for each departure, the
+    index of the arrival it carries, or -1 for a dummy.
+
+    Takes sorted epoch arrays (arrivals may tie). With lo_k arrivals before
+    t_k - delay and hi_k at or before t_k, the arrivals consumed by the end
+    of departure k obey the clamp recursion i_k = min(max(i_{k-1}, lo_k) + 1,
+    hi_k), i_{-1} = 0, and departure k carries arrival max(i_{k-1}, lo_k)
+    exactly when i_k exceeds it. With y_k = i_k - k - 1 this is
+    y_k = clamp(y_{k-1}, lo_k - k, hi_k - k - 1). Clamps compose into
+    clamps, so it is solved in blocks of about sqrt(n) departures: one pass
+    composes every block's map, a loop chains the blocks' start values, and
+    a second pass replays each block. This reproduces the loop that scans
+    departures one by one, index for index.
+    """
+    if not (delay >= 0.0):
+        raise ValueError(f"delay must be nonnegative, got {delay}")
+    n = dep.size
+    if n == 0 or arr.size == 0:
+        return np.full(n, -1, dtype=np.int64)
+    lo = np.searchsorted(arr, dep - delay, side="left")
+    k = np.arange(n)
+    # Row r of a (block, nblocks) array holds departure r of every block;
+    # the tail of the last block repeats the input and is never read back.
+    block = math.isqrt(n - 1) + 1
+    nblocks = -(-n // block)
+    floor = np.resize(lo - k, (nblocks, block)).T.copy()
+    ceil = np.resize(np.searchsorted(arr, dep, side="right") - k - 1, (nblocks, block)).T.copy()
+
+    # clamp(clamp(y, a1, b1), a2, b2) = clamp(y, max(a1, a2), min(max(b1, a2), b2))
+    f, c = floor[0].copy(), ceil[0].copy()
+    for r in range(1, block):
+        np.maximum(f, floor[r], out=f)
+        np.minimum(np.maximum(c, floor[r], out=c), ceil[r], out=c)
+    starts = [0]
+    for a, b in zip(f.tolist(), c.tolist()):
+        starts.append(min(max(starts[-1], a), b))
+    y = np.asarray(starts[:-1])
+    for r in range(block):  # in place: floor[r] becomes y at departure r
+        y = np.minimum(np.maximum(y, floor[r], out=floor[r]), ceil[r], out=floor[r])
+
+    consumed = floor.T.reshape(-1)[:n] + k + 1
+    taken = np.maximum(np.concatenate(([0], consumed[:-1])), lo)
+    taken[consumed == taken] = -1
+    return taken
+
+
 def bounded_greedy_match(arrivals, departures, delay: float) -> MatchResult:
     """Greedy delay-window matching, drop-minimal among causal matchings.
 
@@ -132,43 +179,15 @@ def bounded_greedy_match(arrivals, departures, delay: float) -> MatchResult:
     stream ends. Raw epoch sequences must be finite, nonnegative and
     strictly increasing, like a Schedule's; others raise ScheduleError.
     """
-    if not (delay >= 0.0):
-        raise ValueError(f"delay must be nonnegative, got {delay}")
-    arr = _checked_epoch_array(arrivals).tolist()
-    dep = _checked_epoch_array(departures).tolist()
-
-    pair_a: list[float] = []
-    pair_d: list[float] = []
-    drops: list[float] = []
-    dummies: list[float] = []
-    add_a = pair_a.append
-    add_d = pair_d.append
-    add_drop = drops.append
-    add_dummy = dummies.append
-    i = 0
-    n = len(arr)
-    for t in dep:
-        cut = t - delay
-        while i < n:
-            a = arr[i]
-            if a < cut:
-                add_drop(a)
-                i += 1
-            else:
-                break
-        if i < n and arr[i] <= t:
-            add_a(arr[i])
-            add_d(t)
-            i += 1
-        else:
-            add_dummy(t)
-    drops.extend(arr[i:])
-
-    pairs = np.column_stack([pair_a, pair_d]) if pair_a else np.empty((0, 2))
+    arr = _checked_epoch_array(arrivals)
+    dep = _checked_epoch_array(departures)
+    m = _match_index(arr, dep, delay)
+    ok = m >= 0
+    taken = m[ok]
     return MatchResult(
-        pairs=pairs,
-        dropped_arrivals=np.asarray(drops, dtype=float),
-        dummy_departures=np.asarray(dummies, dtype=float),
+        pairs=np.column_stack([arr[taken], dep[ok]]),
+        dropped_arrivals=np.delete(arr, taken),
+        dummy_departures=dep[~ok],
         delay_bound=delay,
     )
 
@@ -225,43 +244,22 @@ def _joint_match(streams: dict[str, np.ndarray], departures, delay):
         [np.full(streams[k].size, j, dtype=np.intp) for j, k in enumerate(ids)]
     ) if ids else np.empty(0, dtype=np.intp)
     order = np.lexsort((tags, times))
-    tl = times[order].tolist()
-    gl = tags[order].tolist()
-    dep = _epoch_array(departures).tolist()
+    times = times[order]
+    tags = tags[order]
+    dep = _epoch_array(departures)
+    m = _match_index(times, dep, delay)
+    ok = m >= 0
+    taken = m[ok]
+    pair_a, pair_d, pair_tag = times[taken], dep[ok], tags[taken]
+    drop_a, drop_tag = np.delete(times, taken), np.delete(tags, taken)
 
-    pair_a = [[] for _ in ids]
-    pair_d = [[] for _ in ids]
-    drops = [[] for _ in ids]
-    dummies: list[float] = []
-    i = 0
-    n = len(tl)
-    for t in dep:
-        cut = t - delay
-        while i < n:
-            a = tl[i]
-            if a < cut:
-                drops[gl[i]].append(a)
-                i += 1
-            else:
-                break
-        if i < n and tl[i] <= t:
-            g = gl[i]
-            pair_a[g].append(tl[i])
-            pair_d[g].append(t)
-            i += 1
-        else:
-            dummies.append(t)
-    while i < n:
-        drops[gl[i]].append(tl[i])
-        i += 1
-
-    dummy_arr = np.asarray(dummies, dtype=float)
+    dummy_arr = dep[~ok]
     out = {}
     for j, k in enumerate(ids):
-        pairs = np.column_stack([pair_a[j], pair_d[j]]) if pair_a[j] else np.empty((0, 2))
+        mine = pair_tag == j
         out[k] = MatchResult(
-            pairs=pairs,
-            dropped_arrivals=np.asarray(drops[j], dtype=float),
+            pairs=np.column_stack([pair_a[mine], pair_d[mine]]),
+            dropped_arrivals=drop_a[drop_tag == j],
             dummy_departures=dummy_arr,
             delay_bound=delay,
         )

@@ -1,7 +1,8 @@
 """Independent oracles the tests check the library against.
 
 Nothing here shares code with the implementations under test: drop counts
-come from exhaustive matching enumeration, distortion-rate values from
+come from exhaustive matching enumeration, greedy matchings from the
+per-departure loops the block-scan kernel replaced, distortion-rate values from
 direct constrained minimisation over the conditional simplex, and the
 deterministic time-sharing hull from a scan over every pair of points.
 """
@@ -38,6 +39,95 @@ def min_drops_exhaustive(arrivals, departures, delay) -> int:
     result = n - most(0, 0)
     most.cache_clear()
     return result
+
+
+def greedy_match_reference(arrivals, departures, delay):
+    """The greedy delay-window matcher as one loop per departure.
+
+    Returns (pairs, dropped arrivals, dummy departures) as float arrays,
+    pairs shaped (n, 2)."""
+    arr = np.asarray(arrivals, dtype=float).tolist()
+    dep = np.asarray(departures, dtype=float).tolist()
+
+    pair_a: list[float] = []
+    pair_d: list[float] = []
+    drops: list[float] = []
+    dummies: list[float] = []
+    add_a = pair_a.append
+    add_d = pair_d.append
+    add_drop = drops.append
+    add_dummy = dummies.append
+    i = 0
+    n = len(arr)
+    for t in dep:
+        cut = t - delay
+        while i < n:
+            a = arr[i]
+            if a < cut:
+                add_drop(a)
+                i += 1
+            else:
+                break
+        if i < n and arr[i] <= t:
+            add_a(arr[i])
+            add_d(t)
+            i += 1
+        else:
+            add_dummy(t)
+    drops.extend(arr[i:])
+
+    pairs = np.column_stack([pair_a, pair_d]) if pair_a else np.empty((0, 2))
+    return pairs, np.asarray(drops, dtype=float), np.asarray(dummies, dtype=float)
+
+
+def joint_match_reference(streams: dict, departures, delay):
+    """Equal-priority greedy matching as one loop per departure: merge the
+    streams (ties broken by node id), match the union, split per stream.
+
+    Returns node id -> (pairs, dropped arrivals, dummy departures); the
+    dummies are the one list of unused departures, shared by every stream."""
+    ids = sorted(streams)
+    times = np.concatenate([streams[k] for k in ids]) if ids else np.empty(0)
+    tags = np.concatenate(
+        [np.full(np.size(streams[k]), j, dtype=np.intp) for j, k in enumerate(ids)]
+    ) if ids else np.empty(0, dtype=np.intp)
+    order = np.lexsort((tags, times))
+    tl = times[order].tolist()
+    gl = tags[order].tolist()
+    dep = np.asarray(departures, dtype=float).tolist()
+
+    pair_a = [[] for _ in ids]
+    pair_d = [[] for _ in ids]
+    drops = [[] for _ in ids]
+    dummies: list[float] = []
+    i = 0
+    n = len(tl)
+    for t in dep:
+        cut = t - delay
+        while i < n:
+            a = tl[i]
+            if a < cut:
+                drops[gl[i]].append(a)
+                i += 1
+            else:
+                break
+        if i < n and tl[i] <= t:
+            g = gl[i]
+            pair_a[g].append(tl[i])
+            pair_d[g].append(t)
+            i += 1
+        else:
+            dummies.append(t)
+    while i < n:
+        drops[gl[i]].append(tl[i])
+        i += 1
+
+    dummy_arr = np.asarray(dummies, dtype=float)
+    out = {}
+    for j, k in enumerate(ids):
+        pairs = np.column_stack([pair_a[j], pair_d[j]]) if pair_a[j] else np.empty((0, 2))
+        out[k] = (pairs, np.asarray(drops[j], dtype=float), dummy_arr)
+    return out
 
 
 def _mutual_info_bits(q: np.ndarray, p: np.ndarray) -> float:

@@ -1,0 +1,116 @@
+"""The block-scan matching kernel against the per-departure loops it
+replaced (`oracles.greedy_match_reference`, `oracles.joint_match_reference`):
+pairs, drops and dummies must be equal, element for element."""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oracles import greedy_match_reference, joint_match_reference
+
+from anonrelay.point_process import GenSpec, Schedule, gen_poisson
+from anonrelay.relay_core import (
+    PriorityOrder,
+    _joint_match,
+    bounded_greedy_match,
+    priority_relay,
+)
+
+
+def _grid(values):
+    return np.asarray(sorted(values), dtype=float) / 4.0
+
+
+# Quarter-unit epochs and delays: arrivals, departures and window cuts
+# (t - delay) all land on one grid, so they tie exactly.
+def dyadic(max_size=60):
+    return st.lists(st.integers(0, 160), max_size=max_size, unique=True).map(_grid)
+
+
+delays = st.one_of(st.just(0.0), st.integers(1, 40).map(lambda q: q / 4.0), st.just(math.inf))
+
+
+def assert_same(result, ref):
+    pairs, drops, dummies = ref
+    assert np.array_equal(result.pairs, pairs)
+    assert np.array_equal(result.dropped_arrivals, drops)
+    assert np.array_equal(result.dummy_departures, dummies)
+
+
+EMPTY = np.empty(0)
+
+
+@given(dyadic(), dyadic(), delays)
+@settings(max_examples=300, deadline=None)
+@example(EMPTY, _grid([1, 2, 3]), 1.0)              # no arrivals: all dummies
+@example(_grid([1, 2, 3]), EMPTY, 1.0)              # no departures: all drops
+@example(EMPTY, EMPTY, 0.0)
+@example(_grid([0, 1, 2]), _grid([40, 41, 42]), 1.0)  # every window expired
+@example(_grid([40, 41]), _grid([0, 1, 2]), math.inf)  # departures all early
+def test_kernel_matches_loop(arr, dep, delay):
+    assert_same(bounded_greedy_match(arr, dep, delay), greedy_match_reference(arr, dep, delay))
+
+
+# The kernel cuts the departures into blocks of ceil(sqrt(n)); these
+# lengths put the last block at its edges (k^2 - 1, k^2, k^2 + 1).
+@pytest.mark.parametrize("n", [1, 2, 8, 9, 10, 48, 49, 50, 99, 100, 101])
+@pytest.mark.parametrize("delay", [0.0, 0.75, math.inf])
+def test_kernel_matches_loop_at_block_edges(n, delay):
+    rng = np.random.default_rng(n)
+    for n_arr in (n - 1, n, n + 1):
+        arr = _grid(rng.choice(4 * n + 4, size=n_arr, replace=False))
+        dep = _grid(rng.choice(4 * n + 4, size=n, replace=False))
+        assert_same(bounded_greedy_match(arr, dep, delay), greedy_match_reference(arr, dep, delay))
+
+
+@given(st.lists(dyadic(25), min_size=2, max_size=4), dyadic(), delays, st.permutations("wxyz"))
+@settings(max_examples=200, deadline=None)
+def test_joint_kernel_matches_loop(arrs, dep, delay, names):
+    streams = dict(zip(names, arrs))
+    got = _joint_match(streams, dep, delay)
+    ref = joint_match_reference(streams, dep, delay)
+    assert got.keys() == ref.keys()
+    for k in got:
+        assert_same(got[k], ref[k])
+
+
+def test_kernel_matches_loop_on_poisson_pair():
+    h = 200_000.0
+    arr = gen_poisson(GenSpec(1.0, h, 21), node_id="in")
+    dep = gen_poisson(GenSpec(1.0, h, 22), node_id="out")
+    assert_same(bounded_greedy_match(arr, dep, 1.0),
+                greedy_match_reference(arr.epochs, dep.epochs, 1.0))
+
+
+def test_joint_tie_goes_to_first_node_id():
+    got = _joint_match({"b": np.array([1.0]), "a": np.array([1.0])}, np.array([1.5]), 1.0)
+    assert got["a"].pairs.tolist() == [[1.0, 1.5]]
+    assert got["b"].n_matched == 0
+    assert got["b"].dropped_arrivals.tolist() == [1.0]
+
+
+def test_joint_empty_stream_shares_dummies():
+    got = _joint_match({"a": np.array([1.0]), "z": np.empty(0)}, np.array([1.5, 2.0]), 1.0)
+    assert got["z"].pairs.shape == (0, 2)
+    assert got["z"].n_dropped == 0
+    assert np.shares_memory(got["z"].dummy_departures, got["a"].dummy_departures)
+    assert got["z"].dummy_departures.tolist() == [2.0]
+
+
+def test_joint_without_departures_drops_everything():
+    got = _joint_match({"a": np.array([1.0, 2.0]), "b": np.array([1.5])}, np.empty(0), 1.0)
+    assert got["a"].dropped_arrivals.tolist() == [1.0, 2.0]
+    assert got["b"].dropped_arrivals.tolist() == [1.5]
+    assert all(r.n_matched == 0 and r.dummy_departures.size == 0 for r in got.values())
+
+
+@pytest.mark.parametrize("delay", [-1.0, math.nan])
+@pytest.mark.parametrize("order", [PriorityOrder.single(("s1", "s2")), None])
+def test_priority_relay_rejects_bad_delay(delay, order):
+    s1 = Schedule("s1", np.array([0.5, 1.5]))
+    s2 = Schedule("s2", np.array([1.0]))
+    out = Schedule("b", np.array([1.2, 2.0]))
+    with pytest.raises(ValueError, match="delay must be nonnegative"):
+        priority_relay([s1, s2], out, order, delay)

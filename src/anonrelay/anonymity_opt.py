@@ -203,7 +203,7 @@ def expected_covert_rate(prior, covert, topo, delay, sim_packets, seed, boost) -
     for session, p in prior.entries:
         r = covert_sum_rate(
             session, covert, topo, delay,
-            mode="auto", sim_packets=sim_packets, seed=seed, boost=boost,
+            sim_packets=sim_packets, seed=seed, boost=boost,
         )
         total += p * r.sum_rate
     return total
@@ -363,7 +363,7 @@ def build_distortion_model(
             seen[obs] = b
             res = covert_sum_rate(
                 session, b, topo, delay,
-                mode="auto", sim_packets=sim_packets, seed=seed, boost=boost,
+                sim_packets=sim_packets, seed=seed, boost=boost,
             )
             if res.mode == "simulated":
                 n_sim += 1
@@ -511,8 +511,8 @@ def blahut_arimoto(
     d = np.asarray(d, dtype=float)
     if d.ndim != 2 or d.shape[0] != probs.size:
         raise ValueError("loss matrix and prior sizes disagree")
-    if rate_bits < 0.0:
-        raise ValueError("rate must be nonnegative")
+    if not rate_bits >= 0.0:
+        raise ValueError(f"rate must be nonnegative, got {rate_bits}")
     finite = np.isfinite(d)
     if not finite.any(axis=1).all():
         raise ValueError("every source needs at least one finite-loss reconstruction")

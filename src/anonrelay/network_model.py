@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
@@ -43,7 +42,6 @@ __all__ = [
     "switching_topology",
     "parse_network_config",
     "format_network_config",
-    "clear_sim_cache",
 ]
 
 Path = tuple[str, ...]
@@ -59,8 +57,10 @@ class NetworkConfigError(ValueError):
 class Topology:
     """Directed graph with a per-node transmission capacity.
 
-    A topology also holds the visible optima of the sessions evaluated in it:
-    `max_sum_rate_visible` solves each (session, topology) LP once.
+    A topology also holds what is measured or solved for the sessions
+    evaluated in it: their visible optima (`max_sum_rate_visible` solves each
+    (session, topology) LP once) and their cascade loss statistics
+    (`covert_sum_rate` simulates each cascade structure once).
     """
 
     bounds: tuple[RateBound, ...]
@@ -84,6 +84,10 @@ class Topology:
     @cached_property
     def _visible_optima(self) -> dict:
         return {}  # (session, exact) -> max_sum_rate_visible result
+
+    @cached_property
+    def _cascades(self) -> dict:
+        return {}  # canonical cascade key -> per canonical path {hop: RelayPathStats}
 
     def capacity(self, node: str) -> float:
         try:
@@ -168,9 +172,9 @@ class SessionPrior:
         if len(set(sessions)) != len(sessions):
             raise NetworkConfigError("prior repeats a session")
         probs = [p for _, p in self.entries]
-        if any(p <= 0.0 for p in probs):
+        if not all(p > 0.0 for p in probs):
             raise NetworkConfigError("prior probabilities must be positive")
-        if abs(sum(probs) - 1.0) > 1e-9:
+        if not abs(sum(probs) - 1.0) <= 1e-9:
             raise NetworkConfigError(f"prior probabilities sum to {sum(probs)}, expected 1")
 
     @property
@@ -409,31 +413,6 @@ def simulate_session(
     )
 
 
-class _SimCache:
-    """Keyed store of cascade simulations with insert-if-absent semantics."""
-
-    def __init__(self):
-        self._data: dict = {}
-        self._lock = threading.Lock()
-
-    def get_or_run(self, key, fn):
-        with self._lock:
-            if key not in self._data:
-                self._data[key] = fn()
-            return self._data[key]
-
-    def clear(self):
-        with self._lock:
-            self._data.clear()
-
-
-_CASCADE_CACHE = _SimCache()
-
-
-def clear_sim_cache() -> None:
-    _CASCADE_CACHE.clear()
-
-
 def _canonical_key(paths, caps, covert, src_rates, delay, horizon, seed, proc_delay):
     """Cache key invariant under node renaming.
 
@@ -486,7 +465,6 @@ def covert_sum_rate(
     covert: Iterable[str],
     topo: Topology,
     delay: float,
-    mode: str = "auto",
     sim_packets: int = 200_000,
     seed: int = 0,
     boost: bool = True,
@@ -497,59 +475,46 @@ def covert_sum_rate(
     it crosses. The first covert relay on a path sees Poisson input, so its
     loss is the closed form (at boosted source rates where applicable); any
     later covert relay sees already-thinned, non-Poisson input and its loss
-    is measured by a cached seeded simulation. `mode="analytic"` demands no
-    path cross more than one covert relay; "auto" simulates only when needed.
+    is measured by a seeded simulation. The topology holds those cascade
+    loss statistics, one simulation per structure under node renaming, so
+    every session of that structure evaluated in it reads the same ones.
     """
     covert = frozenset(covert) & session.interior_nodes
     lv, lam_v = max_sum_rate_visible(session, topo)  # validates the session
     paths = session.paths
     covert_on_path = [[v for v in p[1:-1] if v in covert] for p in paths]
-    cascaded = any(len(c) > 1 for c in covert_on_path)
-    if mode == "auto":
-        mode = "simulated" if cascaded else "analytic"
-    elif mode == "analytic" and cascaded:
-        raise ValueError("a path crosses several covert relays; no closed form applies")
-    elif mode not in ("analytic", "simulated"):
-        raise ValueError(f"unknown mode {mode!r}")
-
     rates = _boosted_rates(session, topo, lam_v, covert, boost)
 
-    sim = None
-    if mode == "simulated":
+    stats_of = None  # path index -> {hop: RelayPathStats} where simulated
+    horizon = math.nan
+    if any(len(c) > 1 for c in covert_on_path):
         total_rate = sum(rates)
         horizon = sim_packets / total_rate if total_rate > 0 else 1.0
         key, order = _canonical_key(
             paths, topo.capacities, covert, rates, delay, horizon, seed, 1e-6
         )
-        run, rep_order = _CASCADE_CACHE.get_or_run(
-            key,
-            lambda: (
-                _run_session_sim(
-                    session, topo.capacities, covert, rates, delay, horizon, seed, 1e-6
-                ),
-                order,
-            ),
-        )
-        # canonical position c corresponds to our path order[c] and to the
-        # cached representative's path rep_order[c]; node names may differ
-        # between the two sessions, so relays are addressed by hop position
-        pos_of = {order[c]: rep_order[c] for c in range(len(paths))}
-
-        def sim_stats(i: int, node: str) -> RelayPathStats:
-            rep_i = pos_of[i]
-            hop = paths[i].index(node)
-            rep_node = run.paths[rep_i][hop]
-            return run.relay_stats[rep_node][rep_i]
-
-        sim = sim_stats
-    else:
-        horizon = math.nan
+        held = topo._cascades.get(key)
+        if held is None:
+            run = _run_session_sim(
+                session, topo.capacities, covert, rates, delay, horizon, seed, 1e-6
+            )
+            # node names differ between sessions of one key, so each canonical
+            # path position holds its relays' statistics by hop index
+            held = topo._cascades.setdefault(key, tuple(
+                {k: run.relay_stats[v][i]
+                 for k, v in enumerate(paths[i][1:-1], 1) if v in covert}
+                for i in order
+            ))
+        stats_of = dict(zip(order, held))
 
     # Walk relays in topological order, thinning each path's stream rate as
     # it crosses covert relays, so a shared relay's closed-form loss sees the
-    # rates its inputs actually carry.
+    # rates its inputs actually carry. Each path meets its covert relays in
+    # path order, so its delivered rate and relative variance build up here.
     eps: dict[tuple[int, str], EpsEstimate] = {}
     stream_rate = list(rates)
+    path_rates = list(lam_v)
+    rel_var = [0.0] * len(paths)
     first_covert = {(i, c[0]) for i, c in enumerate(covert_on_path) if c}
     for node in session.relay_order:
         if node not in covert:
@@ -561,32 +526,23 @@ def covert_sum_rate(
             if (i, node) in first_covert:
                 e = EpsEstimate(value=e_analytic, stderr=0.0, source="analytic")
             else:
-                st = sim(i, node)
+                st = stats_of[i][paths[i].index(node)]
                 se = st.drop_stderr if math.isfinite(st.drop_stderr) else 0.0
                 e = EpsEstimate(value=st.drop_fraction, stderr=se, source="simulated")
             eps[(i, node)] = e
             stream_rate[i] *= 1.0 - e.value
-
-    path_rates = []
-    path_vars = []
-    for i, p in enumerate(paths):
-        lam = lam_v[i]
-        rel_var = 0.0
-        for node in covert_on_path[i]:
-            e = eps[(i, node)]
-            lam *= 1.0 - e.value
+            path_rates[i] *= 1.0 - e.value
             if e.stderr and e.value < 1.0:
-                rel_var += (e.stderr / (1.0 - e.value)) ** 2
-        path_rates.append(lam)
-        path_vars.append((lam * math.sqrt(rel_var)) ** 2 if rel_var else 0.0)
+                rel_var[i] += (e.stderr / (1.0 - e.value)) ** 2
 
+    path_var = sum((r * math.sqrt(v)) ** 2 if v else 0.0 for r, v in zip(path_rates, rel_var))
     return CovertRateResult(
         sum_rate=float(sum(path_rates)),
         sum_rate_visible=float(lv),
         path_rates=tuple(path_rates),
         eps=eps,
-        mode=mode,
-        stderr=float(math.sqrt(sum(path_vars))),
+        mode="analytic" if stats_of is None else "simulated",
+        stderr=float(math.sqrt(path_var)),
         horizon=horizon,
         seed=seed,
     )

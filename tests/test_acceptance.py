@@ -43,7 +43,6 @@ def switching():
 @pytest.fixture(scope="module")
 def switching_model(switching):
     topo, prior = switching
-    nm.clear_sim_cache()
     return ao.build_distortion_model(prior, topo, 1.0, sim_packets=200_000, seed=11)
 
 
@@ -234,7 +233,6 @@ def test_criterion_07_throughput_endpoints(switching):
 
     # all-covert endpoint versus the two-stage loss product
     covert = frozenset({"M1", "M2", "M3", "M4"})
-    nm.clear_sim_cache()
     per_session = [
         nm.covert_sum_rate(s, covert, topo, 1.0, sim_packets=400_000, seed=301)
         for s in prior.sessions
@@ -351,7 +349,6 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
         outs = []
         for run_id in ("a", "b"):
             out = tmp_path / name / run_id
-            nm.clear_sim_cache()
             code = cli_main(argv + ["--out-dir", str(out)])
             if code != 0:
                 ok = False

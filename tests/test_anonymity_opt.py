@@ -286,6 +286,13 @@ def test_ba_rejects_unreachable_rows():
         blahut_arimoto(d, np.array([0.5, 0.5]), 1.0)
 
 
+def test_ba_rejects_nan_and_negative_rate():
+    d = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for bad in (math.nan, -0.1):
+        with pytest.raises(ValueError, match="nonnegative"):
+            blahut_arimoto(d, np.array([0.5, 0.5]), bad)
+
+
 def test_infinite_entries_get_zero_mass():
     d = np.array([[0.0, np.inf], [np.inf, 0.5], [1.0, 0.0]])
     p = np.array([0.4, 0.3, 0.3])

@@ -9,25 +9,20 @@ from anonrelay import network_model as nm
 from anonrelay.cli import main
 
 
-def run(args):
-    nm.clear_sim_cache()
-    return main(args)
-
-
 def read_all(directory: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
 def test_gen_topology_round_trips(tmp_path):
     out = tmp_path / "net.cfg"
-    assert run(["gen-topology", "--capacity", "1.5", "--out", str(out)]) == 0
+    assert main(["gen-topology", "--capacity", "1.5", "--out", str(out)]) == 0
     topo, prior = nm.parse_network_config(out.read_text())
     assert len(prior.entries) == 24
     assert topo.capacity("M1") == 1.5
 
 
 def test_relay_strict_passes(tmp_path):
-    code = run([
+    code = main([
         "relay", "--cs", "1", "--cb", "1", "--delta", "1",
         "--packets", "150000", "--out-dir", str(tmp_path),
     ])
@@ -40,7 +35,7 @@ def test_relay_strict_passes(tmp_path):
 
 
 def test_relay_avg_zero_drop_branch(tmp_path):
-    code = run([
+    code = main([
         "relay", "--mode", "avg", "--cs", "1", "--cb", "3", "--dbar", "1",
         "--packets", "50000", "--out-dir", str(tmp_path),
     ])
@@ -51,7 +46,7 @@ def test_relay_avg_zero_drop_branch(tmp_path):
 
 
 def test_region_report(tmp_path):
-    code = run([
+    code = main([
         "region", "--cs1", "1", "--cs2", "1", "--cb", "2", "--delta", "1",
         "--corner-events", "20000", "--out-dir", str(tmp_path),
     ])
@@ -62,7 +57,7 @@ def test_region_report(tmp_path):
 
 
 def test_switching_reports_exact_alphas(tmp_path):
-    code = run(["switching", "--sim-packets", "40000", "--out-dir", str(tmp_path)])
+    code = main(["switching", "--sim-packets", "40000", "--out-dir", str(tmp_path)])
     assert code == 0
     doc = json.loads((tmp_path / "switching_report.json").read_text())
     by_name = {c["check"]: c for c in doc["checks"]}
@@ -82,7 +77,7 @@ def test_tradeoff_files_and_dominance(tmp_path, monkeypatch):
         return covert_sum_rate(*args, **kwargs)
 
     monkeypatch.setattr(ao, "covert_sum_rate", counting)
-    code = run([
+    code = main([
         "tradeoff", "--alpha-points", "5", "--sim-packets", "40000",
         "--out-dir", str(tmp_path),
     ])
@@ -100,7 +95,7 @@ def test_tradeoff_files_and_dominance(tmp_path, monkeypatch):
 
 
 def test_tradeoff_report_certifies_the_curve(tmp_path):
-    assert run(["tradeoff", "--alpha-points", "9", "--sim-packets", "40000",
+    assert main(["tradeoff", "--alpha-points", "9", "--sim-packets", "40000",
                 "--out-dir", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "tradeoff_report.json").read_text())
     assert doc["ba_probes"] == 1
@@ -111,11 +106,11 @@ def test_tradeoff_report_certifies_the_curve(tmp_path):
 def test_repeat_runs_are_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
-        assert run(["switching", "--sim-packets", "30000", "--out-dir", str(out)]) == 0
+        assert main(["switching", "--sim-packets", "30000", "--out-dir", str(out)]) == 0
     assert read_all(a) == read_all(b)
     c, d = tmp_path / "c", tmp_path / "d"
     for out in (c, d):
-        assert run([
+        assert main([
             "relay", "--cs", "1", "--cb", "2", "--delta", "0.5",
             "--packets", "40000", "--out-dir", str(out),
         ]) == 0
@@ -126,7 +121,7 @@ def test_config_file_overrides_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"packets": 60000, "cb": 2.0}))
     out = tmp_path / "out"
-    code = run([
+    code = main([
         "relay", "--cs", "1", "--cb", "1", "--delta", "1",
         "--packets", "10", "--config", str(cfg), "--out-dir", str(out),
     ])
@@ -140,16 +135,38 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"nonsense": 1}))
     with pytest.raises(SystemExit):
-        run(["relay", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        main(["relay", "--config", str(cfg), "--out-dir", str(tmp_path)])
+
+
+def test_relay_check_without_error_bar_fails(tmp_path, capsys):
+    # no packets: the measured loss has no standard error, so the finite
+    # prediction cannot be confirmed
+    assert main([
+        "relay", "--cs", "1", "--cb", "1", "--delta", "1", "--packets", "0",
+        "--out-dir", str(tmp_path),
+    ]) == 1
+    assert "[FAIL] strict-loss-fraction" in capsys.readouterr().out
+    doc = json.loads((tmp_path / "relay_report.json").read_text())
+    assert doc["pass"] is False
+
+
+def test_tradeoff_rejects_empty_alpha_grid(tmp_path):
+    with pytest.raises(SystemExit, match="alpha-points"):
+        main(["tradeoff", "--alpha-points", "0", "--out-dir", str(tmp_path)])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha_points": -3}))
+    with pytest.raises(SystemExit, match="alpha-points"):
+        main(["tradeoff", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert not (tmp_path / "tradeoff_report.json").exists()
 
 
 def test_match_dump_round_trips_through_cli(tmp_path, capsys):
     dump = tmp_path / "match.txt"
-    assert run([
+    assert main([
         "relay", "--cs", "1", "--cb", "1", "--delta", "1", "--packets", "5000",
         "--dump-match", str(dump), "--out-dir", str(tmp_path),
     ]) == 0
     capsys.readouterr()
-    assert run(["relay", "--stats-from", str(dump), "--out-dir", str(tmp_path)]) == 0
+    assert main(["relay", "--stats-from", str(dump), "--out-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "drop_fraction=" in out and "matched=" in out

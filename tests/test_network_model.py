@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -176,12 +178,6 @@ def test_covert_first_stage_formula():
         assert r.sum_rate == pytest.approx(4.0 * (1 - eps1), abs=1e-12)
 
 
-def test_analytic_mode_refuses_cascades():
-    topo, prior = switching_topology(2.0)
-    with pytest.raises(ValueError):
-        covert_sum_rate(prior.sessions[0], {"M1", "M2"}, topo, 1.0, mode="analytic")
-
-
 def _count_solves(monkeypatch) -> list:
     """Route the network model's LP solver through a recorder of each
     call's `exact` flag."""
@@ -308,7 +304,6 @@ def test_visible_relay_forwards_dummy_epochs():
 
 def test_cascade_cache_deterministic_and_shared():
     topo, prior = switching_topology(2.0)
-    nm.clear_sim_cache()
     r1 = covert_sum_rate(prior.sessions[0], {"M1", "M2", "M3", "M4"}, topo, 1.0,
                          sim_packets=30_000, seed=9)
     r2 = covert_sum_rate(prior.sessions[1], {"M1", "M2", "M3", "M4"}, topo, 1.0,
@@ -316,10 +311,77 @@ def test_cascade_cache_deterministic_and_shared():
     # sessions 0 and 1 share the first-stage pairing structure, so their
     # cascade statistics come from one cached run
     assert r1.sum_rate == r2.sum_rate
-    nm.clear_sim_cache()
-    r3 = covert_sum_rate(prior.sessions[0], {"M1", "M2", "M3", "M4"}, topo, 1.0,
-                         sim_packets=30_000, seed=9)
+    # a fresh topology simulates again and measures the same statistics
+    r3 = covert_sum_rate(prior.sessions[0], {"M1", "M2", "M3", "M4"},
+                         switching_topology(2.0)[0], 1.0, sim_packets=30_000, seed=9)
     assert r3.sum_rate == r1.sum_rate
+    assert r3.stderr == r1.stderr
+    assert r3.path_rates == r1.path_rates
+    assert r3.eps == r1.eps
+
+
+def test_cascade_statistics_do_not_leak_across_topologies():
+    # session 16 (M1->M4, M3->M2) simulated on one topology must not supply
+    # the cascade losses of session 0 (M1->M2, M3->M4) on another
+    covert = frozenset({"M1", "M2", "M3", "M4"})
+    topo, prior = switching_topology(2.0)
+    covert_sum_rate(prior.sessions[16], covert, topo, 1.0, sim_packets=20_000, seed=5)
+    fresh, _ = switching_topology(2.0)
+    s = prior.sessions[0]
+    res = covert_sum_rate(s, covert, fresh, 1.0, sim_packets=20_000, seed=5)
+    sim = simulate_session(s, covert, fresh, 1.0, horizon=res.horizon, seed=5)
+    simulated = {k: e for k, e in res.eps.items() if e.source == "simulated"}
+    assert len(simulated) == 4
+    for (i, node), e in simulated.items():
+        assert e.value == sim.relay_stats[node][i].drop_fraction, (i, node)
+
+
+def test_cascade_statistics_held_by_topology():
+    covert = frozenset({"M1", "M2", "M3", "M4"})
+    topo, prior = switching_topology(2.0)
+    for s in prior.sessions:
+        covert_sum_rate(s, covert, topo, 1.0, sim_packets=20_000, seed=5)
+    held = topo._cascades
+    assert held
+    for per_path in held.values():
+        for by_hop in per_path:
+            # every path crosses M1/M3 at hop 1 and M2/M4 at hop 2
+            assert set(by_hop) == {1, 2}
+            assert all(isinstance(st, nm.RelayPathStats) for st in by_hop.values())
+    assert not switching_topology(2.0)[0]._cascades
+
+
+def test_cascade_statistics_shared_by_concurrent_callers():
+    covert = frozenset({"M1", "M2", "M3", "M4"})
+    topo, prior = switching_topology(2.0)
+    ref_topo, _ = switching_topology(2.0)
+    want = [covert_sum_rate(s, covert, ref_topo, 1.0, sim_packets=5_000, seed=2).eps
+            for s in prior.sessions]
+    got: dict = {}
+
+    def work(w):
+        for k in range(len(prior.sessions)):
+            j = (k * 5 + w) % len(prior.sessions)
+            r = covert_sum_rate(prior.sessions[j], covert, topo, 1.0,
+                                sim_packets=5_000, seed=2)
+            got.setdefault(j, []).append(r.eps)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert set(topo._cascades) == set(ref_topo._cascades)
+    assert len(got) == len(prior.sessions)
+    for j, results in got.items():
+        assert len(results) == 6
+        assert all(eps == want[j] for eps in results)
 
 
 def test_canonical_key_separates_sharing_patterns():
@@ -353,6 +415,17 @@ def test_config_parse_errors():
         parse_network_config("node a cap 1\npath a b\n")
     with pytest.raises(NetworkConfigError):
         parse_network_config("node a cap 1\nsession 1.0\npath a b\n")
+
+
+def test_nan_prior_probability_rejected():
+    s = Session(paths=(("a", "b"),))
+    with pytest.raises(NetworkConfigError, match="positive"):
+        SessionPrior(entries=((s, math.nan),))
+    with pytest.raises(NetworkConfigError, match="sum to"):
+        SessionPrior(entries=((s, 0.5), (Session(paths=(("c", "d"),)), math.inf)))
+    with pytest.raises(NetworkConfigError):
+        parse_network_config("node a cap 1\nnode b cap 1\nedge a b\n"
+                             "session nan\npath a b\nend\n")
 
 
 def test_session_and_topology_validation():

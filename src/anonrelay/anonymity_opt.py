@@ -22,6 +22,7 @@ from .network_model import (
     Session,
     SessionPrior,
     Topology,
+    _check_sim_packets,
     covert_sum_rate,
     max_sum_rate_visible,
     observe,
@@ -332,8 +333,12 @@ def build_distortion_model(
 
     Each session contributes one finite column entry per subset of its own
     interior relays; the subset must be recoverable from the observation,
-    so a collision raises `ObservationCollisionError`.
+    so a collision raises `ObservationCollisionError`. `metadata` counts the
+    relabelling classes evaluated and cascades simulated for this model:
+    what the topology did not already hold.
     """
+    _check_sim_packets(sim_packets)
+    held = len(topo._classes), len(topo._cascades)
     sessions = prior.sessions
     probs = np.asarray(prior.probs)
     rows: list[dict] = []
@@ -341,9 +346,10 @@ def build_distortion_model(
     obs_index: dict = {}
     observations: list = []
     covert_for: dict = {}
+    subsets: dict = {}  # relays -> their subsets, one copy for every session with them
     n_sim = 0
     for si, session in enumerate(sessions):
-        relays = sorted(session.interior_nodes)
+        relays = tuple(sorted(session.interior_nodes))
         if len(relays) > max_relays_per_session:
             raise ValueError(
                 f"session has {len(relays)} interior relays, enumeration cap is "
@@ -353,7 +359,9 @@ def build_distortion_model(
         lambda_v.append(lv)
         row: dict = {}
         seen: dict = {}
-        for b in _subsets(relays):
+        if relays not in subsets:
+            subsets[relays] = tuple(_subsets(relays))
+        for b in subsets[relays]:
             obs = observe(session, b)
             if obs in seen:
                 raise ObservationCollisionError(
@@ -392,7 +400,9 @@ def build_distortion_model(
         rate_zero=rate_zero,
         delay=delay,
         metadata={"sim_packets": sim_packets, "seed": seed, "boost": boost,
-                  "simulated_entries": n_sim},
+                  "simulated_entries": n_sim,
+                  "class_evaluations": len(topo._classes) - held[0],
+                  "cascade_simulations": len(topo._cascades) - held[1]},
     )
 
 

@@ -307,6 +307,8 @@ def cmd_tradeoff(args) -> int:
         "ba_probes": curve.ba_probes,
         "ba_unconverged": curve.ba_unconverged,
         "max_duality_gap": max(pt.gap for pt in curve.points),
+        "counters": {k: model.metadata[k] for k in
+                     ("simulated_entries", "class_evaluations", "cascade_simulations")},
         "pass": dominance,
     })
     print(f"[{'PASS' if dominance else 'FAIL'}] randomized curve dominates the "
@@ -402,6 +404,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if hasattr(args, "config"):
         args = _apply_config(args)
+    if hasattr(args, "sim_packets"):
+        try:
+            network_model._check_sim_packets(args.sim_packets)
+        except ValueError as exc:
+            raise SystemExit(f"--sim-packets: {exc}") from None
     return args.fn(args)
 
 

@@ -59,8 +59,9 @@ class Topology:
 
     A topology also holds what is measured or solved for the sessions
     evaluated in it: their visible optima (`max_sum_rate_visible` solves each
-    (session, topology) LP once) and their cascade loss statistics
-    (`covert_sum_rate` simulates each cascade structure once).
+    (session, topology) LP once), their canonical forms, and the covert rates
+    of each relabelling class and loss statistics of each cascade, each
+    computed once on a canonical representative, a function of its key alone.
     """
 
     bounds: tuple[RateBound, ...]
@@ -84,6 +85,18 @@ class Topology:
     @cached_property
     def _visible_optima(self) -> dict:
         return {}  # (session, exact) -> max_sum_rate_visible result
+
+    @cached_property
+    def _forms(self) -> dict:
+        return {}  # session -> _session_form result
+
+    @cached_property
+    def _form_classes(self) -> dict:
+        return {}  # form -> (form, {(covert labels, params): (class rates, relabelling)})
+
+    @cached_property
+    def _classes(self) -> dict:
+        return {}  # class key -> CovertRateResult of the canonical representative
 
     @cached_property
     def _cascades(self) -> dict:
@@ -259,7 +272,7 @@ class RelayPathStats:
 
     @property
     def drop_fraction(self) -> float:
-        return self.n_dropped / self.n_in if self.n_in else math.nan
+        return self.n_dropped / self.n_in if self.n_in else 0.0  # nothing carried, nothing lost
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,7 +288,7 @@ class SessionSimResult:
     seed: int
 
 
-def _boosted_rates(session, topo, lam_v, covert, boost) -> list[float]:
+def _boosted_rates(paths, caps, lam_v, covert, boost) -> list[float]:
     """Per-path source emission rates. A source whose next hop is covert may
     spend its whole capacity on that stream; redundancy there converts to
     delivered rate, while visible next hops gain nothing from padding."""
@@ -283,13 +296,13 @@ def _boosted_rates(session, topo, lam_v, covert, boost) -> list[float]:
     if not boost:
         return rates
     by_src: dict[str, list[int]] = {}
-    for i, p in enumerate(session.paths):
+    for i, p in enumerate(paths):
         by_src.setdefault(p[0], []).append(i)
     for src, idxs in by_src.items():
-        boosted = [i for i in idxs if session.paths[i][1] in covert]
+        boosted = [i for i in idxs if paths[i][1] in covert]
         if not boosted:
             continue
-        extra = topo.capacity(src) - sum(lam_v[i] for i in idxs)
+        extra = caps[src] - sum(lam_v[i] for i in idxs)
         if extra <= 0.0:
             continue
         base = sum(lam_v[i] for i in boosted)
@@ -299,7 +312,8 @@ def _boosted_rates(session, topo, lam_v, covert, boost) -> list[float]:
     return rates
 
 
-def _run_session_sim(session, caps, covert, src_rates, delay, horizon, seed, proc_delay):
+def _run_session_sim(session, caps, covert, src_rates, delay, horizon, seed, proc_delay,
+                     schedules=True):
     """Push seeded Poisson source streams through the session hop by hop.
 
     Visible relays forward every received epoch (dummy packets from covert
@@ -307,7 +321,9 @@ def _run_session_sim(session, caps, covert, src_rates, delay, horizon, seed, pro
     merged incoming data streams into their own independent schedule. Dummy
     epochs emitted by a covert relay are handed to a seeded choice of its
     downstream next hops and ride visible chains until a covert relay or a
-    destination swallows them.
+    destination swallows them. Without `schedules`, the nodes' transmitted
+    schedules are not kept, which the cascade store, reading only the loss
+    statistics, does not need.
     """
     paths = session.paths
     streams: list[np.ndarray] = []
@@ -324,11 +340,12 @@ def _run_session_sim(session, caps, covert, src_rates, delay, horizon, seed, pro
             next_hop[(i, v)] = p[k + 1]
 
     node_schedules: dict[str, np.ndarray] = {}
-    by_src: dict[str, list[np.ndarray]] = {}
-    for p, s in zip(paths, streams):
-        by_src.setdefault(p[0], []).append(s)
-    for src, arrs in by_src.items():
-        node_schedules[src] = arrs[0] if len(arrs) == 1 else np.sort(np.concatenate(arrs))
+    if schedules:
+        by_src: dict[str, list[np.ndarray]] = {}
+        for p, s in zip(paths, streams):
+            by_src.setdefault(p[0], []).append(s)
+        for src, arrs in by_src.items():
+            node_schedules[src] = arrs[0] if len(arrs) == 1 else np.sort(np.concatenate(arrs))
 
     dummy_inbox: dict[str, list[np.ndarray]] = {}
     relay_stats: dict[str, dict[int, RelayPathStats]] = {}
@@ -355,10 +372,11 @@ def _run_session_sim(session, caps, covert, src_rates, delay, horizon, seed, pro
                 stats[i] = RelayPathStats(
                     n_in=int(keyed[key].size),
                     n_dropped=int(res.dropped_arrivals.size),
-                    drop_stderr=batch_stderr(flags) if flags.size else math.nan,
+                    drop_stderr=batch_stderr(flags) if flags.size else 0.0,
                 )
             relay_stats[node] = stats
-            node_schedules[node] = dep
+            if schedules:
+                node_schedules[node] = dep
             # dummies (and any forwarded dummies die here: a relay can read
             # the routing layer, so chaff is never matched onward)
             chaff = results[min(results)].dummy_departures if results else dep
@@ -368,7 +386,8 @@ def _run_session_sim(session, caps, covert, src_rates, delay, horizon, seed, pro
                 streams[i] = streams[i] + proc_delay
                 outs.append(streams[i])
             chaff = fwd_dummies + proc_delay
-            node_schedules[node] = np.sort(np.concatenate(outs + [chaff]))
+            if schedules:
+                node_schedules[node] = np.sort(np.concatenate(outs + [chaff]))
         hops = [h for h in sorted({next_hop[(i, node)] for i in feeding}) if h not in dests]
         if hops and chaff.size:
             pick = substream(seed, "chaff", node).integers(0, len(hops), chaff.size)
@@ -407,34 +426,33 @@ def simulate_session(
     """
     covert = frozenset(covert) & session.interior_nodes
     _, lam_v = max_sum_rate_visible(session, topo)  # validates the session
-    rates = _boosted_rates(session, topo, lam_v, covert, boost)
+    rates = _boosted_rates(session.paths, topo.capacities, lam_v, covert, boost)
     return _run_session_sim(
         session, topo.capacities, covert, rates, delay, horizon, seed, proc_delay
     )
 
 
-def _canonical_key(paths, caps, covert, src_rates, delay, horizon, seed, proc_delay):
-    """Cache key invariant under node renaming.
+def _canonical_form(paths, caps, covert, rates):
+    """Paths sorted by descriptor (rate, capacity and covert flag of each
+    node), ties in given order, nodes relabelled by first occurrence: the
+    labelled structure without names. Returns the form, the path index at
+    each position and the node of each label."""
+    descs = [(r, tuple(caps[v] for v in p), tuple(v in covert for v in p))
+             for r, p in zip(rates, paths)]
+    order = sorted(range(len(paths)), key=descs.__getitem__)
+    label: dict = {}
+    form = tuple((descs[i], tuple(label.setdefault(v, len(label)) for v in paths[i]))
+                 for i in order)
+    return form, tuple(order), tuple(label)
 
-    Paths are sorted by their structural descriptor (source rate plus the
-    capacity/covert signature of each hop) and interior nodes are relabelled
-    by first occurrence, so sessions that differ only by symmetric relay
-    names share one simulation. The full labelled structure stays in the
-    key, so distinct sharing patterns can never collide.
-    """
-    descs = []
-    for i, p in enumerate(paths):
-        inner = p[1:-1]
-        descs.append((src_rates[i], tuple((caps[h], h in covert) for h in inner)))
-    order = sorted(range(len(paths)), key=lambda i: descs[i])
-    labels: dict[str, int] = {}
-    labelled = []
-    for i in order:
-        inner = paths[i][1:-1]
-        lab = tuple(labels.setdefault(h, len(labels)) for h in inner)
-        labelled.append((descs[i], lab))
-    key = (tuple(labelled), float(delay), float(horizon), int(seed), float(proc_delay))
-    return key, order
+
+def _representative(form):
+    """The session a canonical form describes, labels for node names and
+    path k at position k, with its capacities, covert nodes and path rates."""
+    caps = {v: c for (_, cs, _), labels in form for v, c in zip(labels, cs)}
+    covert = {v for (_, _, flags), labels in form for v, f in zip(labels, flags) if f}
+    return (Session(paths=tuple(labels for _, labels in form)), caps, frozenset(covert),
+            [rate for (rate, _, _), _ in form])
 
 
 @dataclass(frozen=True)
@@ -460,6 +478,90 @@ class CovertRateResult:
     seed: int
 
 
+def _check_sim_packets(sim_packets) -> None:
+    if not isinstance(sim_packets, (int, np.integer)) or sim_packets < 1:
+        raise ValueError(f"sim_packets must be a positive integer, got {sim_packets!r}")
+
+
+def _session_form(session, topo):
+    """The session's canonical form by visible rate, held by the topology with
+    the classes read by its form, relay labels, node of each label, path
+    index at each position and visible optimum."""
+    form = topo._forms.get(session)
+    if form is None:
+        lv, lam_v = max_sum_rate_visible(session, topo)  # validates the session
+        shape, order, names = _canonical_form(session.paths, topo.capacities, (), lam_v)
+        relays = {v: k for k, v in enumerate(names) if v in session.interior_nodes}
+        # sessions of one form share one copy of it and its classes
+        shape, classes = topo._form_classes.setdefault(shape, (shape, {}))
+        form = topo._forms.setdefault(session, (shape, classes, relays, names, order, lv))
+    return form
+
+
+def _class_rates(key, topo) -> CovertRateResult:
+    """Covert rates of one relabelling class, on its canonical representative."""
+    form, delay, sim_packets, seed, boost = key
+    session, caps, covert, lam_v = _representative(form)
+    paths = session.paths
+    rates = _boosted_rates(paths, caps, lam_v, covert, boost)
+    covert_on_path = [[v for v in p[1:-1] if v in covert] for p in paths]
+
+    stats_of = None  # path index -> {hop: RelayPathStats} where simulated
+    horizon = math.nan
+    if any(len(c) > 1 for c in covert_on_path):
+        total_rate = sum(rates)
+        horizon = sim_packets / total_rate if total_rate > 0 else 1.0
+        cascade, order, _ = _canonical_form(paths, caps, covert, rates)
+        ckey = (cascade, delay, horizon, seed, 1e-6)
+        held = topo._cascades.get(ckey)
+        if held is None:
+            # simulate the cascade's own representative, so that what is held
+            # depends on the key alone, not on which class asked first
+            rep, rep_caps, rep_covert, rep_rates = _representative(cascade)
+            run = _run_session_sim(rep, rep_caps, rep_covert, rep_rates, *ckey[1:],
+                                   schedules=False)
+            held = topo._cascades.setdefault(ckey, tuple(
+                {h: run.relay_stats[v][k] for h, v in enumerate(p[1:-1], 1) if v in rep_covert}
+                for k, p in enumerate(rep.paths)
+            ))
+        stats_of = dict(zip(order, held))
+
+    # Walk relays in topological order, thinning each path's stream rate as
+    # it crosses covert relays, so a shared relay's closed-form loss sees the
+    # rates its inputs actually carry. Each path meets its covert relays in
+    # path order, so its delivered rate and relative variance build up here.
+    # Only first covert relays need the closed form; an idle relay loses nothing.
+    eps: dict[tuple[int, int], EpsEstimate] = {}
+    stream_rate = list(rates)
+    path_rates = list(lam_v)
+    rel_var = [0.0] * len(paths)
+    first_covert = {(i, c[0]) for i, c in enumerate(covert_on_path) if c}
+    for node in session.relay_order:
+        if node not in covert:
+            continue
+        through = [i for i, p in enumerate(paths) if node in p[1:-1]]
+        total_in = sum(stream_rate[i] for i in through)
+        first = total_in > 0.0 and any((i, node) in first_covert for i in through)
+        e_analytic = loss_fraction(total_in, caps[node], delay) if first else 0.0
+        for i in through:
+            if (i, node) in first_covert:
+                e = EpsEstimate(value=e_analytic, stderr=0.0, source="analytic")
+            else:
+                st = stats_of[i][paths[i].index(node)]
+                se = st.drop_stderr if math.isfinite(st.drop_stderr) else 0.0
+                e = EpsEstimate(value=st.drop_fraction, stderr=se, source="simulated")
+            eps[(i, node)] = e
+            stream_rate[i] *= 1.0 - e.value
+            path_rates[i] *= 1.0 - e.value
+            if e.stderr and e.value < 1.0:
+                rel_var[i] += (e.stderr / (1.0 - e.value)) ** 2
+
+    path_var = sum((r * math.sqrt(v)) ** 2 if v else 0.0 for r, v in zip(path_rates, rel_var))
+    mode = "analytic" if stats_of is None else "simulated"
+    return CovertRateResult(float(sum(path_rates)), float(sum(lam_v)), tuple(path_rates), eps,
+                            mode, float(math.sqrt(path_var)), horizon, seed)
+
+
 def covert_sum_rate(
     session: Session,
     covert: Iterable[str],
@@ -475,77 +577,32 @@ def covert_sum_rate(
     it crosses. The first covert relay on a path sees Poisson input, so its
     loss is the closed form (at boosted source rates where applicable); any
     later covert relay sees already-thinned, non-Poisson input and its loss
-    is measured by a seeded simulation. The topology holds those cascade
-    loss statistics, one simulation per structure under node renaming, so
-    every session of that structure evaluated in it reads the same ones.
+    is measured by a seeded simulation. Sessions with covert sets that
+    differ only by node names form one relabelling class. The topology
+    evaluates each class once, on its canonical representative, and
+    simulates each cascade once, on the cascade's own; every session of a
+    class reads the held result through its labels, so no result depends
+    on which session asked first.
     """
-    covert = frozenset(covert) & session.interior_nodes
-    lv, lam_v = max_sum_rate_visible(session, topo)  # validates the session
-    paths = session.paths
-    covert_on_path = [[v for v in p[1:-1] if v in covert] for p in paths]
-    rates = _boosted_rates(session, topo, lam_v, covert, boost)
-
-    stats_of = None  # path index -> {hop: RelayPathStats} where simulated
-    horizon = math.nan
-    if any(len(c) > 1 for c in covert_on_path):
-        total_rate = sum(rates)
-        horizon = sim_packets / total_rate if total_rate > 0 else 1.0
-        key, order = _canonical_key(
-            paths, topo.capacities, covert, rates, delay, horizon, seed, 1e-6
-        )
-        held = topo._cascades.get(key)
-        if held is None:
-            run = _run_session_sim(
-                session, topo.capacities, covert, rates, delay, horizon, seed, 1e-6
-            )
-            # node names differ between sessions of one key, so each canonical
-            # path position holds its relays' statistics by hop index
-            held = topo._cascades.setdefault(key, tuple(
-                {k: run.relay_stats[v][i]
-                 for k, v in enumerate(paths[i][1:-1], 1) if v in covert}
-                for i in order
-            ))
-        stats_of = dict(zip(order, held))
-
-    # Walk relays in topological order, thinning each path's stream rate as
-    # it crosses covert relays, so a shared relay's closed-form loss sees the
-    # rates its inputs actually carry. Each path meets its covert relays in
-    # path order, so its delivered rate and relative variance build up here.
-    eps: dict[tuple[int, str], EpsEstimate] = {}
-    stream_rate = list(rates)
-    path_rates = list(lam_v)
-    rel_var = [0.0] * len(paths)
-    first_covert = {(i, c[0]) for i, c in enumerate(covert_on_path) if c}
-    for node in session.relay_order:
-        if node not in covert:
-            continue
-        through = [i for i, p in enumerate(paths) if node in p[1:-1]]
-        total_in = sum(stream_rate[i] for i in through)
-        e_analytic = loss_fraction(total_in, topo.capacity(node), delay)
-        for i in through:
-            if (i, node) in first_covert:
-                e = EpsEstimate(value=e_analytic, stderr=0.0, source="analytic")
-            else:
-                st = stats_of[i][paths[i].index(node)]
-                se = st.drop_stderr if math.isfinite(st.drop_stderr) else 0.0
-                e = EpsEstimate(value=st.drop_fraction, stderr=se, source="simulated")
-            eps[(i, node)] = e
-            stream_rate[i] *= 1.0 - e.value
-            path_rates[i] *= 1.0 - e.value
-            if e.stderr and e.value < 1.0:
-                rel_var[i] += (e.stderr / (1.0 - e.value)) ** 2
-
-    path_var = sum((r * math.sqrt(v)) ** 2 if v else 0.0 for r, v in zip(path_rates, rel_var))
-    return CovertRateResult(
-        sum_rate=float(sum(path_rates)),
-        sum_rate_visible=float(lv),
-        path_rates=tuple(path_rates),
-        eps=eps,
-        mode="analytic" if stats_of is None else "simulated",
-        stderr=float(math.sqrt(path_var)),
-        horizon=horizon,
-        seed=seed,
-    )
+    _check_sim_packets(sim_packets)
+    shape, classes, relays, names, order, lv = _session_form(session, topo)
+    cell = (frozenset(relays[v] for v in covert if v in relays), delay, sim_packets, seed, boost)
+    held = classes.get(cell)
+    if held is None:
+        rep, caps, _, lam_v = _representative(shape)
+        form, pos, label = _canonical_form(rep.paths, caps, cell[0], lam_v)
+        key = (form,) + cell[1:]
+        rates = topo._classes.get(key)
+        if rates is None:
+            rates = topo._classes.setdefault(key, _class_rates(key, topo))
+        held = classes.setdefault(cell, (rates, pos, label))
+    rates, pos, label = held
+    path_rates = [0.0] * len(pos)
+    for k, j in enumerate(pos):
+        path_rates[order[j]] = rates.path_rates[k]
+    eps = {(order[pos[k]], names[label[v]]): e for (k, v), e in rates.eps.items()}
+    return CovertRateResult(rates.sum_rate, lv, tuple(path_rates), eps,
+                            rates.mode, rates.stderr, rates.horizon, seed)
 
 
 def switching_topology(capacity: float = 2.0):

@@ -160,6 +160,42 @@ def test_tradeoff_rejects_empty_alpha_grid(tmp_path):
     assert not (tmp_path / "tradeoff_report.json").exists()
 
 
+def test_tradeoff_report_counts_class_work(tmp_path):
+    # 384 cells of the switching model fall into 20 relabelling classes; the
+    # counters are deterministic, so reruns stay byte-identical
+    runs = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert main(["tradeoff", "--alpha-points", "3", "--sim-packets", "5000",
+                     "--out-dir", str(out)]) == 0
+        runs.append(read_all(out))
+    assert runs[0] == runs[1]
+    doc = json.loads(runs[0]["tradeoff_report.json"])
+    counters = doc["counters"]
+    assert counters["class_evaluations"] == 20
+    assert counters["simulated_entries"] == 200
+    assert 1 <= counters["cascade_simulations"] <= 11
+
+
+def test_tradeoff_with_zero_delay_runs(tmp_path):
+    # every covert relay drops everything: second-stage relays receive no
+    # traffic and must lose nothing rather than fail
+    assert main(["tradeoff", "--delta", "0", "--alpha-points", "3", "--sim-packets", "5000",
+                 "--out-dir", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "tradeoff_report.json").read_text())
+    assert doc["rate_at_alpha1"] == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("command", ["switching", "tradeoff"])
+def test_bad_sim_packets_exit_with_a_message(tmp_path, command):
+    with pytest.raises(SystemExit, match="sim-packets"):
+        main([command, "--sim-packets", "0", "--out-dir", str(tmp_path)])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sim_packets": 2.5}))
+    with pytest.raises(SystemExit, match="sim-packets"):
+        main([command, "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert not any(p.suffix == ".csv" for p in tmp_path.iterdir())
+
+
 def test_match_dump_round_trips_through_cli(tmp_path, capsys):
     dump = tmp_path / "match.txt"
     assert main([

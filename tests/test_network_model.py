@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anonrelay import analytic, network_model as nm
+from anonrelay.anonymity_opt import _subsets, build_distortion_model
 from anonrelay.network_model import (
     NetworkConfigError,
     RateBound,
@@ -322,18 +323,27 @@ def test_cascade_cache_deterministic_and_shared():
 
 def test_cascade_statistics_do_not_leak_across_topologies():
     # session 16 (M1->M4, M3->M2) simulated on one topology must not supply
-    # the cascade losses of session 0 (M1->M2, M3->M4) on another
+    # the cascade losses of session 0 (M1->M2, M3->M4) on another: session 0
+    # reads the run of its cascade's canonical representative, mapped back
     covert = frozenset({"M1", "M2", "M3", "M4"})
     topo, prior = switching_topology(2.0)
     covert_sum_rate(prior.sessions[16], covert, topo, 1.0, sim_packets=20_000, seed=5)
     fresh, _ = switching_topology(2.0)
     s = prior.sessions[0]
     res = covert_sum_rate(s, covert, fresh, 1.0, sim_packets=20_000, seed=5)
-    sim = simulate_session(s, covert, fresh, 1.0, horizon=res.horizon, seed=5)
+    (key,) = fresh._cascades
+    assert len({desc for desc, _ in key[0]}) == 1  # one descriptor: positions keep class order
+    rep, caps, rep_covert, rates = nm._representative(key[0])
+    run = nm._run_session_sim(rep, caps, rep_covert, rates, *key[1:])
+    # canonical positions sort the paths by visible rate, ties in session order
+    _, lam_v = max_sum_rate_visible(s, fresh)
+    index = sorted(range(len(s.paths)), key=lambda i: lam_v[i])
     simulated = {k: e for k, e in res.eps.items() if e.source == "simulated"}
     assert len(simulated) == 4
     for (i, node), e in simulated.items():
-        assert e.value == sim.relay_stats[node][i].drop_fraction, (i, node)
+        k = index.index(i)
+        hop = s.paths[i].index(node)
+        assert e.value == run.relay_stats[rep.paths[k][hop]][k].drop_fraction, (i, node)
 
 
 def test_cascade_statistics_held_by_topology():
@@ -393,9 +403,136 @@ def test_canonical_key_separates_sharing_patterns():
         if len({p[2] for p in s.paths[:2]}) == 2
     )
     caps = topo.capacities
-    key_a, _ = nm._canonical_key(shared.paths, caps, covert, [2.0] * 4, 1.0, 1e4, 0, 1e-6)
-    key_b, _ = nm._canonical_key(mixed.paths, caps, covert, [2.0] * 4, 1.0, 1e4, 0, 1e-6)
+    key_a, _, _ = nm._canonical_form(shared.paths, caps, covert, [2.0] * 4)
+    key_b, _, _ = nm._canonical_form(mixed.paths, caps, covert, [2.0] * 4)
     assert key_a != key_b
+
+
+def six_by_six():
+    """Two-stage 6x6 switching network: S1-S3 feed A1 and S4-S6 feed A2, both
+    feed B1 (serving D1-D3) and B2 (serving D4-D6); one session per bijection
+    of sources to destinations, uniform prior."""
+    sources = [f"S{i}" for i in range(1, 7)]
+    dests = [f"D{i}" for i in range(1, 7)]
+    first = {s: "A1" if k < 3 else "A2" for k, s in enumerate(sources)}
+    second = {d: "B1" if k < 3 else "B2" for k, d in enumerate(dests)}
+    nodes = sources + ["A1", "A2", "B1", "B2"] + dests
+    edges = {(s, first[s]) for s in sources} | {(second[d], d) for d in dests}
+    edges |= {(a, b) for a in ("A1", "A2") for b in ("B1", "B2")}
+    topo = Topology(bounds=tuple(RateBound(n, 2.0) for n in nodes), edges=frozenset(edges))
+    sessions = [Session(paths=tuple((s, first[s], second[d], d) for s, d in zip(sources, perm)))
+                for perm in itertools.permutations(dests)]
+    return topo, SessionPrior(entries=tuple((s, 1.0 / len(sessions)) for s in sessions))
+
+
+def test_model_does_not_depend_on_session_order():
+    _, prior = switching_topology(2.0)
+    losses = []
+    for pr in (prior, SessionPrior(entries=prior.entries[::-1])):
+        model = build_distortion_model(pr, switching_topology(2.0)[0], 1.0,
+                                       sim_packets=20_000, seed=5)
+        losses.append({(model.sessions[si], b): model.d[si, oi]
+                       for (si, oi), b in model.covert_for.items()})
+    assert len(losses[0]) == 24 * 16
+    assert losses[0] == losses[1]
+
+
+def test_sessions_of_one_class_read_identical_results():
+    topo, prior = switching_topology(2.0)
+    by_form: dict = {}
+    for s in prior.sessions:
+        by_form.setdefault(nm._session_form(s, topo)[0], []).append(s)
+    assert len(by_form) < len(prior.sessions)
+    for a, *others in by_form.values():
+        names_a = nm._session_form(a, topo)[3]
+        for b in others:
+            names_b = nm._session_form(b, topo)[3]
+            rename = dict(zip(names_a, names_b))  # a's node -> b's node of one label
+            paths = {p: tuple(rename[v] for v in p) for p in a.paths}
+            index = {i: b.paths.index(paths[p]) for i, p in enumerate(a.paths)}
+            for covert in _subsets(sorted(a.interior_nodes)):
+                ra = covert_sum_rate(a, covert, topo, 1.0, sim_packets=5_000, seed=3)
+                rb = covert_sum_rate(b, {rename[v] for v in covert}, topo, 1.0,
+                                     sim_packets=5_000, seed=3)
+                assert (ra.sum_rate, ra.stderr, ra.mode) == (rb.sum_rate, rb.stderr, rb.mode)
+                assert all(ra.path_rates[i] == rb.path_rates[j] for i, j in index.items())
+                assert {(index[i], rename[v]): e for (i, v), e in ra.eps.items()} == rb.eps
+
+
+@pytest.mark.parametrize("network, most", [("switching", 20), ("six_by_six", 100)])
+def test_each_relabelling_class_is_evaluated_once(monkeypatch, network, most):
+    evaluated = []
+    class_rates = nm._class_rates
+
+    def counting(key, topo):
+        evaluated.append(key)
+        return class_rates(key, topo)
+
+    monkeypatch.setattr(nm, "_class_rates", counting)
+    topo, prior = switching_topology(2.0) if network == "switching" else six_by_six()
+    model = build_distortion_model(prior, topo, 1.0, sim_packets=2_000, seed=3)
+    assert len(evaluated) == len(set(evaluated)) <= most
+    assert model.metadata["class_evaluations"] == len(evaluated)
+    assert model.metadata["cascade_simulations"] == len(topo._cascades)
+    again = build_distortion_model(prior, topo, 1.0, sim_packets=2_000, seed=3)
+    assert len(evaluated) == model.metadata["class_evaluations"]
+    assert again.metadata["class_evaluations"] == again.metadata["cascade_simulations"] == 0
+    assert np.array_equal(again.d, model.d)
+
+
+def test_source_sharing_separates_classes():
+    # one source feeding both paths has no spare capacity to boost with;
+    # two sources do, so the shared relay A sees twice the input
+    topo = Topology(
+        bounds=tuple(RateBound(n, 2.0) for n in ("S1", "S2", "A", "D1", "D2")),
+        edges=frozenset({("S1", "A"), ("S2", "A"), ("A", "D1"), ("A", "D2")}),
+    )
+    apart = Session(paths=(("S1", "A", "D1"), ("S2", "A", "D2")))
+    shared = Session(paths=(("S1", "A", "D1"), ("S1", "A", "D2")))
+    assert max_sum_rate_visible(apart, topo) == max_sum_rate_visible(shared, topo)
+    r_apart = covert_sum_rate(apart, {"A"}, topo, 1.0)
+    r_shared = covert_sum_rate(shared, {"A"}, topo, 1.0)
+    assert len(topo._classes) == 2
+    assert r_apart.sum_rate == pytest.approx(2.0 * (1 - analytic.loss_fraction(4.0, 2.0, 1.0)))
+    assert r_shared.sum_rate == pytest.approx(2.0 * (1 - analytic.loss_fraction(2.0, 2.0, 1.0)))
+
+
+def test_relay_without_traffic_loses_nothing():
+    # the LP gives the path through B rate 0, so B, its first covert relay,
+    # receives nothing
+    topo = Topology(
+        bounds=tuple(RateBound(n, 1.0) for n in ("S", "A", "B", "D1", "D2")),
+        edges=frozenset({("S", "A"), ("S", "B"), ("A", "D1"), ("B", "D2")}),
+    )
+    session = Session(paths=(("S", "A", "D1"), ("S", "B", "D2")))
+    _, lam_v = max_sum_rate_visible(session, topo)
+    assert lam_v == (1.0, 0.0)
+    r = covert_sum_rate(session, {"B"}, topo, 1.0)
+    assert r.sum_rate == 1.0
+    assert r.eps[(1, "B")] == nm.EpsEstimate(value=0.0, stderr=0.0, source="analytic")
+
+
+def test_empty_cascade_stream_loses_nothing():
+    # a zero delay bound makes M1 and M3 drop everything, so the second
+    # stage's cascade streams carry nothing
+    topo, prior = switching_topology(2.0)
+    r = covert_sum_rate(prior.sessions[0], {"M1", "M2", "M3", "M4"}, topo, 0.0,
+                        sim_packets=5_000, seed=1)
+    assert r.sum_rate == 0.0 and r.stderr == 0.0
+    second = [e for (i, v), e in r.eps.items() if v in ("M2", "M4")]
+    assert second == [nm.EpsEstimate(value=0.0, stderr=0.0, source="simulated")] * 4
+
+
+@pytest.mark.parametrize("bad", [0, -5, 2.5, "100", None])
+def test_sim_packets_must_be_a_positive_integer(bad):
+    topo, prior = switching_topology(2.0)
+    with pytest.raises(ValueError, match="sim_packets must be a positive integer"):
+        covert_sum_rate(prior.sessions[0], {"M1", "M2"}, topo, 1.0, sim_packets=bad)
+    with pytest.raises(ValueError, match="sim_packets must be a positive integer"):
+        build_distortion_model(prior, topo, 1.0, sim_packets=bad)
+    assert not topo._classes
+    assert covert_sum_rate(prior.sessions[0], {"M1"}, topo, 1.0,
+                           sim_packets=np.int64(1_000)).mode == "analytic"
 
 
 def test_config_round_trip():

@@ -700,7 +700,8 @@ def tradeoff_curve(
         points.append(
             CurvePoint(
                 alpha=alpha,
-                rate=model.rate_zero - ba.distortion,
+                # loss cannot exceed rate_zero; only rounding takes it below 0
+                rate=max(0.0, model.rate_zero - ba.distortion),
                 distortion=ba.distortion,
                 mutual_info_bits=ba.mutual_info_bits,
                 policy=CovertPolicy(rules=tuple(rules)),

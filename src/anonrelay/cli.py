@@ -76,7 +76,7 @@ def _relay_strict(args, rows):
             "strict-loss-fraction",
             analytic.loss_fraction(args.cs, args.cb, args.delta),
             res.drop_fraction,
-            batch_stderr(res.dropped_mask(arrivals), 100),
+            batch_stderr(res.dropped, 100),
         )
     )
     if args.dump_match:
@@ -95,7 +95,7 @@ def _relay_priority(args, rows):
             "priority-top-loss",
             analytic.loss_fraction(args.cs, args.cb, args.delta),
             top.drop_fraction,
-            batch_stderr(top.dropped_mask(s1), 100),
+            batch_stderr(top.dropped, 100),
         )
     )
     rows.append(_check_row("priority-low-rate", math.nan, low.n_matched / horizon, math.nan))
@@ -106,7 +106,7 @@ def _relay_priority(args, rows):
                 f"equal-priority-loss-{sched.node_id}",
                 shared,
                 res.drop_fraction,
-                batch_stderr(res.dropped_mask(sched), 100),
+                batch_stderr(res.dropped, 100),
             )
         )
 
@@ -138,7 +138,7 @@ def _relay_avg(args, rows):
                 "avg-mode-loss-fraction",
                 analytic.loss_fraction(cs_hat, cb_hat, window),
                 res.drop_fraction,
-                batch_stderr(res.dropped_mask(arrivals), 100),
+                batch_stderr(res.dropped, 100),
             )
         )
 

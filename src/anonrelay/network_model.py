@@ -368,10 +368,10 @@ def _run_session_sim(session, caps, covert, src_rates, delay, horizon, seed, pro
             for key, res in results.items():
                 i = tag_of[key]
                 streams[i] = res.pairs[:, 1].copy()
-                flags = res.dropped_mask(keyed[key])
+                flags = res.dropped
                 stats[i] = RelayPathStats(
-                    n_in=int(keyed[key].size),
-                    n_dropped=int(res.dropped_arrivals.size),
+                    n_in=int(flags.size),
+                    n_dropped=res.n_dropped,
                     drop_stderr=batch_stderr(flags) if flags.size else 0.0,
                 )
             relay_stats[node] = stats

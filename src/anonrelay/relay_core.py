@@ -2,11 +2,19 @@
 departure schedule, priority and time-shared variants, the average-delay
 relaxation, and a clipped-random-walk oracle that predicts the same losses
 without sharing any matching code.
+
+One block-scan kernel, `_match_index`, serves every matcher. It returns,
+per departure, the index of the arrival it carries, and a `MatchResult`
+keeps that index beside the arrival and departure epochs: pairs, drops,
+dummies, delays and the per-arrival drop flags are derived from it on
+demand, so a result holds its inputs and one index array, not copies of
+the epochs.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,53 +36,94 @@ __all__ = [
 ]
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
+DUMMY = -1  # index of a departure that carried no packet
+OTHER = -2  # index of a departure that carried another stream's packet
+
+
+def _readonly(a, dtype) -> np.ndarray:
+    """A read-only view of `a` as `dtype`; a caller's own array stays
+    writable."""
+    v = np.asarray(a, dtype=dtype).view()
+    v.flags.writeable = False
+    return v
 
 
 @dataclass(frozen=True, eq=False)
 class MatchResult:
     """Outcome of relaying one arrival stream through one departure schedule.
 
-    `pairs` is an (n, 2) array of (arrival, departure) epochs in FIFO order;
-    matched packets never overtake each other. Arrivals that outlive their
-    window (or are still waiting when departures run out) land in
-    `dropped_arrivals`; departure epochs that carried no packet land in
-    `dummy_departures`.
+    Holds the sorted `arrivals` and `departures` and, per departure, the
+    `index` of the arrival it carries: DUMMY (-1) for a dummy and, in
+    equal-priority mode, OTHER (-2) for another stream's packet. Everything
+    else is derived from these on demand: `pairs`, an (n, 2) array of
+    (arrival, departure) epochs in FIFO order (matched packets never overtake
+    each other); `dropped`, one flag per arrival for those that outlived
+    their window or were still waiting when departures ran out;
+    `dropped_arrivals`; `dummy_departures`, the departures that carried no
+    packet; and `delays`. Construction raises ValueError unless the carried
+    indices increase (FIFO) and every carried packet departs within
+    [0, delay_bound] of its arrival.
     """
 
-    pairs: np.ndarray
-    dropped_arrivals: np.ndarray
-    dummy_departures: np.ndarray
+    arrivals: np.ndarray
+    departures: np.ndarray
+    index: np.ndarray
     delay_bound: float
 
     def __post_init__(self):
-        p = np.asarray(self.pairs, dtype=float).reshape(-1, 2)
-        object.__setattr__(self, "pairs", _readonly(p))
-        object.__setattr__(self, "dropped_arrivals", _readonly(np.ravel(self.dropped_arrivals)))
-        object.__setattr__(self, "dummy_departures", _readonly(np.ravel(self.dummy_departures)))
-        d = self.delays
-        if d.size:
+        object.__setattr__(self, "arrivals", _readonly(self.arrivals, float))
+        object.__setattr__(self, "departures", _readonly(self.departures, float))
+        object.__setattr__(self, "index", _readonly(self.index, np.int64))
+        idx = self.index
+        carried = idx >= 0
+        taken = idx[carried]
+        if (idx.shape != self.departures.shape or (idx.size and idx.min() < OTHER)
+                or (taken.size and taken.max() >= self.arrivals.size)):
+            raise ValueError("index must hold one arrival index, DUMMY or OTHER per departure")
+        if taken.size:
+            if (taken[1:] <= taken[:-1]).any():
+                raise ValueError("matched pairs are not in FIFO order")
+            d = self.departures[carried]
+            d -= self.arrivals[taken]
             if d.min() < 0.0:
                 raise ValueError("matched pair departs before it arrives")
             if d.max() > self.delay_bound:
                 raise ValueError("matched pair exceeds the delay bound")
-            if p.shape[0] > 1 and ((np.diff(p[:, 0]) <= 0).any() or (np.diff(p[:, 1]) <= 0).any()):
-                raise ValueError("matched pairs are not in FIFO order")
+
+    @property
+    def pairs(self) -> np.ndarray:
+        carried = self.index >= 0
+        return np.column_stack([self.arrivals[self.index[carried]], self.departures[carried]])
 
     @property
     def delays(self) -> np.ndarray:
-        return self.pairs[:, 1] - self.pairs[:, 0]
+        carried = self.index >= 0
+        d = self.departures[carried]
+        d -= self.arrivals[self.index[carried]]
+        return d
+
+    @property
+    def dropped(self) -> np.ndarray:
+        """One flag per arrival, in arrival order: True where it was dropped."""
+        flags = np.ones(self.arrivals.size, dtype=bool)
+        flags[self.index[self.index >= 0]] = False
+        return flags
+
+    @property
+    def dropped_arrivals(self) -> np.ndarray:
+        return self.arrivals[self.dropped]
+
+    @cached_property
+    def dummy_departures(self) -> np.ndarray:
+        return _readonly(self.departures[self.index == DUMMY], float)
 
     @property
     def n_matched(self) -> int:
-        return int(self.pairs.shape[0])
+        return int(np.count_nonzero(self.index >= 0))
 
     @property
     def n_dropped(self) -> int:
-        return int(self.dropped_arrivals.size)
+        return self.arrivals.size - self.n_matched
 
     @property
     def drop_fraction(self) -> float:
@@ -90,24 +139,15 @@ class MatchResult:
         matches plus dummies reproduce the departure schedule."""
         arr = _epoch_array(arrivals)
         dep = _epoch_array(departures)
-        a = np.sort(np.concatenate([self.pairs[:, 0], self.dropped_arrivals]))
-        d = np.sort(np.concatenate([self.pairs[:, 1], self.dummy_departures]))
+        pairs = self.pairs
+        a = np.sort(np.concatenate([pairs[:, 0], self.dropped_arrivals]))
+        d = np.sort(np.concatenate([pairs[:, 1], self.dummy_departures]))
         return (
             a.size == arr.size
             and d.size == dep.size
             and np.array_equal(a, arr)
             and np.array_equal(d, dep)
         )
-
-    def dropped_mask(self, arrivals) -> np.ndarray:
-        """One flag per arrival epoch, in arrival order: True where that
-        arrival is in `dropped_arrivals`."""
-        arr = _epoch_array(arrivals)
-        dropped = self.dropped_arrivals
-        if dropped.size == 0:
-            return np.zeros(arr.size, dtype=bool)
-        idx = np.minimum(np.searchsorted(dropped, arr), dropped.size - 1)
-        return dropped[idx] == arr
 
 
 def _epoch_array(x) -> np.ndarray:
@@ -123,51 +163,69 @@ def _checked_epoch_array(x) -> np.ndarray:
     return arr if isinstance(x, Schedule) else _check_epochs(arr)
 
 
+_SEARCH_CHUNK = 1 << 16  # departures per window search in the kernel
+
+
 def _match_index(arr: np.ndarray, dep: np.ndarray, delay: float) -> np.ndarray:
     """The greedy matching kernel of both matchers: for each departure, the
-    index of the arrival it carries, or -1 for a dummy.
+    index of the arrival it carries, or DUMMY.
 
     Takes sorted epoch arrays (arrivals may tie). With lo_k arrivals before
     t_k - delay and hi_k at or before t_k, the arrivals consumed by the end
     of departure k obey the clamp recursion i_k = min(max(i_{k-1}, lo_k) + 1,
     hi_k), i_{-1} = 0, and departure k carries arrival max(i_{k-1}, lo_k)
     exactly when i_k exceeds it. With y_k = i_k - k - 1 this is
-    y_k = clamp(y_{k-1}, lo_k - k, hi_k - k - 1). Clamps compose into
-    clamps, so it is solved in blocks of about sqrt(n) departures: one pass
-    composes every block's map, a loop chains the blocks' start values, and
-    a second pass replays each block. This reproduces the loop that scans
-    departures one by one, index for index.
+    y_k = clamp(y_{k-1}, lo_k - k, hi_k - k - 1), and departure k carries
+    arrival max(y_{k-1}, lo_k - k) + k exactly when that maximum is at most
+    hi_k - k - 1. Clamps compose into clamps, so it is solved in blocks of
+    about sqrt(n) departures: one pass composes every block's map, a loop
+    chains the blocks' start values, and a second pass replays each block.
+    This reproduces the loop that scans departures one by one, index for
+    index. Its scratch is two input-sized integer buffers, updated in place;
+    one of them becomes the result.
     """
     if not (delay >= 0.0):
         raise ValueError(f"delay must be nonnegative, got {delay}")
     n = dep.size
     if n == 0 or arr.size == 0:
-        return np.full(n, -1, dtype=np.int64)
-    lo = np.searchsorted(arr, dep - delay, side="left")
-    k = np.arange(n)
-    # Row r of a (block, nblocks) array holds departure r of every block;
-    # the tail of the last block repeats the input and is never read back.
+        return np.full(n, DUMMY, dtype=np.int64)
+    # Departure k = b * block + r sits at [b, r], so column r holds departure
+    # r of every block; the zero padding after departure n - 1 ends the last
+    # block and is never read back.
     block = math.isqrt(n - 1) + 1
     nblocks = -(-n // block)
-    floor = np.resize(lo - k, (nblocks, block)).T.copy()
-    ceil = np.resize(np.searchsorted(arr, dep, side="right") - k - 1, (nblocks, block)).T.copy()
+    k_block = np.arange(0, nblocks * block, block, dtype=np.int64)[:, None]
+    k_row = np.arange(block, dtype=np.int64)
+    floor = np.zeros((nblocks, block), dtype=np.int64)  # lo_k - k
+    ceil = np.zeros((nblocks, block), dtype=np.int64)  # hi_k - k - 1
+    # Searched in chunks, so the searches need no input-sized scratch.
+    for a in range(0, n, _SEARCH_CHUNK):
+        t = dep[a:a + _SEARCH_CHUNK]
+        ceil.reshape(-1)[a:a + t.size] = np.searchsorted(arr, t, side="right")
+        if not math.isinf(delay):  # an unbounded window has lo_k = 0
+            floor.reshape(-1)[a:a + t.size] = np.searchsorted(arr, t - delay, side="left")
+    floor -= k_block
+    floor -= k_row
+    ceil -= k_block
+    ceil -= k_row + 1
 
     # clamp(clamp(y, a1, b1), a2, b2) = clamp(y, max(a1, a2), min(max(b1, a2), b2))
-    f, c = floor[0].copy(), ceil[0].copy()
+    f, c = floor[:, 0].copy(), ceil[:, 0].copy()
     for r in range(1, block):
-        np.maximum(f, floor[r], out=f)
-        np.minimum(np.maximum(c, floor[r], out=c), ceil[r], out=c)
+        np.maximum(f, floor[:, r], out=f)
+        np.minimum(np.maximum(c, floor[:, r], out=c), ceil[:, r], out=c)
     starts = [0]
     for a, b in zip(f.tolist(), c.tolist()):
         starts.append(min(max(starts[-1], a), b))
-    y = np.asarray(starts[:-1])
-    for r in range(block):  # in place: floor[r] becomes y at departure r
-        y = np.minimum(np.maximum(y, floor[r], out=floor[r]), ceil[r], out=floor[r])
+    y = np.asarray(starts[:-1], dtype=np.int64)
+    for r in range(block):  # in place: floor[:, r] becomes max(y_{k-1}, lo_k - k)
+        np.minimum(np.maximum(y, floor[:, r], out=floor[:, r]), ceil[:, r], out=y)
 
-    consumed = floor.T.reshape(-1)[:n] + k + 1
-    taken = np.maximum(np.concatenate(([0], consumed[:-1])), lo)
-    taken[consumed == taken] = -1
-    return taken
+    dummy = floor > ceil
+    floor += k_block
+    floor += k_row
+    floor[dummy] = DUMMY
+    return floor.reshape(-1)[:n]
 
 
 def bounded_greedy_match(arrivals, departures, delay: float) -> MatchResult:
@@ -181,15 +239,7 @@ def bounded_greedy_match(arrivals, departures, delay: float) -> MatchResult:
     """
     arr = _checked_epoch_array(arrivals)
     dep = _checked_epoch_array(departures)
-    m = _match_index(arr, dep, delay)
-    ok = m >= 0
-    taken = m[ok]
-    return MatchResult(
-        pairs=np.column_stack([arr[taken], dep[ok]]),
-        dropped_arrivals=np.delete(arr, taken),
-        dummy_departures=dep[~ok],
-        delay_bound=delay,
-    )
+    return MatchResult(arr, dep, _match_index(arr, dep, delay), delay)
 
 
 @dataclass(frozen=True)
@@ -237,41 +287,54 @@ def _successive_match(streams: dict[str, np.ndarray], ordering, departures, dela
 
 def _joint_match(streams: dict[str, np.ndarray], departures, delay):
     """Equal-priority matching: merge all streams (ties broken by node id)
-    and match the union, then split the outcome back per stream."""
+    and match the union, then split the kernel's index back per stream.
+    Every stream's result shares the departures and one dummies array."""
     ids = sorted(streams)
-    times = np.concatenate([streams[k] for k in ids]) if ids else np.empty(0)
-    tags = np.concatenate(
-        [np.full(streams[k].size, j, dtype=np.intp) for j, k in enumerate(ids)]
-    ) if ids else np.empty(0, dtype=np.intp)
-    order = np.lexsort((tags, times))
+    arrs = [np.asarray(streams[k], dtype=float) for k in ids]
+    offsets = np.cumsum([0] + [a.size for a in arrs])
+    # Each input-sized temporary is dropped as soon as it is spent, which
+    # bounds the peak memory of a large merge.
+    times = np.concatenate(arrs) if ids else np.empty(0)
+    order = np.argsort(times, kind="stable")  # a tie goes to the stream first in id order
     times = times[order]
-    tags = tags[order]
     dep = _epoch_array(departures)
     m = _match_index(times, dep, delay)
-    ok = m >= 0
-    taken = m[ok]
-    pair_a, pair_d, pair_tag = times[taken], dep[ok], tags[taken]
-    drop_a, drop_tag = np.delete(times, taken), np.delete(tags, taken)
+    del times
 
-    dummy_arr = dep[~ok]
+    carried = np.flatnonzero(m >= 0)
+    src = order[m[carried]]  # position of each carried packet in the concatenation
+    del order
+    m[carried] = OTHER  # now every stream's index away from its own packets
+    # Each stream is carried in FIFO order and owns one range of positions,
+    # so sorting by position splits by stream, in departure order.
+    by_stream = np.argsort(src, kind="stable")
+    carried, src = carried[by_stream], src[by_stream]
+    del by_stream
+    cuts = np.searchsorted(src, offsets)
+    dummies = _readonly(dep[m == DUMMY], float)
     out = {}
     for j, k in enumerate(ids):
-        mine = pair_tag == j
-        out[k] = MatchResult(
-            pairs=np.column_stack([pair_a[mine], pair_d[mine]]),
-            dropped_arrivals=drop_a[drop_tag == j],
-            dummy_departures=dummy_arr,
-            delay_bound=delay,
-        )
+        mine = slice(cuts[j], cuts[j + 1])
+        index = m.copy()
+        index[carried[mine]] = src[mine] - offsets[j]
+        res = MatchResult(arrs[j], dep, index, delay)
+        res.__dict__["dummy_departures"] = dummies  # the one shared array
+        out[k] = res
     return out
 
 
 def _concat_results(parts: list[MatchResult], delay: float) -> MatchResult:
+    """Join per-segment results of one stream, segments in time order."""
+    index = []
+    offset = 0
+    for p in parts:
+        index.append(np.where(p.index >= 0, p.index + offset, p.index))
+        offset += p.arrivals.size
     return MatchResult(
-        pairs=np.concatenate([p.pairs for p in parts]) if parts else np.empty((0, 2)),
-        dropped_arrivals=np.concatenate([p.dropped_arrivals for p in parts]),
-        dummy_departures=np.concatenate([p.dummy_departures for p in parts]),
-        delay_bound=delay,
+        np.concatenate([p.arrivals for p in parts]),
+        np.concatenate([p.departures for p in parts]),
+        np.concatenate(index),
+        delay,
     )
 
 
@@ -407,17 +470,18 @@ def random_walk_oracle(
         while left > 0:
             m = min(block, left)
             z = rng.exponential(scale_out, (m, chains)) - rng.exponential(scale_in, (m, chains))
-            for r in range(m):
-                y = x + z[r]
-                if measure:
-                    up = y > delay
-                    lo = y < 0.0
-                    upper += up
-                    lower += lo
-                    mid = ~(up | lo)
-                    interior_cnt += mid
-                    interior_sum += np.where(mid, y, 0.0)
-                np.clip(y, 0.0, delay, out=x)
+            for row in z:  # in place: row z[r] becomes the unclipped state y
+                np.clip(np.add(x, row, out=row), 0.0, delay, out=x)
+            if measure:
+                up = z > delay
+                lo = z < 0.0
+                upper += up.sum(axis=0)
+                lower += lo.sum(axis=0)
+                np.logical_or(up, lo, out=up)
+                interior_cnt += m - up.sum(axis=0)
+                z[up] = 0.0
+                for row in z:  # row by row, so each chain's sum keeps its order
+                    interior_sum += row
             left -= m
 
     advance(burn_in, measure=False)
@@ -484,9 +548,9 @@ def match_result_from_text(text: str) -> MatchResult:
             dummies.extend(vals)
         else:
             raise ValueError(f"data outside any section: {ln!r}")
-    return MatchResult(
-        pairs=np.asarray(pairs, dtype=float).reshape(-1, 2),
-        dropped_arrivals=np.asarray(drops, dtype=float),
-        dummy_departures=np.asarray(dummies, dtype=float),
-        delay_bound=delay,
-    )
+    pairs_arr = np.asarray(pairs, dtype=float).reshape(-1, 2)
+    arrivals = _check_epochs(np.sort(np.concatenate([pairs_arr[:, 0], drops])))
+    departures = _check_epochs(np.sort(np.concatenate([pairs_arr[:, 1], dummies])))
+    index = np.full(departures.size, DUMMY, dtype=np.int64)
+    index[np.searchsorted(departures, pairs_arr[:, 1])] = np.searchsorted(arrivals, pairs_arr[:, 0])
+    return MatchResult(arrivals, departures, index, delay)

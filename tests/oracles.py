@@ -2,7 +2,8 @@
 
 Nothing here shares code with the implementations under test: drop counts
 come from exhaustive matching enumeration, greedy matchings from the
-per-departure loops the block-scan kernel replaced, distortion-rate values from
+per-departure loops the block-scan kernel replaced, walk statistics from the
+per-step loop the block-measured walk replaced, distortion-rate values from
 direct constrained minimisation over the conditional simplex, and the
 deterministic time-sharing hull from a scan over every pair of points.
 """
@@ -128,6 +129,64 @@ def joint_match_reference(streams: dict, departures, delay):
         pairs = np.column_stack([pair_a[j], pair_d[j]]) if pair_a[j] else np.empty((0, 2))
         out[k] = (pairs, np.asarray(drops[j], dtype=float), dummy_arr)
     return out
+
+
+def walk_oracle_reference(input_rate, relay_rate, delay, steps, rng, chains=512,
+                          burn_in=1000):
+    """The clipped delay walk with every barrier statistic updated step by
+    step, drawing from `rng` exactly as `random_walk_oracle` draws from its
+    substream.
+
+    Returns (p_lower, p_upper, loss_fraction, mean_interior_delay,
+    loss_stderr, delay_stderr, steps)."""
+    chains = max(1, min(chains, steps))
+    per_chain = -(-steps // chains)
+    total = per_chain * chains
+
+    x = rng.uniform(0.0, delay, chains) if delay > 0.0 else np.zeros(chains)
+    lower = np.zeros(chains, dtype=np.int64)
+    upper = np.zeros(chains, dtype=np.int64)
+    interior_cnt = np.zeros(chains, dtype=np.int64)
+    interior_sum = np.zeros(chains)
+
+    def advance(iters, measure):
+        nonlocal upper, lower, interior_cnt, interior_sum
+        left = iters
+        while left > 0:
+            m = min(512, left)
+            z = (rng.exponential(1.0 / relay_rate, (m, chains))
+                 - rng.exponential(1.0 / input_rate, (m, chains)))
+            for r in range(m):
+                y = x + z[r]
+                if measure:
+                    up = y > delay
+                    lo = y < 0.0
+                    upper += up
+                    lower += lo
+                    mid = ~(up | lo)
+                    interior_cnt += mid
+                    interior_sum += np.where(mid, y, 0.0)
+                np.clip(y, 0.0, delay, out=x)
+            left -= m
+
+    advance(burn_in, measure=False)
+    advance(per_chain, measure=True)
+
+    n_lower = int(lower.sum())
+    n_upper = int(upper.sum())
+    n_mid = int(interior_cnt.sum())
+    denom = total - n_lower
+    eps = n_upper / denom if denom else math.nan
+    mean_mid = float(interior_sum.sum() / n_mid) if n_mid else math.nan
+    with np.errstate(invalid="ignore", divide="ignore"):
+        chain_eps = upper / np.maximum(per_chain - lower, 1)
+        chain_mid = np.where(interior_cnt > 0, interior_sum / np.maximum(interior_cnt, 1), np.nan)
+    loss_se = float(np.nanstd(chain_eps, ddof=1) / math.sqrt(chains)) if chains > 1 else math.nan
+    if chains > 1 and (interior_cnt > 0).sum() > 1:
+        delay_se = float(np.nanstd(chain_mid, ddof=1) / math.sqrt(chains))
+    else:
+        delay_se = math.nan
+    return (n_lower / total, n_upper / total, eps, mean_mid, loss_se, delay_se, total)
 
 
 def _mutual_info_bits(q: np.ndarray, p: np.ndarray) -> float:

@@ -182,7 +182,12 @@ def test_tradeoff_with_zero_delay_runs(tmp_path):
     assert main(["tradeoff", "--delta", "0", "--alpha-points", "3", "--sim-packets", "5000",
                  "--out-dir", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "tradeoff_report.json").read_text())
-    assert doc["rate_at_alpha1"] == pytest.approx(0.0, abs=1e-9)
+    assert doc["rate_at_alpha1"] == 0.0
+    for name, column in (("tradeoff_curve.csv", "rate"), ("deterministic_points.csv", "sum_rate"),
+                         ("deterministic_hull.csv", "sum_rate")):
+        lines = (tmp_path / name).read_text().splitlines()
+        col = lines[0].split(",").index(column)
+        assert all(float(ln.split(",")[col]) >= 0.0 for ln in lines[1:]), name
 
 
 @pytest.mark.parametrize("command", ["switching", "tradeoff"])

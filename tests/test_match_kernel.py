@@ -1,7 +1,8 @@
 """The block-scan matching kernel against the per-departure loops it
 replaced (`oracles.greedy_match_reference`, `oracles.joint_match_reference`):
-pairs, drops and dummies must be equal, element for element."""
+pairs, drops, dummies and drop flags must be equal, element for element."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from oracles import greedy_match_reference, joint_match_reference
 
 from anonrelay.point_process import GenSpec, Schedule, gen_poisson
 from anonrelay.relay_core import (
+    OTHER,
     PriorityOrder,
     _joint_match,
+    _match_index,
     bounded_greedy_match,
     priority_relay,
 )
@@ -37,6 +40,7 @@ def assert_same(result, ref):
     assert np.array_equal(result.pairs, pairs)
     assert np.array_equal(result.dropped_arrivals, drops)
     assert np.array_equal(result.dummy_departures, dummies)
+    assert np.array_equal(result.dropped, np.isin(result.arrivals, drops))
 
 
 EMPTY = np.empty(0)
@@ -87,6 +91,8 @@ def test_kernel_matches_loop_on_poisson_pair():
 def test_joint_tie_goes_to_first_node_id():
     got = _joint_match({"b": np.array([1.0]), "a": np.array([1.0])}, np.array([1.5]), 1.0)
     assert got["a"].pairs.tolist() == [[1.0, 1.5]]
+    assert got["a"].index.tolist() == [0]
+    assert got["b"].index.tolist() == [OTHER]
     assert got["b"].n_matched == 0
     assert got["b"].dropped_arrivals.tolist() == [1.0]
 
@@ -114,3 +120,22 @@ def test_priority_relay_rejects_bad_delay(delay, order):
     out = Schedule("b", np.array([1.2, 2.0]))
     with pytest.raises(ValueError, match="delay must be nonnegative"):
         priority_relay([s1, s2], out, order, delay)
+
+
+# Scratch of the kernel at a million departures, the returned index included,
+# in units of one input-sized int64 array (8n bytes).
+@pytest.mark.parametrize("delay", [1.0, math.inf])
+def test_kernel_scratch_is_bounded(delay):
+    n = 1_000_000
+    rng = np.random.default_rng(5)
+    arr = np.cumsum(rng.exponential(1.0, n))
+    dep = np.cumsum(rng.exponential(1.0, n))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        index = _match_index(arr, dep, delay)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert index.size == n
+    assert peak <= 5.5 * 8 * n, peak / (8 * n)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import min_drops_exhaustive
+from oracles import min_drops_exhaustive, walk_oracle_reference
 
 from anonrelay import analytic
+from anonrelay._util import substream
 from anonrelay.point_process import (
     EmptyScheduleError,
     GenSpec,
@@ -68,7 +70,7 @@ def test_match_partitions_and_fifo(arr, dep, delay):
     departures = _epochs(dep)
     r = bounded_greedy_match(arrivals, departures, delay)
     assert r.verify_partition(arrivals, departures)
-    mask = r.dropped_mask(arrivals)
+    mask = r.dropped
     assert np.array_equal(mask, np.isin(arrivals, r.dropped_arrivals))
     assert np.array_equal(arrivals[mask], r.dropped_arrivals)
     if r.n_matched:
@@ -248,6 +250,21 @@ def test_walk_oracle_deterministic():
     assert a == b or (a.loss_fraction == b.loss_fraction and a.p_lower == b.p_lower)
 
 
+@pytest.mark.parametrize("cs,cb,delta,steps,chains", [
+    (1.0, 1.0, 1.0, 10_000_000, 1000),  # criterion 02's setting
+    (1.0, 2.0, 0.0, 30_000, 512),       # zero window
+    (2.0, 1.0, 0.5, 100_003, 512),      # steps not a multiple of chains
+    (0.5, 0.5, 2.0, 300, 512),          # fewer steps than chains
+])
+def test_walk_oracle_matches_per_step_loop(cs, cb, delta, steps, chains):
+    got = dataclasses.astuple(random_walk_oracle(cs, cb, delta, steps, seed=2024, chains=chains))
+    ref = walk_oracle_reference(cs, cb, delta, steps, substream(2024, "walk", cs, cb, delta),
+                                chains=chains)
+    assert len(got) == 7
+    # bit for bit, NaN included
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in ref]
+
+
 def test_match_result_text_round_trip():
     r = bounded_greedy_match([0.5, 1.25, 3.0], [1.0, 1.5], 1.0)
     r2 = match_result_from_text(match_result_to_text(r))
@@ -257,13 +274,22 @@ def test_match_result_text_round_trip():
     assert r2.delay_bound == r.delay_bound
 
 
+def test_match_result_text_rejects_an_epoch_listed_twice():
+    text = "match delay 1.0\n[pairs]\n1.0 1.5\n[dropped]\n1.0\n[dummies]\n"
+    with pytest.raises(ScheduleError):
+        match_result_from_text(text)
+
+
 def test_match_result_rejects_bad_pairs():
-    with pytest.raises(ValueError):
-        MatchResult(pairs=[[2.0, 1.0]], dropped_arrivals=[], dummy_departures=[],
-                    delay_bound=1.0)
-    with pytest.raises(ValueError):
-        MatchResult(pairs=[[0.0, 2.0]], dropped_arrivals=[], dummy_departures=[],
-                    delay_bound=1.0)
-    with pytest.raises(ValueError):
-        MatchResult(pairs=[[2.0, 2.5], [1.0, 3.0]], dropped_arrivals=[],
-                    dummy_departures=[], delay_bound=2.5)
+    with pytest.raises(ValueError, match="departs before it arrives"):
+        MatchResult(arrivals=[2.0], departures=[1.0], index=[0], delay_bound=1.0)
+    with pytest.raises(ValueError, match="exceeds the delay bound"):
+        MatchResult(arrivals=[0.0], departures=[2.0], index=[0], delay_bound=1.0)
+    with pytest.raises(ValueError, match="not in FIFO order"):
+        MatchResult(arrivals=[1.0, 2.0], departures=[2.5, 3.0], index=[1, 0],
+                    delay_bound=2.5)
+    for arrivals, departures, index in (([1.0], [2.0], [1]), ([1.0], [2.0], [-3]),
+                                        ([1.0], [2.0, 3.0], [0])):
+        with pytest.raises(ValueError, match="one arrival index, DUMMY or OTHER"):
+            MatchResult(arrivals=arrivals, departures=departures, index=index,
+                        delay_bound=5.0)

@@ -34,6 +34,24 @@ def batch_stderr(values, batches: int = 32) -> float:
     return float(means.std(ddof=1) / np.sqrt(b))
 
 
+def flag_batch_stderr(chunks, n: int, batches: int = 32) -> float:
+    """`batch_stderr` of n boolean flags given as consecutive chunks, from
+    per-batch counts: no float copy of the flags is made, and the result is
+    bit-identical, since a batch mean of 0/1 values is its count over the
+    batch length."""
+    if n < 4:
+        return float("nan")
+    b = min(batches, n // 2)
+    k = n // b
+    counts = np.zeros(b, dtype=np.int64)
+    start = 0
+    for f in chunks:
+        hits = np.flatnonzero(f[:max(0, k * b - start)]) + start
+        counts += np.bincount(hits // k, minlength=b)
+        start += f.size
+    return float((counts / k).std(ddof=1) / np.sqrt(b))
+
+
 def fmt(x: float) -> str:
     """Shortest decimal string that round-trips the float exactly."""
     return repr(float(x))

@@ -11,6 +11,7 @@ Precedence: built-in defaults, then command-line flags, then values from
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -19,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analytic, anonymity_opt, network_model, relay_core
-from ._util import batch_stderr, fmt
-from .point_process import GenSpec, gen_poisson
+from ._util import batch_stderr, flag_batch_stderr, fmt
+from .point_process import GenSpec, poisson_chunks, poisson_rate
 
 __all__ = ["main"]
 
@@ -66,84 +67,150 @@ def _rows_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Tally:
+    """What a streamed relay keeps of one arrival stream: its counts, and its
+    drop flags packed eight to a byte into one growing buffer for the
+    batch-means error bar."""
+
+    def __init__(self):
+        self.matched = 0
+        self.dropped = 0
+        self.bits = bytearray()
+        self.tail = np.empty(0, dtype=bool)  # the last flags, fewer than eight, not yet packed
+
+    def add(self, res: relay_core.MatchResult) -> None:
+        flags = np.concatenate([self.tail, res.dropped])
+        whole = flags.size - flags.size % 8
+        self.bits += memoryview(np.packbits(flags[:whole]))
+        self.tail = flags[whole:]
+        self.matched += res.n_matched
+        self.dropped += res.n_dropped
+
+    @property
+    def drop_fraction(self) -> float:
+        total = self.matched + self.dropped
+        return self.dropped / total if total else 0.0
+
+    def drop_stderr(self, batches: int) -> float:
+        packed = np.frombuffer(self.bits, dtype=np.uint8)
+        step = 1 << 13
+        flags = (np.unpackbits(packed[i:i + step]) for i in range(0, packed.size, step))
+        return flag_batch_stderr(itertools.chain(flags, [self.tail]),
+                                 self.matched + self.dropped, batches)
+
+
+def _streamed(sources: dict, out: GenSpec, ordering, delay: float):
+    """Steps of relaying chunked Poisson draws, so a run holds a few chunks
+    of epochs whatever its horizon."""
+    arrivals = {k: poisson_chunks(spec, node_id=k) for k, spec in sources.items()}
+    return relay_core.stream_relay(arrivals, poisson_chunks(out, node_id="out"), ordering, delay)
+
+
 def _relay_strict(args, rows):
     horizon = args.packets / args.cs
-    arrivals = gen_poisson(GenSpec(args.cs, horizon, args.seed), node_id="in")
-    departures = gen_poisson(GenSpec(args.cb, horizon, args.seed), node_id="out")
-    res = relay_core.bounded_greedy_match(arrivals, departures, args.delta)
+    tally, parts = _Tally(), []
+    for step in _streamed({"in": GenSpec(args.cs, horizon, args.seed)},
+                          GenSpec(args.cb, horizon, args.seed), ("in",), args.delta):
+        tally.add(step["in"])
+        if args.dump_match:  # the dump is the whole match, so it keeps every step
+            parts.append(step["in"])
     rows.append(
         _check_row(
             "strict-loss-fraction",
             analytic.loss_fraction(args.cs, args.cb, args.delta),
-            res.drop_fraction,
-            batch_stderr(res.dropped, 100),
+            tally.drop_fraction,
+            tally.drop_stderr(100),
         )
     )
     if args.dump_match:
+        res = relay_core._concat_results(parts, args.delta)
         _write(Path(args.dump_match), relay_core.match_result_to_text(res))
 
 
 def _relay_priority(args, rows):
     horizon = args.packets / (args.cs + args.cs2)
-    s1 = gen_poisson(GenSpec(args.cs, horizon, args.seed), node_id="src1")
-    s2 = gen_poisson(GenSpec(args.cs2, horizon, args.seed), node_id="src2")
-    out = gen_poisson(GenSpec(args.cb, horizon, args.seed), node_id="out")
-    order = relay_core.PriorityOrder.single((s1.node_id, s2.node_id))
-    top, low = relay_core.priority_relay([s1, s2], out, order, args.delta)
+    sources = {"src1": GenSpec(args.cs, horizon, args.seed),
+               "src2": GenSpec(args.cs2, horizon, args.seed)}
+    out = GenSpec(args.cb, horizon, args.seed)
+    top, low_matched = _Tally(), 0
+    for step in _streamed(sources, out, ("src1", "src2"), args.delta):
+        top.add(step["src1"])
+        low_matched += step["src2"].n_matched
     rows.append(
         _check_row(
             "priority-top-loss",
             analytic.loss_fraction(args.cs, args.cb, args.delta),
             top.drop_fraction,
-            batch_stderr(top.dropped, 100),
+            top.drop_stderr(100),
         )
     )
-    rows.append(_check_row("priority-low-rate", math.nan, low.n_matched / horizon, math.nan))
-    shared = analytic.loss_fraction(args.cs + args.cs2, args.cb, args.delta)
-    for sched, res in zip((s1, s2), relay_core.priority_relay([s1, s2], out, None, args.delta)):
-        rows.append(
-            _check_row(
-                f"equal-priority-loss-{sched.node_id}",
-                shared,
-                res.drop_fraction,
-                batch_stderr(res.dropped, 100),
-            )
-        )
+    rows.append(_check_row("priority-low-rate", math.nan, low_matched / horizon, math.nan))
+    equal = {k: _Tally() for k in sources}
+    for step in _streamed(sources, out, None, args.delta):
+        for k, tally in equal.items():
+            tally.add(step[k])
+    loss = analytic.loss_fraction(args.cs + args.cs2, args.cb, args.delta)
+    for k, tally in equal.items():
+        rows.append(_check_row(f"equal-priority-loss-{k}", loss, tally.drop_fraction,
+                               tally.drop_stderr(100)))
 
 
 def _relay_avg(args, rows):
     horizon = args.packets / args.cs
     drain = 100.0 * max(args.dbar, 1.0 / args.cb)
-    arrivals = gen_poisson(GenSpec(args.cs, horizon, args.seed), node_id="in")
-    departures = gen_poisson(GenSpec(args.cb, horizon + drain, args.seed), node_id="out")
-    res = relay_core.avg_delay_relay(arrivals, departures, args.dbar)
-    if math.isinf(res.delay_bound):
-        rows.append(_check_row("avg-mode-zero-drops", 0.0, float(res.n_dropped), 0.0))
+    arrivals = GenSpec(args.cs, horizon, args.seed)
+    departures = GenSpec(args.cb, horizon + drain, args.seed)
+    # The window follows from the rates the run measures, so a counting pass
+    # over both draws comes first, as `relay_core.avg_delay_relay` does.
+    cs_hat = poisson_rate(arrivals, node_id="in")
+    cb_hat = poisson_rate(departures, node_id="out")
+    window = analytic.solve_strict_delay(args.dbar, cs_hat, cb_hat)
+    tally, delays = _Tally(), []
+    for step in _streamed({"in": arrivals}, departures, ("in",), window):
+        tally.add(step["in"])
+        if not math.isinf(window):
+            delays.append(step["in"].delays)
+    if math.isinf(window):
+        rows.append(_check_row("avg-mode-zero-drops", 0.0, float(tally.dropped), 0.0))
     else:
+        delays = np.concatenate(delays)
         rows.append(
             _check_row(
                 "avg-mode-mean-delay",
                 args.dbar,
-                res.mean_delay,
-                batch_stderr(res.delays, 100),
+                float(delays.mean()) if delays.size else math.nan,
+                batch_stderr(delays, 100),
             )
         )
-        from .point_process import empirical_rate
-
-        cs_hat = empirical_rate(arrivals)
-        cb_hat = empirical_rate(departures)
-        window = analytic.solve_strict_delay(args.dbar, cs_hat, cb_hat)
         rows.append(
             _check_row(
                 "avg-mode-loss-fraction",
                 analytic.loss_fraction(cs_hat, cb_hat, window),
-                res.drop_fraction,
-                batch_stderr(res.dropped, 100),
+                tally.drop_fraction,
+                tally.drop_stderr(100),
             )
         )
 
 
+def _check_relay_args(args) -> None:
+    """Reject relay parameters no run can use, naming the flag; values from
+    --config are held to the same rules."""
+    def real(x):
+        return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+    p = args.packets
+    if not (isinstance(p, (int, np.integer)) and not isinstance(p, bool) and p >= 1):
+        raise SystemExit(f"--packets must be an integer of at least 1, got {p!r}")
+    for flag in ("cs", "cs2", "cb", "dbar"):
+        v = getattr(args, flag)
+        if not (real(v) and math.isfinite(v) and v > 0.0):
+            raise SystemExit(f"--{flag} must be finite and positive, got {v!r}")
+    if not (real(args.delta) and args.delta >= 0.0):
+        raise SystemExit(f"--delta must be nonnegative, got {args.delta!r}")
+
+
 def cmd_relay(args) -> int:
+    _check_relay_args(args)
     if args.stats_from:
         res = relay_core.match_result_from_text(Path(args.stats_from).read_text())
         print(f"matched={res.n_matched} dropped={res.n_dropped} "

@@ -367,7 +367,7 @@ def _run_session_sim(session, caps, covert, src_rates, delay, horizon, seed, pro
             stats = {}
             for key, res in results.items():
                 i = tag_of[key]
-                streams[i] = res.pairs[:, 1].copy()
+                streams[i] = res.departures[res.index >= 0]
                 flags = res.dropped
                 stats[i] = RelayPathStats(
                     n_in=int(flags.size),

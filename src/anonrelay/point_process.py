@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -23,6 +24,8 @@ __all__ = [
     "EmptyScheduleError",
     "MissingBoundError",
     "gen_poisson",
+    "poisson_chunks",
+    "poisson_rate",
     "empirical_rate",
     "validate_network_schedule",
     "schedule_to_text",
@@ -52,7 +55,7 @@ def _check_epochs(x: np.ndarray) -> np.ndarray:
             raise ScheduleError("epochs must be finite")
         if x[0] < 0.0:
             raise ScheduleError("epochs must be nonnegative")
-        if x.size > 1 and not (np.diff(x) > 0.0).all():
+        if not (x[1:] > x[:-1]).all():
             raise ScheduleError("epochs must be strictly increasing")
     return x
 
@@ -110,19 +113,53 @@ class GenSpec:
             raise ScheduleError(f"horizon must be nonnegative, got {self.horizon}")
 
 
+_CHUNK = 1 << 16  # epochs per chunk of a streamed draw
+
+
+def _draw(rng: np.random.Generator, scale: float, n: int, prev: float) -> np.ndarray:
+    """The next n epochs after `prev`: exponential gaps summed in place, one
+    at a time, so any split of a draw into consecutive pieces gives the same
+    epochs bit for bit."""
+    x = rng.exponential(scale, n)
+    x[0] += prev
+    return np.cumsum(x, out=x)
+
+
 def poisson_epochs(rate: float, horizon: float, rng: np.random.Generator) -> np.ndarray:
-    """Homogeneous Poisson arrival epochs on [0, horizon], by cumulative
-    exponential inter-arrivals drawn in blocks."""
+    """Homogeneous Poisson arrival epochs on [0, horizon]: one block sized
+    to hold them almost surely, extended in rare cases, and cut at the
+    horizon."""
     if horizon <= 0.0:
         return np.empty(0)
     expected = rate * horizon
     block = int(expected + 6.0 * math.sqrt(expected) + 16.0)
-    chunks = [np.cumsum(rng.exponential(1.0 / rate, block))]
-    while chunks[-1][-1] <= horizon:
-        nxt = chunks[-1][-1] + np.cumsum(rng.exponential(1.0 / rate, max(block // 8, 64)))
-        chunks.append(nxt)
-    epochs = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-    return epochs[epochs <= horizon]
+    x = _draw(rng, 1.0 / rate, block, 0.0)
+    while x[-1] <= horizon:
+        x = np.concatenate([x, _draw(rng, 1.0 / rate, max(block // 8, 64), x[-1])])
+    return x[:np.searchsorted(x, horizon, side="right")]
+
+
+def _epoch_chunks(rate: float, horizon: float, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """The epochs of `poisson_epochs(rate, horizon, rng)`, bit for bit, drawn
+    and yielded in chunks of at most _CHUNK."""
+    if horizon <= 0.0:
+        return
+    prev = 0.0
+    while True:
+        x = _draw(rng, 1.0 / rate, _CHUNK, prev)
+        if x[-1] > horizon:
+            x = x[:np.searchsorted(x, horizon, side="right")]
+            if x.size:
+                yield x
+            return
+        yield x
+        prev = x[-1]
+
+
+def poisson_chunks(spec: GenSpec, node_id: str = "node") -> Iterator[np.ndarray]:
+    """The epochs of `gen_poisson(spec, node_id)` in chunks, so a consumer
+    that lets each chunk go holds O(_CHUNK) of them."""
+    return _epoch_chunks(spec.rate, spec.horizon, substream(spec.seed, "poisson", node_id))
 
 
 def gen_poisson(spec: GenSpec, node_id: str = "node") -> Schedule:
@@ -132,15 +169,28 @@ def gen_poisson(spec: GenSpec, node_id: str = "node") -> Schedule:
     return Schedule(node_id=node_id, epochs=poisson_epochs(spec.rate, spec.horizon, rng))
 
 
-def empirical_rate(schedule: Schedule) -> float:
-    """Packets per second as n / (epoch of the n-th packet)."""
-    n = len(schedule)
+def _rate(n: int, last: float, node_id: str) -> float:
     if n == 0:
-        raise EmptyScheduleError(f"rate of empty schedule {schedule.node_id!r} is undefined")
-    last = schedule.last_epoch
+        raise EmptyScheduleError(f"rate of empty schedule {node_id!r} is undefined")
     if last <= 0.0:
         raise ScheduleError("rate undefined when the only epoch is at time zero")
     return n / last
+
+
+def poisson_rate(spec: GenSpec, node_id: str = "node") -> float:
+    """`empirical_rate(gen_poisson(spec, node_id))`, counted over a streamed
+    draw whose epochs are let go chunk by chunk."""
+    n, last = 0, 0.0
+    for x in poisson_chunks(spec, node_id):
+        n += x.size
+        last = float(x[-1])
+    return _rate(n, last, node_id)
+
+
+def empirical_rate(schedule: Schedule) -> float:
+    """Packets per second as n / (epoch of the n-th packet)."""
+    n = len(schedule)
+    return _rate(n, schedule.last_epoch if n else 0.0, schedule.node_id)
 
 
 def validate_network_schedule(schedules, bounds) -> bool:

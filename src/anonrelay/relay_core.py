@@ -3,7 +3,12 @@ departure schedule, priority and time-shared variants, the average-delay
 relaxation, and a clipped-random-walk oracle that predicts the same losses
 without sharing any matching code.
 
-One block-scan kernel, `_match_index`, serves every matcher. It returns,
+One block-scan kernel, `_scan`, serves every matcher. It is resumable:
+`_Greedy` feeds it departures in chunks of _CHUNK and carries the count of
+arrivals consumed, and the arrivals not yet settled, from one chunk to the
+next, so its scratch is O(_CHUNK) whatever the horizon. The whole-schedule
+matchers feed it one chunk; `stream_relay` feeds it chunks of epochs as they
+are drawn, through the same successive and equal-priority logic. It returns,
 per departure, the index of the arrival it carries, and a `MatchResult`
 keeps that index beside the arrival and departure epochs: pairs, drops,
 dummies, delays and the per-arrival drop flags are derived from it on
@@ -15,19 +20,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import analytic
 from ._util import fmt, substream
-from .point_process import EmptyScheduleError, Schedule, _check_epochs, empirical_rate
+from .point_process import (
+    EmptyScheduleError,
+    Schedule,
+    ScheduleError,
+    _check_epochs,
+    empirical_rate,
+)
 
 __all__ = [
     "MatchResult",
     "PriorityOrder",
     "bounded_greedy_match",
     "priority_relay",
+    "stream_relay",
     "avg_delay_relay",
     "WalkOracleResult",
     "random_walk_oracle",
@@ -163,47 +175,51 @@ def _checked_epoch_array(x) -> np.ndarray:
     return arr if isinstance(x, Schedule) else _check_epochs(arr)
 
 
-_SEARCH_CHUNK = 1 << 16  # departures per window search in the kernel
+_CHUNK = 1 << 16  # departures per kernel pass: the kernel's scratch is O(_CHUNK)
 
 
-def _match_index(arr: np.ndarray, dep: np.ndarray, delay: float) -> np.ndarray:
-    """The greedy matching kernel of both matchers: for each departure, the
-    index of the arrival it carries, or DUMMY.
+def _scan(arr: np.ndarray, dep: np.ndarray, delay: float, offset: int, out: np.ndarray) -> int:
+    """One pass of the greedy kernel over a chunk of departures.
 
-    Takes sorted epoch arrays (arrivals may tie). With lo_k arrivals before
-    t_k - delay and hi_k at or before t_k, the arrivals consumed by the end
-    of departure k obey the clamp recursion i_k = min(max(i_{k-1}, lo_k) + 1,
-    hi_k), i_{-1} = 0, and departure k carries arrival max(i_{k-1}, lo_k)
-    exactly when i_k exceeds it. With y_k = i_k - k - 1 this is
-    y_k = clamp(y_{k-1}, lo_k - k, hi_k - k - 1), and departure k carries
+    `arr` holds the arrivals from the first not yet consumed up to the last
+    at or before the chunk's last departure. Writes into `out`, per
+    departure, `offset` plus the index in `arr` of the arrival it carries,
+    or DUMMY, and returns `offset` plus the arrivals of `arr` consumed by
+    the end of the chunk.
+
+    In `arr`'s own indices, with lo_k arrivals before t_k - delay and hi_k
+    at or before t_k, the arrivals consumed by the end of departure k obey
+    the clamp recursion i_k = min(max(i_{k-1}, lo_k) + 1, hi_k), i_{-1} = 0,
+    and departure k carries arrival max(i_{k-1}, lo_k) exactly when i_k
+    exceeds it. The i_k never decrease, so a lo_k below 0, the arrivals
+    consumed before the chunk, changes nothing. With y_k = i_k - k - 1 this
+    is y_k = clamp(y_{k-1}, lo_k - k, hi_k - k - 1), and departure k carries
     arrival max(y_{k-1}, lo_k - k) + k exactly when that maximum is at most
     hi_k - k - 1. Clamps compose into clamps, so it is solved in blocks of
-    about sqrt(n) departures: one pass composes every block's map, a loop
-    chains the blocks' start values, and a second pass replays each block.
-    This reproduces the loop that scans departures one by one, index for
-    index. Its scratch is two input-sized integer buffers, updated in place;
-    one of them becomes the result.
+    departures: one pass composes every block's map, a loop chains the
+    blocks' start values, and a second pass replays each block, in place.
+    Blocks of about sqrt(chunk / 8) departures balance the passes, which
+    cost one numpy call per position in a block, against the loop, which
+    costs one Python step per block.
     """
-    if not (delay >= 0.0):
-        raise ValueError(f"delay must be nonnegative, got {delay}")
-    n = dep.size
-    if n == 0 or arr.size == 0:
-        return np.full(n, DUMMY, dtype=np.int64)
+    m = dep.size
+    if arr.size == 0:
+        out[:] = DUMMY
+        return offset
     # Departure k = b * block + r sits at [b, r], so column r holds departure
-    # r of every block; the zero padding after departure n - 1 ends the last
+    # r of every block; the zero padding after departure m - 1 ends the last
     # block and is never read back.
-    block = math.isqrt(n - 1) + 1
-    nblocks = -(-n // block)
+    block = math.isqrt((m - 1) // 8) + 1
+    nblocks = -(-m // block)
     k_block = np.arange(0, nblocks * block, block, dtype=np.int64)[:, None]
     k_row = np.arange(block, dtype=np.int64)
     floor = np.zeros((nblocks, block), dtype=np.int64)  # lo_k - k
     ceil = np.zeros((nblocks, block), dtype=np.int64)  # hi_k - k - 1
-    # Searched in chunks, so the searches need no input-sized scratch.
-    for a in range(0, n, _SEARCH_CHUNK):
-        t = dep[a:a + _SEARCH_CHUNK]
-        ceil.reshape(-1)[a:a + t.size] = np.searchsorted(arr, t, side="right")
-        if not math.isinf(delay):  # an unbounded window has lo_k = 0
-            floor.reshape(-1)[a:a + t.size] = np.searchsorted(arr, t - delay, side="left")
+    ceil.reshape(-1)[:m] = np.searchsorted(arr, dep, side="right")
+    if not math.isinf(delay):  # an unbounded window has lo_k = 0
+        cut = floor.reshape(-1)[:m]
+        np.subtract(dep, delay, out=cut.view(np.float64))  # t_k - delay, in floor's memory
+        cut[:] = np.searchsorted(arr, cut.view(np.float64), side="left")
     floor -= k_block
     floor -= k_row
     ceil -= k_block
@@ -221,11 +237,96 @@ def _match_index(arr: np.ndarray, dep: np.ndarray, delay: float) -> np.ndarray:
     for r in range(block):  # in place: floor[:, r] becomes max(y_{k-1}, lo_k - k)
         np.minimum(np.maximum(y, floor[:, r], out=floor[:, r]), ceil[:, r], out=y)
 
+    last = divmod(m - 1, block)
+    consumed = offset + m + int(min(floor[last], ceil[last]))  # i_{m-1} = y_{m-1} + m
     dummy = floor > ceil
     floor += k_block
-    floor += k_row
+    floor += k_row + offset
     floor[dummy] = DUMMY
-    return floor.reshape(-1)[:n]
+    out[:] = floor.reshape(-1)[:m]
+    return consumed
+
+
+class _Window:
+    """The values of one stream fed so far and not yet settled, addressed by
+    their index in the whole stream."""
+
+    def __init__(self, dtype=float):
+        self.values = np.empty(0, dtype=dtype)
+        self.base = 0  # stream index of values[0]
+
+    @property
+    def end(self) -> int:
+        return self.base + self.values.size
+
+    def feed(self, chunk: np.ndarray) -> None:
+        if chunk.size:
+            self.values = np.concatenate([self.values, chunk]) if self.values.size else chunk
+
+    def after(self, i: int) -> np.ndarray:
+        return self.values[i - self.base:]
+
+    def settle(self, i: int) -> np.ndarray:
+        """Remove and return the values before stream index `i`."""
+        cut = i - self.base
+        part, rest = self.values[:cut], self.values[cut:]
+        self.values = rest if rest.size else np.empty(0, dtype=rest.dtype)  # lets go of the buffer
+        self.base = i
+        return part
+
+
+class _Greedy:
+    """The greedy matcher of one sorted arrival stream, resumable: arrivals
+    are fed and departures matched chunk by chunk in time order, and all it
+    carries between chunks is the count of arrivals consumed, i_{k-1}, and
+    the arrivals not yet settled.
+
+    Before departures are matched, every arrival at or before the last of
+    them must have been fed.
+    """
+
+    def __init__(self, delay: float):
+        if not (delay >= 0.0):
+            raise ValueError(f"delay must be nonnegative, got {delay}")
+        self.delay = delay
+        self.arrivals = _Window()
+        self.done = 0  # arrivals consumed: every one before it is matched or dropped
+
+    def match(self, dep: np.ndarray) -> np.ndarray:
+        """Per departure, the arrival it carries, counted from the first one
+        not consumed before this call, or DUMMY."""
+        first = self.done
+        index = np.empty(dep.size, dtype=np.int64)
+        passes = -(-dep.size // _CHUNK)
+        size = -(-dep.size // passes) if passes else 1  # passes of equal size
+        for a in range(0, dep.size, size):
+            t = dep[a:a + size]
+            # Only arrivals from the first unconsumed one up to the chunk's
+            # last departure can be carried, so both searches cover that range.
+            arr = self.arrivals.after(self.done)
+            arr = arr[:np.searchsorted(arr, t[-1], side="right")]
+            self.done = first + _scan(arr, t, self.delay, self.done - first, index[a:a + t.size])
+        return index
+
+    def settle(self, final: bool) -> np.ndarray:
+        """Remove and return the arrivals settled: those consumed, or, once
+        `final` says no departures follow, every arrival fed."""
+        if final:
+            self.done = self.arrivals.end
+        return self.arrivals.settle(self.done)
+
+    def step(self, dep: np.ndarray, final: bool) -> MatchResult:
+        """Match `dep`; the result covers it and the arrivals it settled."""
+        index = self.match(dep)
+        return MatchResult(self.settle(final), dep, index, self.delay)
+
+
+def _match_index(arr: np.ndarray, dep: np.ndarray, delay: float) -> np.ndarray:
+    """The kernel over whole arrays: the resumable matcher fed one chunk.
+    Its scratch beyond the returned index is O(_CHUNK)."""
+    g = _Greedy(delay)
+    g.arrivals.feed(arr)
+    return g.match(dep)
 
 
 def bounded_greedy_match(arrivals, departures, delay: float) -> MatchResult:
@@ -273,54 +374,101 @@ class PriorityOrder:
         return cls(orderings=(tuple(ordering),), weights=(1.0,))
 
 
+class _Successive:
+    """Successive priority matching, resumable: each stream, in priority
+    order, is matched on the departures left unused by the streams above it."""
+
+    def __init__(self, ordering: Sequence[str], delay: float):
+        self.matchers = {k: _Greedy(delay) for k in ordering}
+
+    def step(self, dep: np.ndarray, new: dict[str, np.ndarray], final: bool):
+        out: dict[str, MatchResult] = {}
+        last = len(self.matchers) - 1
+        for j, (k, g) in enumerate(self.matchers.items()):
+            g.arrivals.feed(new[k])
+            out[k] = g.step(dep, final)
+            if j < last:
+                dep = out[k].dummy_departures
+        return out
+
+
+class _Joint:
+    """Equal-priority matching, resumable: the streams are merged by time, a
+    tie going to the stream first in id order, and the union is matched.
+    Every stream's result sees every departure, OTHER where another stream's
+    packet left, and all of them share one dummies array."""
+
+    def __init__(self, ids, delay: float):
+        self.ids = sorted(ids)
+        self.merged = _Greedy(delay)
+        self.own = [_Window() for _ in self.ids]  # each stream's unsettled arrivals
+        self.n_merged = [0] * len(self.ids)
+        # per merged arrival: its index in its stream, shifted left, or'ed
+        # with its stream's position in `ids`
+        self.shift = max(1, (len(self.ids) - 1).bit_length())
+        self.tags = _Window(np.int64)
+
+    def _merge(self, cut: float) -> None:
+        """Merge every fed arrival at or before `cut`."""
+        parts = []
+        for w, n0 in zip(self.own, self.n_merged):
+            a = w.after(n0)
+            parts.append(a[:np.searchsorted(a, cut, side="right")])
+        times = np.concatenate(parts)
+        tags = np.argsort(times, kind="stable")  # a tie goes to the stream first in id order
+        self.merged.arrivals.feed(times[tags])
+        del times
+        # in place, each position in the concatenation becomes its arrival's tag
+        edges = np.cumsum([0] + [a.size for a in parts])
+        stream = np.zeros(tags.size, dtype=np.min_scalar_type(len(parts)))
+        for e in edges[1:-1]:
+            stream += tags >= e
+        tags -= (edges[:-1] - self.n_merged)[stream]
+        tags <<= self.shift
+        tags |= stream
+        self.tags.feed(tags)
+        self.n_merged = [n0 + a.size for a, n0 in zip(parts, self.n_merged)]
+
+    def step(self, dep: np.ndarray, new: dict[str, np.ndarray], final: bool):
+        if not self.ids:
+            return {}
+        for k, w in zip(self.ids, self.own):
+            w.feed(new[k])
+        if final or dep.size:
+            self._merge(math.inf if final else dep[-1])
+        m = self.merged.match(dep)
+        self.merged.settle(final)
+        carried = np.flatnonzero(m >= 0)
+        src = self.tags.settle(self.merged.done)[m[carried]]
+        m[carried] = OTHER  # now every stream's index away from its own packets
+        low = (1 << self.shift) - 1
+        stream = src & low
+        src >>= self.shift  # the carried packet's index in its stream
+        waiting = np.bincount(self.tags.values & low, minlength=len(self.ids))  # merged, unsettled
+        dummies = _readonly(dep[m == DUMMY], float)
+        out = {}
+        for j, (k, w, n0) in enumerate(zip(self.ids, self.own, self.n_merged)):
+            mine = stream == j
+            index = m.copy()
+            index[carried[mine]] = src[mine] - w.base
+            res = MatchResult(w.settle(n0 - int(waiting[j])), dep, index, self.merged.delay)
+            res.__dict__["dummy_departures"] = dummies  # the one shared array
+            out[k] = res
+        return out
+
+
 def _successive_match(streams: dict[str, np.ndarray], ordering, departures, delay):
     """Apply the greedy matcher stream by stream in priority order; each
     stream sees only the departure epochs left unused by higher priorities."""
-    leftover = departures
-    out: dict[str, MatchResult] = {}
-    for node_id in ordering:
-        r = bounded_greedy_match(streams[node_id], leftover, delay)
-        out[node_id] = r
-        leftover = r.dummy_departures
-    return out
+    return _Successive(ordering, delay).step(departures, streams, final=True)
 
 
 def _joint_match(streams: dict[str, np.ndarray], departures, delay):
-    """Equal-priority matching: merge all streams (ties broken by node id)
-    and match the union, then split the kernel's index back per stream.
+    """Equal-priority matching of whole streams: merge them (ties broken by
+    node id), match the union, and split the kernel's index back per stream.
     Every stream's result shares the departures and one dummies array."""
-    ids = sorted(streams)
-    arrs = [np.asarray(streams[k], dtype=float) for k in ids]
-    offsets = np.cumsum([0] + [a.size for a in arrs])
-    # Each input-sized temporary is dropped as soon as it is spent, which
-    # bounds the peak memory of a large merge.
-    times = np.concatenate(arrs) if ids else np.empty(0)
-    order = np.argsort(times, kind="stable")  # a tie goes to the stream first in id order
-    times = times[order]
-    dep = _epoch_array(departures)
-    m = _match_index(times, dep, delay)
-    del times
-
-    carried = np.flatnonzero(m >= 0)
-    src = order[m[carried]]  # position of each carried packet in the concatenation
-    del order
-    m[carried] = OTHER  # now every stream's index away from its own packets
-    # Each stream is carried in FIFO order and owns one range of positions,
-    # so sorting by position splits by stream, in departure order.
-    by_stream = np.argsort(src, kind="stable")
-    carried, src = carried[by_stream], src[by_stream]
-    del by_stream
-    cuts = np.searchsorted(src, offsets)
-    dummies = _readonly(dep[m == DUMMY], float)
-    out = {}
-    for j, k in enumerate(ids):
-        mine = slice(cuts[j], cuts[j + 1])
-        index = m.copy()
-        index[carried[mine]] = src[mine] - offsets[j]
-        res = MatchResult(arrs[j], dep, index, delay)
-        res.__dict__["dummy_departures"] = dummies  # the one shared array
-        out[k] = res
-    return out
+    streams = {k: np.asarray(v, dtype=float) for k, v in streams.items()}
+    return _Joint(streams, delay).step(_epoch_array(departures), streams, final=True)
 
 
 def _concat_results(parts: list[MatchResult], delay: float) -> MatchResult:
@@ -390,6 +538,67 @@ def priority_relay(
         for k in ids:
             parts[k].append(by_id[k])
     return [_concat_results(parts[k], delay) for k in ids]
+
+
+def _checked_chunks(chunks: Iterable) -> Iterator[np.ndarray]:
+    """The nonempty chunks of one epoch stream, each held to the Schedule
+    rules, and increasing across chunk boundaries too."""
+    last = -math.inf
+    for c in chunks:
+        c = _check_epochs(np.asarray(c, dtype=float))
+        if c.size:
+            if not c[0] > last:
+                raise ScheduleError("epochs must be strictly increasing across chunks")
+            last = c[-1]
+            yield c
+
+
+def stream_relay(
+    arrival_chunks: Mapping[str, Iterable[np.ndarray]],
+    departure_chunks: Iterable[np.ndarray],
+    ordering: Optional[Sequence[str]],
+    delay: float,
+) -> Iterator[dict[str, MatchResult]]:
+    """Relay streams given as chunks of epochs, holding a few chunks at a
+    time rather than whole schedules.
+
+    With an `ordering` (every stream's id, highest priority first) matching
+    is successive, as `priority_relay` does under a single ordering; with
+    None the streams share the relay with equal priority. Each chunk is held
+    to the Schedule rules. Yields, per step, each stream's result over that
+    step's departures and the arrivals it settled: matched, or dropped for
+    good. One step is made per departure chunk, then more as the arrivals
+    left over once departures run out are read and dropped. Joined in order,
+    the steps give the whole-schedule results index for index.
+    """
+    if ordering is None:
+        matcher = _Joint(arrival_chunks, delay)
+    elif sorted(ordering) == sorted(arrival_chunks):
+        matcher = _Successive(ordering, delay)
+    else:
+        raise ValueError("ordering must list every stream exactly once")
+    sources = {k: _checked_chunks(v) for k, v in arrival_chunks.items()}
+    reached = dict.fromkeys(sources, -math.inf)  # last epoch read per stream
+    empty = np.empty(0)
+    for dep in _checked_chunks(departure_chunks):
+        new = {}
+        for k, src in sources.items():  # read every arrival up to the last departure
+            read = []
+            while reached[k] < dep[-1]:
+                c = next(src, None)
+                if c is None:
+                    reached[k] = math.inf
+                    break
+                read.append(c)
+                reached[k] = c[-1]
+            new[k] = np.concatenate(read) if len(read) > 1 else (read[0] if read else empty)
+        yield matcher.step(dep, new, final=False)
+    # Departures are over: whatever is waiting, and every arrival still to
+    # come, is dropped.
+    yield matcher.step(empty, dict.fromkeys(sources, empty), final=True)
+    for k, src in sources.items():
+        for c in src:
+            yield matcher.step(empty, {j: c if j == k else empty for j in sources}, final=True)
 
 
 def avg_delay_relay(arrivals: Schedule, departures: Schedule, mean_bound: float) -> MatchResult:

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import distortion_rate_oracle, hull_pairwise, hull_value_pairwise
+from oracles import (
+    _mutual_info_bits,
+    _simplex_grid,
+    distortion_rate_oracle,
+    grid_search,
+    hull_pairwise,
+    hull_value_pairwise,
+)
 
 from anonrelay import anonymity_opt as ao
 from anonrelay import network_model as nm
@@ -208,6 +215,28 @@ def test_ba_zero_rate_constant_output():
     # best single column: col0 = 0.75, col1 = 0.875
     assert res.distortion == pytest.approx(0.75, abs=1e-12)
     assert res.mutual_info_bits == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_batched_grid_search_matches_the_loop(seed):
+    # the oracle's grid search, batched, against one conditional at a time in
+    # product order; small grids and batches, so several batches are crossed
+    rng = np.random.default_rng(seed)
+    ns, no = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+    d = rng.uniform(0.0, 1.0, (ns, no))
+    p = rng.dirichlet(np.ones(ns) * 3.0)
+    r = float(rng.uniform(0.0, 0.9) * math.log2(ns))
+    row = list(_simplex_grid(no, 4))
+    best_val, best_q = math.inf, None
+    for combo in itertools.product(row, repeat=ns):
+        q = np.vstack(combo)
+        if _mutual_info_bits(q, p) <= r + 1e-12:
+            val = float(np.sum(p[:, None] * q * d))
+            if val < best_val:
+                best_val, best_q = val, q
+    got_val, got_q = grid_search(d, p, r, 4, batch=97)
+    assert got_val == best_val
+    assert np.array_equal(got_q, best_q)
 
 
 def test_ba_respects_rate_budget_and_oracle():

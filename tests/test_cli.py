@@ -1,11 +1,15 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from anonrelay import anonymity_opt as ao
+from anonrelay import analytic, point_process, relay_core
 from anonrelay import network_model as nm
+from anonrelay._util import batch_stderr
 from anonrelay.cli import main
 
 
@@ -139,10 +143,10 @@ def test_unknown_config_key_rejected(tmp_path):
 
 
 def test_relay_check_without_error_bar_fails(tmp_path, capsys):
-    # no packets: the measured loss has no standard error, so the finite
-    # prediction cannot be confirmed
+    # one packet's horizon: too few arrivals to batch, so the measured loss
+    # has no standard error and the finite prediction cannot be confirmed
     assert main([
-        "relay", "--cs", "1", "--cb", "1", "--delta", "1", "--packets", "0",
+        "relay", "--cs", "1", "--cb", "1", "--delta", "1", "--packets", "1",
         "--out-dir", str(tmp_path),
     ]) == 1
     assert "[FAIL] strict-loss-fraction" in capsys.readouterr().out
@@ -211,3 +215,90 @@ def test_match_dump_round_trips_through_cli(tmp_path, capsys):
     assert main(["relay", "--stats-from", str(dump), "--out-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "drop_fraction=" in out and "matched=" in out
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("packets", "0", "--packets must be an integer of at least 1"),
+    ("packets", "-5", "--packets must be an integer of at least 1"),
+    ("cs", "0", "--cs must be finite and positive"),
+    ("cs", "inf", "--cs must be finite and positive"),
+    ("cs2", "-1", "--cs2 must be finite and positive"),
+    ("cb", "nan", "--cb must be finite and positive"),
+    ("delta", "nan", "--delta must be nonnegative"),
+    ("delta", "-0.5", "--delta must be nonnegative"),
+    ("dbar", "0", "--dbar must be finite and positive"),
+    ("dbar", "inf", "--dbar must be finite and positive"),
+])
+def test_bad_relay_values_exit_with_a_message(flag, value, message, tmp_path):
+    with pytest.raises(SystemExit, match=message):
+        main(["relay", f"--{flag}", value, "--out-dir", str(tmp_path)])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag: float(value)}))
+    with pytest.raises(SystemExit, match=message):
+        main(["relay", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert not any(tmp_path.glob("relay_*"))
+
+
+@pytest.mark.parametrize("value", [2.5, 1000.0, True, "100"])
+def test_relay_packets_from_config_must_be_an_integer(value, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"packets": value}))
+    with pytest.raises(SystemExit, match="--packets"):
+        main(["relay", "--config", str(cfg), "--out-dir", str(tmp_path)])
+
+
+def test_relay_accepts_an_unbounded_window(tmp_path):
+    main(["relay", "--delta", "inf", "--cb", "2", "--packets", "2000",
+          "--out-dir", str(tmp_path)])
+    assert json.loads((tmp_path / "relay_report.json").read_text())["params"]["delta"] == math.inf
+
+
+def test_streamed_avg_relay_equals_the_whole_schedule_relay(tmp_path, monkeypatch):
+    # a finite window, so the report reads matched delays and drop flags;
+    # small chunks, so the streamed run crosses many chunk edges
+    monkeypatch.setattr(point_process, "_CHUNK", 1000)
+    monkeypatch.setattr(relay_core, "_CHUNK", 1000)
+    n, cs, cb, dbar, seed = 20000, 1.0, 1.2, 1.0, 5
+    assert main(["relay", "--mode", "avg", "--cs", str(cs), "--cb", str(cb), "--dbar", str(dbar),
+                 "--packets", str(n), "--seed", str(seed), "--out-dir", str(tmp_path)]) == 0
+    checks = {r["check"]: r for r in
+              json.loads((tmp_path / "relay_report.json").read_text())["checks"]}
+    horizon = n / cs
+    arrivals = point_process.gen_poisson(point_process.GenSpec(cs, horizon, seed), node_id="in")
+    departures = point_process.gen_poisson(
+        point_process.GenSpec(cb, horizon + 100.0 * max(dbar, 1.0 / cb), seed), node_id="out")
+    res = relay_core.avg_delay_relay(arrivals, departures, dbar)
+    assert math.isfinite(res.delay_bound)
+    assert checks["avg-mode-mean-delay"]["measured"] == res.mean_delay
+    assert checks["avg-mode-mean-delay"]["stderr"] == batch_stderr(res.delays, 100)
+    assert checks["avg-mode-loss-fraction"]["measured"] == res.drop_fraction
+    assert checks["avg-mode-loss-fraction"]["stderr"] == batch_stderr(res.dropped, 100)
+    assert checks["avg-mode-loss-fraction"]["predicted"] == analytic.loss_fraction(
+        point_process.empirical_rate(arrivals), point_process.empirical_rate(departures),
+        res.delay_bound)
+
+
+RELAY_MODES = {
+    "strict": ["--cs", "1", "--cb", "1", "--delta", "1"],
+    "priority": ["--mode", "priority", "--cs", "1", "--cs2", "1", "--cb", "2", "--delta", "1"],
+    "avg": ["--mode", "avg", "--cs", "1", "--cb", "3", "--dbar", "1"],
+}
+
+
+def _traced_peak(argv) -> int:
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Whole schedules would add about 30 MB or more between these sizes; a
+# streamed run keeps one drop bit per arrival beyond a few chunks.
+@pytest.mark.parametrize("mode", list(RELAY_MODES))
+def test_relay_memory_does_not_grow_with_the_horizon(mode, tmp_path, capsys):
+    peaks = [_traced_peak(["relay", *RELAY_MODES[mode], "--packets", str(n),
+                           "--out-dir", str(tmp_path / str(n))])
+             for n in (250_000, 1_000_000)]
+    assert peaks[1] - peaks[0] <= 4_000_000, peaks

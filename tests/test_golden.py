@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from anonrelay import point_process, relay_core
 from anonrelay.cli import main
 
 COMMANDS = {
@@ -115,4 +116,15 @@ def test_output_bytes_unchanged(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     if name == "tradeoff_topology":
         run_command("gen_topology")
+    assert run_command(name) == GOLDEN[name]
+
+
+# 20k packets fit in one default chunk, so the relay commands are also run
+# with chunks of 1,000 epochs and departures, where every run crosses many
+# chunk edges.
+@pytest.mark.parametrize("name", [n for n in COMMANDS if n.startswith("relay")])
+def test_relay_bytes_unchanged_in_small_chunks(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(point_process, "_CHUNK", 1000)
+    monkeypatch.setattr(relay_core, "_CHUNK", 1000)
     assert run_command(name) == GOLDEN[name]

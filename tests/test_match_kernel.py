@@ -1,6 +1,8 @@
 """The block-scan matching kernel against the per-departure loops it
 replaced (`oracles.greedy_match_reference`, `oracles.joint_match_reference`):
-pairs, drops, dummies and drop flags must be equal, element for element."""
+pairs, drops, dummies and drop flags must be equal, element for element,
+whether the kernel takes the departures in one pass or in chunks, and
+whether the epochs come whole or streamed."""
 import math
 import tracemalloc
 
@@ -11,14 +13,18 @@ from hypothesis import strategies as st
 
 from oracles import greedy_match_reference, joint_match_reference
 
-from anonrelay.point_process import GenSpec, Schedule, gen_poisson
+from anonrelay import relay_core
+from anonrelay.point_process import GenSpec, Schedule, ScheduleError, gen_poisson
 from anonrelay.relay_core import (
     OTHER,
     PriorityOrder,
+    _concat_results,
     _joint_match,
     _match_index,
+    _successive_match,
     bounded_greedy_match,
     priority_relay,
+    stream_relay,
 )
 
 
@@ -138,4 +144,77 @@ def test_kernel_scratch_is_bounded(delay):
     finally:
         tracemalloc.stop()
     assert index.size == n
-    assert peak <= 5.5 * 8 * n, peak / (8 * n)
+    assert peak <= 1.5 * 8 * n, peak / (8 * n)
+
+
+# Kernel passes of a few departures put chunk edges everywhere: on ties, on
+# expired windows, between a departure and the arrival it carries.
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+@given(dyadic(), dyadic(), delays)
+@settings(max_examples=100, deadline=None)
+@example(_grid([0, 1, 2, 3]), _grid([1, 2, 3, 4, 5, 6, 7, 8]), 0.0)
+@example(_grid([4, 4.5, 5, 9]), _grid([1, 2, 3, 4, 5, 6, 7, 8, 9]), math.inf)
+def test_chunked_kernel_matches_loop(chunk, arr, dep, delay):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relay_core, "_CHUNK", chunk)
+        got = bounded_greedy_match(arr, dep, delay)
+    assert_same(got, greedy_match_reference(arr, dep, delay))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+@given(st.lists(dyadic(25), min_size=2, max_size=3), dyadic(), delays)
+@settings(max_examples=60, deadline=None)
+def test_chunked_joint_kernel_matches_loop(chunk, arrs, dep, delay):
+    streams = dict(zip("abc", arrs))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relay_core, "_CHUNK", chunk)
+        got = _joint_match(streams, dep, delay)
+    ref = joint_match_reference(streams, dep, delay)
+    for k in streams:
+        assert_same(got[k], ref[k])
+
+
+def _pieces(x, cuts):
+    """`x` split at the given fractions of its length, empty pieces kept."""
+    edges = sorted(int(c * x.size) for c in cuts)
+    return np.split(x, edges)
+
+
+def assert_equal_results(got, want):
+    assert np.array_equal(got.arrivals, want.arrivals)
+    assert np.array_equal(got.departures, want.departures)
+    assert np.array_equal(got.index, want.index)
+    assert np.array_equal(got.dummy_departures, want.dummy_departures)
+
+
+fractions = st.lists(st.floats(0.0, 1.0), max_size=4)
+
+
+@pytest.mark.parametrize("ordering", [("a", "b"), ("b", "a"), None])
+@given(dyadic(30), dyadic(30), dyadic(), delays, fractions, fractions, fractions,
+       st.sampled_from([1, 3, 1 << 16]))
+@settings(max_examples=120, deadline=None)
+def test_streamed_steps_join_to_the_whole_match(ordering, a, b, dep, delay, cut_a, cut_b,
+                                                cut_dep, chunk):
+    streams = {"a": a, "b": b}
+    whole = (_joint_match(streams, dep, delay) if ordering is None
+             else _successive_match(streams, ordering, dep, delay))
+    chunks = {"a": _pieces(a, cut_a), "b": _pieces(b, cut_b)}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relay_core, "_CHUNK", chunk)
+        steps = list(stream_relay(chunks, _pieces(dep, cut_dep), ordering, delay))
+    for k in streams:
+        assert_equal_results(_concat_results([s[k] for s in steps], delay), whole[k])
+
+
+def test_stream_rejects_bad_chunks_and_orderings():
+    good = [np.array([1.0, 2.0])]
+    with pytest.raises(ScheduleError, match="across chunks"):
+        list(stream_relay({"a": [np.array([1.0, 2.0]), np.array([2.0, 3.0])]}, good,
+                          ("a",), 1.0))
+    with pytest.raises(ScheduleError, match="increasing"):
+        list(stream_relay({"a": good}, [np.array([2.0, 1.0])], ("a",), 1.0))
+    with pytest.raises(ValueError, match="every stream exactly once"):
+        list(stream_relay({"a": good, "b": good}, good, ("a",), 1.0))
+    with pytest.raises(ValueError, match="delay must be nonnegative"):
+        list(stream_relay({"a": good}, good, None, math.nan))

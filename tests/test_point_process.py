@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from anonrelay import point_process
+from anonrelay._util import substream
 from anonrelay.point_process import (
     EmptyScheduleError,
     GenSpec,
@@ -12,7 +14,11 @@ from anonrelay.point_process import (
     Schedule,
     ScheduleError,
     empirical_rate,
+    _epoch_chunks,
     gen_poisson,
+    poisson_chunks,
+    poisson_epochs,
+    poisson_rate,
     schedule_from_text,
     schedule_to_text,
     validate_network_schedule,
@@ -105,3 +111,60 @@ def test_schedule_validation():
         GenSpec(rate=1.0, horizon=-2.0, seed=0)
     with pytest.raises(ScheduleError):
         RateBound("n", 0.0)
+
+
+def _joined(chunks):
+    chunks = list(chunks)
+    assert all(c.size for c in chunks)
+    return np.concatenate(chunks) if chunks else np.empty(0)
+
+
+@pytest.mark.parametrize("chunk", [1, 1000, 1 << 16])
+@pytest.mark.parametrize("rate,horizon", [(1.0, 3000.0), (3.0, 700.0), (0.25, 9000.0),
+                                          (1.0, 0.0), (2.0, 1e-9)])
+def test_chunked_draw_equals_whole_draw(rate, horizon, chunk, monkeypatch):
+    monkeypatch.setattr(point_process, "_CHUNK", chunk)
+    spec = GenSpec(rate=rate, horizon=horizon, seed=17)
+    whole = gen_poisson(spec, node_id="n").epochs
+    assert np.array_equal(_joined(poisson_chunks(spec, node_id="n")), whole)
+    if whole.size:
+        assert poisson_rate(spec, node_id="n") == empirical_rate(gen_poisson(spec, node_id="n"))
+    else:
+        with pytest.raises(EmptyScheduleError):
+            poisson_rate(spec, node_id="n")
+
+
+def test_chunked_draw_ending_on_a_chunk_edge(monkeypatch):
+    monkeypatch.setattr(point_process, "_CHUNK", 100)
+    edge = gen_poisson(GenSpec(rate=1.0, horizon=1000.0, seed=4), node_id="n").epochs[199]
+    spec = GenSpec(rate=1.0, horizon=float(edge), seed=4)
+    chunks = list(poisson_chunks(spec, node_id="n"))
+    assert [c.size for c in chunks] == [100, 100]
+    assert chunks[-1][-1] == edge
+    assert np.array_equal(np.concatenate(chunks), gen_poisson(spec, node_id="n").epochs)
+
+
+class _ShortGaps:
+    """Draws half-length gaps, so the first block of `poisson_epochs` falls
+    short of the horizon and the overflow blocks are drawn."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def exponential(self, scale, size):
+        return self.rng.exponential(0.5 * scale, size)
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 16])
+def test_chunked_draw_equals_whole_draw_through_overflow_blocks(chunk, monkeypatch):
+    monkeypatch.setattr(point_process, "_CHUNK", chunk)
+    whole = poisson_epochs(1.0, 5000.0, _ShortGaps(3))
+    assert whole.size > 5000 + 6 * math.sqrt(5000) + 16  # past the first block
+    assert np.array_equal(_joined(_epoch_chunks(1.0, 5000.0, _ShortGaps(3))), whole)
+
+
+def test_whole_draw_is_cut_at_the_horizon():
+    x = poisson_epochs(2.0, 100.0, substream(8, "cut"))
+    y = poisson_epochs(2.0, 1e6, substream(8, "cut"))
+    assert x[-1] <= 100.0 < y[x.size]
+    assert np.array_equal(x, y[:x.size])

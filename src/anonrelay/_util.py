@@ -34,22 +34,27 @@ def batch_stderr(values, batches: int = 32) -> float:
     return float(means.std(ddof=1) / np.sqrt(b))
 
 
-def flag_batch_stderr(chunks, n: int, batches: int = 32) -> float:
-    """`batch_stderr` of n boolean flags given as consecutive chunks, from
-    per-batch counts: no float copy of the flags is made, and the result is
-    bit-identical, since a batch mean of 0/1 values is its count over the
-    batch length."""
+def flag_batch_stderr(packed: np.ndarray, n: int, batches: int = 32) -> float:
+    """`batch_stderr` of n boolean flags packed eight to a byte, first flag
+    in the high bit (as `np.packbits` packs them), from per-batch counts:
+    one batch is unpacked at a time, so the scratch is one batch, not all n
+    flags, and the result is bit-identical, since a batch mean of 0/1 values
+    is its count over the batch length."""
     if n < 4:
         return float("nan")
     b = min(batches, n // 2)
     k = n // b
-    counts = np.zeros(b, dtype=np.int64)
-    start = 0
-    for f in chunks:
-        hits = np.flatnonzero(f[:max(0, k * b - start)]) + start
-        counts += np.bincount(hits // k, minlength=b)
-        start += f.size
+    counts = np.empty(b, dtype=np.int64)
+    for j in range(b):
+        q, r = divmod(j * k, 8)  # batch j starts at bit r of byte q
+        counts[j] = np.count_nonzero(np.unpackbits(packed[q:q + (r + k + 7) // 8])[r:r + k])
     return float((counts / k).std(ddof=1) / np.sqrt(b))
+
+
+def check_count(name: str, n) -> None:
+    """Reject `n` unless it is an integer of at least 1; a bool is not one."""
+    if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1):
+        raise ValueError(f"{name} must be a positive integer, got {n!r}")
 
 
 def fmt(x: float) -> str:

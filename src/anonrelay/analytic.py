@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._util import convex_hull, fmt
+from ._util import check_count, convex_hull, fmt
 
 __all__ = [
     "loss_fraction",
@@ -216,7 +216,9 @@ def two_source_region(
     validation against the matcher (see the region tests), so the two
     priority corners use a deterministic seeded measurement instead; they are
     clipped into the outer bound so containment is exact by construction.
+    `corner_events` must be a positive integer.
     """
+    check_count("corner_events", corner_events)
     _check_rates(rate1, relay_rate)
     _check_rates(rate2, relay_rate)
     cap1 = rate1 * (1.0 - loss_fraction(rate1, relay_rate, delay))

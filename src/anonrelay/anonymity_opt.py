@@ -17,12 +17,11 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._util import convex_hull, fmt
+from ._util import check_count, convex_hull, fmt
 from .network_model import (
     Session,
     SessionPrior,
     Topology,
-    _check_sim_packets,
     covert_sum_rate,
     max_sum_rate_visible,
     observe,
@@ -52,6 +51,8 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_MAX_RELAYS = 20  # enumeration cap: a covert subset per subset of at most this many relays
+_BA_GAP_TOL = 1e-11  # a fixed-slope solve stops once its Lagrangian gap is this small
 
 
 class AnonymityInfeasibleError(ValueError):
@@ -199,13 +200,10 @@ class DetPoint:
     sum_rate: float
 
 
-def expected_covert_rate(prior, covert, topo, delay, sim_packets, seed, boost) -> float:
+def expected_covert_rate(prior, covert, topo, delay, sim_packets, seed) -> float:
     total = 0.0
     for session, p in prior.entries:
-        r = covert_sum_rate(
-            session, covert, topo, delay,
-            sim_packets=sim_packets, seed=seed, boost=boost,
-        )
+        r = covert_sum_rate(session, covert, topo, delay, sim_packets=sim_packets, seed=seed)
         total += p * r.sum_rate
     return total
 
@@ -223,17 +221,18 @@ def deterministic_points(
     delay: float,
     sim_packets: int = 200_000,
     seed: int = 0,
-    boost: bool = True,
-    max_relays: int = 20,
     model: Optional[DistortionModel] = None,
 ) -> tuple[DetPoint, ...]:
     """(anonymity, expected sum rate) of every fixed covert subset, smallest
     first, read off the distortion model for this prior and delay (built
     here unless given)."""
     relays = sorted(set().union(*(s.interior_nodes for s in prior.sessions)))
-    if len(relays) > max_relays:
-        raise ValueError(f"{len(relays)} relays exceed the enumeration cap {max_relays}")
-    model = _model_for(prior, topo, delay, model, sim_packets, seed, boost)
+    if len(relays) > _MAX_RELAYS:
+        raise ValueError(f"{len(relays)} relays exceed the enumeration cap {_MAX_RELAYS}")
+    if model is None:
+        model = build_distortion_model(prior, topo, delay, sim_packets, seed)
+    else:
+        _check_model(model, prior, delay)
     return tuple(
         DetPoint(covert=b, alpha=model.anonymity(b), sum_rate=model.covert_rate(b))
         for b in _subsets(relays)
@@ -247,15 +246,13 @@ def best_deterministic(
     delay: float,
     sim_packets: int = 200_000,
     seed: int = 0,
-    boost: bool = True,
-    max_relays: int = 20,
 ) -> DetPoint:
     """Highest expected sum rate over fixed covert subsets meeting the
     anonymity target. Subsets are enumerated smallest first, so ties go to
     the cheapest set of covert relays."""
     if alpha_target > 1.0:
         raise AnonymityInfeasibleError(alpha_target, 1.0, frozenset())
-    points = deterministic_points(prior, topo, delay, sim_packets, seed, boost, max_relays)
+    points = deterministic_points(prior, topo, delay, sim_packets, seed)
     feasible = [p for p in points if p.alpha + 1e-12 >= alpha_target]
     if not feasible:
         top = max(points, key=lambda p: p.alpha)
@@ -326,20 +323,22 @@ def build_distortion_model(
     delay: float,
     sim_packets: int = 200_000,
     seed: int = 0,
-    boost: bool = True,
-    max_relays_per_session: int = 20,
 ) -> DistortionModel:
     """Enumerate every (session, covert subset) pair and tabulate losses.
 
     Each session contributes one finite column entry per subset of its own
     interior relays; the subset must be recoverable from the observation,
-    so a collision raises `ObservationCollisionError`. `metadata` counts the
-    relabelling classes evaluated and cascades simulated for this model:
-    what the topology did not already hold.
+    so a collision raises `ObservationCollisionError`. A session with more
+    than _MAX_RELAYS interior relays raises ValueError before any solve.
+    `metadata` counts the relabelling classes evaluated and cascades
+    simulated for this model: what the topology did not already hold.
     """
-    _check_sim_packets(sim_packets)
-    held = len(topo._classes), len(topo._cascades)
+    check_count("sim_packets", sim_packets)
     sessions = prior.sessions
+    widest = max(len(s.interior_nodes) for s in sessions)
+    if widest > _MAX_RELAYS:
+        raise ValueError(f"session has {widest} interior relays, enumeration cap is {_MAX_RELAYS}")
+    held = len(topo._classes), len(topo._cascades)
     probs = np.asarray(prior.probs)
     rows: list[dict] = []
     lambda_v = []
@@ -350,11 +349,6 @@ def build_distortion_model(
     n_sim = 0
     for si, session in enumerate(sessions):
         relays = tuple(sorted(session.interior_nodes))
-        if len(relays) > max_relays_per_session:
-            raise ValueError(
-                f"session has {len(relays)} interior relays, enumeration cap is "
-                f"{max_relays_per_session}"
-            )
         lv, _ = max_sum_rate_visible(session, topo)
         lambda_v.append(lv)
         row: dict = {}
@@ -369,10 +363,7 @@ def build_distortion_model(
                     f"observation for the same session"
                 )
             seen[obs] = b
-            res = covert_sum_rate(
-                session, b, topo, delay,
-                sim_packets=sim_packets, seed=seed, boost=boost,
-            )
+            res = covert_sum_rate(session, b, topo, delay, sim_packets=sim_packets, seed=seed)
             if res.mode == "simulated":
                 n_sim += 1
             loss = lv - res.sum_rate
@@ -399,21 +390,18 @@ def build_distortion_model(
         lambda_v=tuple(lambda_v),
         rate_zero=rate_zero,
         delay=delay,
-        metadata={"sim_packets": sim_packets, "seed": seed, "boost": boost,
+        metadata={"sim_packets": sim_packets, "seed": seed,
                   "simulated_entries": n_sim,
                   "class_evaluations": len(topo._classes) - held[0],
                   "cascade_simulations": len(topo._cascades) - held[1]},
     )
 
 
-def _model_for(prior, topo, delay, model, sim_packets, seed, boost) -> DistortionModel:
-    """The given model, checked against the prior and delay, or a new one."""
-    if model is None:
-        return build_distortion_model(prior, topo, delay, sim_packets, seed, boost)
+def _check_model(model: DistortionModel, prior: SessionPrior, delay: float) -> None:
+    """Reject a model built for another prior or delay."""
     if (model.sessions != prior.sessions or not np.array_equal(model.probs, prior.probs)
             or model.delay != delay):
         raise ValueError("distortion model was built for another prior or delay")
-    return model
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,13 +434,13 @@ class _Probe:
     bound: float  # lower bound on min over conditionals of I (nats) + beta * D
 
 
-def _ba_fixed_slope(d, probs, beta, max_iter, finite, d_fin, gap_tol=1e-11):
+def _ba_fixed_slope(d, probs, beta, max_iter, finite, d_fin):
     """Alternating minimisation at a fixed distortion slope.
 
     With z the per-source partition sums and c the reproduction update
     factors, the Lagrangian optimum lies between the objective and the
     objective minus ln max(c) (Blahut 1972); the solve stops once that gap,
-    max(c) - 1, is below `gap_tol`. The lower end, `bound`, holds at every
+    max(c) - 1, is below _BA_GAP_TOL. The lower end, `bound`, holds at every
     iterate, converged or not, and is what the chord-slope descent certifies
     chords with. At the slope of a straight stretch of the envelope the gap
     still falls fast: to 1e-11 in 34 iterations on the built-in switching
@@ -484,7 +472,7 @@ def _ba_fixed_slope(d, probs, beta, max_iter, finite, d_fin, gap_tol=1e-11):
         gap = float(c.max()) - 1.0
         phat = phat * c
         phat /= phat.sum()
-        if gap <= gap_tol:
+        if gap <= _BA_GAP_TOL:
             converged = True
             break
     rate_bits, dist = _mutual_info_and_distortion(q, probs, d_fin)
@@ -663,31 +651,27 @@ class TradeoffCurve:
 
 def tradeoff_curve(
     prior: SessionPrior,
-    topo: Topology,
     delay: float,
     alpha_grid: Sequence[float],
-    sim_packets: int = 200_000,
-    seed: int = 0,
-    boost: bool = True,
-    ba_tol: float = 1e-6,
-    model: Optional[DistortionModel] = None,
+    *,
+    model: DistortionModel,
 ) -> TradeoffCurve:
-    """Randomized-strategy frontier R(alpha) = R(0) - D(H(S)(1 - alpha)).
+    """Randomized-strategy frontier R(alpha) = R(0) - D(H(S)(1 - alpha)) on
+    the distortion model built for this prior and delay.
 
     For each anonymity level the distortion-rate solution yields both the
     least sum-rate loss and the covert-set distribution achieving it, mapped
     back through the uniqueness of the covert set given (session,
     observation).
     """
-    model = _model_for(prior, topo, delay, model, sim_packets, seed, boost)
+    _check_model(model, prior, delay)
     h = entropy_bits(prior)
     points = []
     probe_cache: dict = {}
     for alpha in sorted(alpha_grid):
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha grid values must be in [0, 1], got {alpha}")
-        ba = blahut_arimoto(model.d, model.probs, h * (1.0 - alpha), tol=ba_tol,
-                            probe_cache=probe_cache)
+        ba = blahut_arimoto(model.d, model.probs, h * (1.0 - alpha), probe_cache=probe_cache)
         rules = []
         for si, session in enumerate(model.sessions):
             dist = []

@@ -11,7 +11,6 @@ Precedence: built-in defaults, then command-line flags, then values from
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analytic, anonymity_opt, network_model, relay_core
-from ._util import batch_stderr, flag_batch_stderr, fmt
+from ._util import batch_stderr, check_count, fmt
 from .point_process import GenSpec, poisson_chunks, poisson_rate
 
 __all__ = ["main"]
@@ -67,36 +66,11 @@ def _rows_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Tally:
-    """What a streamed relay keeps of one arrival stream: its counts, and its
-    drop flags packed eight to a byte into one growing buffer for the
-    batch-means error bar."""
-
-    def __init__(self):
-        self.matched = 0
-        self.dropped = 0
-        self.bits = bytearray()
-        self.tail = np.empty(0, dtype=bool)  # the last flags, fewer than eight, not yet packed
-
-    def add(self, res: relay_core.MatchResult) -> None:
-        flags = np.concatenate([self.tail, res.dropped])
-        whole = flags.size - flags.size % 8
-        self.bits += memoryview(np.packbits(flags[:whole]))
-        self.tail = flags[whole:]
-        self.matched += res.n_matched
-        self.dropped += res.n_dropped
-
-    @property
-    def drop_fraction(self) -> float:
-        total = self.matched + self.dropped
-        return self.dropped / total if total else 0.0
-
-    def drop_stderr(self, batches: int) -> float:
-        packed = np.frombuffer(self.bits, dtype=np.uint8)
-        step = 1 << 13
-        flags = (np.unpackbits(packed[i:i + step]) for i in range(0, packed.size, step))
-        return flag_batch_stderr(itertools.chain(flags, [self.tail]),
-                                 self.matched + self.dropped, batches)
+def _loss_row(name, predicted, tally: relay_core.DropTally):
+    st = tally.stats(100)
+    # a stream that drew no arrivals measured nothing, so it has no error bar
+    return _check_row(name, predicted, st.drop_fraction,
+                      st.drop_stderr if st.n_in else math.nan)
 
 
 def _streamed(sources: dict, out: GenSpec, ordering, delay: float):
@@ -108,20 +82,14 @@ def _streamed(sources: dict, out: GenSpec, ordering, delay: float):
 
 def _relay_strict(args, rows):
     horizon = args.packets / args.cs
-    tally, parts = _Tally(), []
+    tally, parts = relay_core.DropTally(), []
     for step in _streamed({"in": GenSpec(args.cs, horizon, args.seed)},
                           GenSpec(args.cb, horizon, args.seed), ("in",), args.delta):
         tally.add(step["in"])
         if args.dump_match:  # the dump is the whole match, so it keeps every step
             parts.append(step["in"])
-    rows.append(
-        _check_row(
-            "strict-loss-fraction",
-            analytic.loss_fraction(args.cs, args.cb, args.delta),
-            tally.drop_fraction,
-            tally.drop_stderr(100),
-        )
-    )
+    rows.append(_loss_row("strict-loss-fraction",
+                          analytic.loss_fraction(args.cs, args.cb, args.delta), tally))
     if args.dump_match:
         res = relay_core._concat_results(parts, args.delta)
         _write(Path(args.dump_match), relay_core.match_result_to_text(res))
@@ -132,27 +100,20 @@ def _relay_priority(args, rows):
     sources = {"src1": GenSpec(args.cs, horizon, args.seed),
                "src2": GenSpec(args.cs2, horizon, args.seed)}
     out = GenSpec(args.cb, horizon, args.seed)
-    top, low_matched = _Tally(), 0
+    top, low_matched = relay_core.DropTally(), 0
     for step in _streamed(sources, out, ("src1", "src2"), args.delta):
         top.add(step["src1"])
         low_matched += step["src2"].n_matched
-    rows.append(
-        _check_row(
-            "priority-top-loss",
-            analytic.loss_fraction(args.cs, args.cb, args.delta),
-            top.drop_fraction,
-            top.drop_stderr(100),
-        )
-    )
+    rows.append(_loss_row("priority-top-loss",
+                          analytic.loss_fraction(args.cs, args.cb, args.delta), top))
     rows.append(_check_row("priority-low-rate", math.nan, low_matched / horizon, math.nan))
-    equal = {k: _Tally() for k in sources}
+    equal = {k: relay_core.DropTally() for k in sources}
     for step in _streamed(sources, out, None, args.delta):
         for k, tally in equal.items():
             tally.add(step[k])
     loss = analytic.loss_fraction(args.cs + args.cs2, args.cb, args.delta)
     for k, tally in equal.items():
-        rows.append(_check_row(f"equal-priority-loss-{k}", loss, tally.drop_fraction,
-                               tally.drop_stderr(100)))
+        rows.append(_loss_row(f"equal-priority-loss-{k}", loss, tally))
 
 
 def _relay_avg(args, rows):
@@ -165,13 +126,13 @@ def _relay_avg(args, rows):
     cs_hat = poisson_rate(arrivals, node_id="in")
     cb_hat = poisson_rate(departures, node_id="out")
     window = analytic.solve_strict_delay(args.dbar, cs_hat, cb_hat)
-    tally, delays = _Tally(), []
+    tally, delays = relay_core.DropTally(), []
     for step in _streamed({"in": arrivals}, departures, ("in",), window):
         tally.add(step["in"])
         if not math.isinf(window):
             delays.append(step["in"].delays)
     if math.isinf(window):
-        rows.append(_check_row("avg-mode-zero-drops", 0.0, float(tally.dropped), 0.0))
+        rows.append(_check_row("avg-mode-zero-drops", 0.0, float(tally.n_dropped), 0.0))
     else:
         delays = np.concatenate(delays)
         rows.append(
@@ -182,14 +143,17 @@ def _relay_avg(args, rows):
                 batch_stderr(delays, 100),
             )
         )
-        rows.append(
-            _check_row(
-                "avg-mode-loss-fraction",
-                analytic.loss_fraction(cs_hat, cb_hat, window),
-                tally.drop_fraction,
-                tally.drop_stderr(100),
-            )
-        )
+        rows.append(_loss_row("avg-mode-loss-fraction",
+                              analytic.loss_fraction(cs_hat, cb_hat, window), tally))
+
+
+def _check_count(flag: str, n) -> None:
+    """Reject a count no run can use, naming the flag; values from --config
+    are held to the same rule."""
+    try:
+        check_count(flag, n)
+    except ValueError:
+        raise SystemExit(f"--{flag} must be an integer of at least 1, got {n!r}") from None
 
 
 def _check_relay_args(args) -> None:
@@ -198,9 +162,7 @@ def _check_relay_args(args) -> None:
     def real(x):
         return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
 
-    p = args.packets
-    if not (isinstance(p, (int, np.integer)) and not isinstance(p, bool) and p >= 1):
-        raise SystemExit(f"--packets must be an integer of at least 1, got {p!r}")
+    _check_count("packets", args.packets)
     for flag in ("cs", "cs2", "cb", "dbar"):
         v = getattr(args, flag)
         if not (real(v) and math.isfinite(v) and v > 0.0):
@@ -240,6 +202,7 @@ def cmd_relay(args) -> int:
 
 
 def cmd_region(args) -> int:
+    _check_count("corner-events", args.corner_events)
     region = analytic.two_source_region(
         args.cs1, args.cs2, args.cb, args.delta,
         corner_events=args.corner_events, seed=args.seed,
@@ -287,7 +250,7 @@ def cmd_switching(args) -> int:
         b = frozenset(subset)
         alpha = anonymity_opt.anonymity_level(b, prior)
         rate = anonymity_opt.expected_covert_rate(
-            prior, b, topo, args.delta, args.sim_packets, args.seed, True
+            prior, b, topo, args.delta, args.sim_packets, args.seed
         )
         table.append({
             "covert": "+".join(sorted(b)) if b else "-",
@@ -340,9 +303,7 @@ def cmd_tradeoff(args) -> int:
         prior, topo, args.delta, sim_packets=args.sim_packets, seed=args.seed
     )
     grid = np.linspace(0.0, 1.0, args.alpha_points)
-    curve = anonymity_opt.tradeoff_curve(
-        prior, topo, args.delta, grid.tolist(), model=model
-    )
+    curve = anonymity_opt.tradeoff_curve(prior, args.delta, grid.tolist(), model=model)
     det = anonymity_opt.deterministic_points(prior, topo, args.delta, model=model)
     det_pairs = [(p.sum_rate, p.alpha) for p in det]
     hull = anonymity_opt.deterministic_hull(det_pairs)
@@ -472,10 +433,7 @@ def main(argv=None) -> int:
     if hasattr(args, "config"):
         args = _apply_config(args)
     if hasattr(args, "sim_packets"):
-        try:
-            network_model._check_sim_packets(args.sim_packets)
-        except ValueError as exc:
-            raise SystemExit(f"--sim-packets: {exc}") from None
+        _check_count("sim-packets", args.sim_packets)
     return args.fn(args)
 
 

@@ -18,10 +18,11 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import relay_core
-from ._util import batch_stderr, fmt, substream
+from ._util import check_count, fmt, substream
 from .analytic import loss_fraction
 from .lp import solve_packing_lp
 from .point_process import RateBound, poisson_epochs
+from .relay_core import DropTally, RelayPathStats
 
 __all__ = [
     "Path",
@@ -47,6 +48,8 @@ __all__ = [
 Path = tuple[str, ...]
 Observation = frozenset  # of Path
 CovertSet = frozenset  # of node ids
+
+PROC_DELAY = 1e-6  # seconds a visible relay holds each packet before forwarding it
 
 
 class NetworkConfigError(ValueError):
@@ -262,19 +265,6 @@ def max_sum_rate_visible(session: Session, topo: Topology, exact: bool = False):
     return held
 
 
-@dataclass(frozen=True)
-class RelayPathStats:
-    """Loss bookkeeping for one path's stream through one covert relay."""
-
-    n_in: int
-    n_dropped: int
-    drop_stderr: float
-
-    @property
-    def drop_fraction(self) -> float:
-        return self.n_dropped / self.n_in if self.n_in else 0.0  # nothing carried, nothing lost
-
-
 @dataclass(frozen=True, eq=False)
 class SessionSimResult:
     """Schedule-level simulation outcome for one (session, covert set) pair."""
@@ -288,13 +278,11 @@ class SessionSimResult:
     seed: int
 
 
-def _boosted_rates(paths, caps, lam_v, covert, boost) -> list[float]:
+def _boosted_rates(paths, caps, lam_v, covert) -> list[float]:
     """Per-path source emission rates. A source whose next hop is covert may
     spend its whole capacity on that stream; redundancy there converts to
     delivered rate, while visible next hops gain nothing from padding."""
     rates = list(lam_v)
-    if not boost:
-        return rates
     by_src: dict[str, list[int]] = {}
     for i, p in enumerate(paths):
         by_src.setdefault(p[0], []).append(i)
@@ -312,12 +300,11 @@ def _boosted_rates(paths, caps, lam_v, covert, boost) -> list[float]:
     return rates
 
 
-def _run_session_sim(session, caps, covert, src_rates, delay, horizon, seed, proc_delay,
-                     schedules=True):
+def _run_session_sim(session, caps, covert, src_rates, delay, horizon, seed, schedules=True):
     """Push seeded Poisson source streams through the session hop by hop.
 
     Visible relays forward every received epoch (dummy packets from covert
-    relays included) shifted by the processing delay; covert relays match the
+    relays included) shifted by PROC_DELAY; covert relays match the
     merged incoming data streams into their own independent schedule. Dummy
     epochs emitted by a covert relay are handed to a seeded choice of its
     downstream next hops and ride visible chains until a covert relay or a
@@ -368,12 +355,9 @@ def _run_session_sim(session, caps, covert, src_rates, delay, horizon, seed, pro
             for key, res in results.items():
                 i = tag_of[key]
                 streams[i] = res.departures[res.index >= 0]
-                flags = res.dropped
-                stats[i] = RelayPathStats(
-                    n_in=int(flags.size),
-                    n_dropped=res.n_dropped,
-                    drop_stderr=batch_stderr(flags) if flags.size else 0.0,
-                )
+                tally = DropTally()
+                tally.add(res)
+                stats[i] = tally.stats()
             relay_stats[node] = stats
             if schedules:
                 node_schedules[node] = dep
@@ -383,9 +367,9 @@ def _run_session_sim(session, caps, covert, src_rates, delay, horizon, seed, pro
         else:
             outs = []
             for i in feeding:
-                streams[i] = streams[i] + proc_delay
+                streams[i] = streams[i] + PROC_DELAY
                 outs.append(streams[i])
-            chaff = fwd_dummies + proc_delay
+            chaff = fwd_dummies + PROC_DELAY
             if schedules:
                 node_schedules[node] = np.sort(np.concatenate(outs + [chaff]))
         hops = [h for h in sorted({next_hop[(i, node)] for i in feeding}) if h not in dests]
@@ -413,23 +397,19 @@ def simulate_session(
     delay: float,
     horizon: float,
     seed: int,
-    boost: bool = True,
-    proc_delay: float = 1e-6,
 ) -> SessionSimResult:
     """End-to-end simulation of one session under a covert-relay assignment.
 
-    Sources emit Poisson streams at their visible-optimal rates (lifted to
-    full capacity where the first hop is covert and `boost` is on). Returns
+    Sources emit Poisson streams at their visible-optimal rates, lifted to
+    full capacity where the first hop is covert. Returns
     measured per-path delivered rates plus per-relay loss statistics; the
     cascade losses measured here are the numerical ground truth where no
     closed form exists.
     """
     covert = frozenset(covert) & session.interior_nodes
     _, lam_v = max_sum_rate_visible(session, topo)  # validates the session
-    rates = _boosted_rates(session.paths, topo.capacities, lam_v, covert, boost)
-    return _run_session_sim(
-        session, topo.capacities, covert, rates, delay, horizon, seed, proc_delay
-    )
+    rates = _boosted_rates(session.paths, topo.capacities, lam_v, covert)
+    return _run_session_sim(session, topo.capacities, covert, rates, delay, horizon, seed)
 
 
 def _canonical_form(paths, caps, covert, rates):
@@ -478,11 +458,6 @@ class CovertRateResult:
     seed: int
 
 
-def _check_sim_packets(sim_packets) -> None:
-    if not isinstance(sim_packets, (int, np.integer)) or sim_packets < 1:
-        raise ValueError(f"sim_packets must be a positive integer, got {sim_packets!r}")
-
-
 def _session_form(session, topo):
     """The session's canonical form by visible rate, held by the topology with
     the classes read by its form, relay labels, node of each label, path
@@ -500,10 +475,10 @@ def _session_form(session, topo):
 
 def _class_rates(key, topo) -> CovertRateResult:
     """Covert rates of one relabelling class, on its canonical representative."""
-    form, delay, sim_packets, seed, boost = key
+    form, delay, sim_packets, seed = key
     session, caps, covert, lam_v = _representative(form)
     paths = session.paths
-    rates = _boosted_rates(paths, caps, lam_v, covert, boost)
+    rates = _boosted_rates(paths, caps, lam_v, covert)
     covert_on_path = [[v for v in p[1:-1] if v in covert] for p in paths]
 
     stats_of = None  # path index -> {hop: RelayPathStats} where simulated
@@ -512,7 +487,7 @@ def _class_rates(key, topo) -> CovertRateResult:
         total_rate = sum(rates)
         horizon = sim_packets / total_rate if total_rate > 0 else 1.0
         cascade, order, _ = _canonical_form(paths, caps, covert, rates)
-        ckey = (cascade, delay, horizon, seed, 1e-6)
+        ckey = (cascade, delay, horizon, seed)
         held = topo._cascades.get(ckey)
         if held is None:
             # simulate the cascade's own representative, so that what is held
@@ -569,13 +544,12 @@ def covert_sum_rate(
     delay: float,
     sim_packets: int = 200_000,
     seed: int = 0,
-    boost: bool = True,
 ) -> CovertRateResult:
     """Session sum rate when the given relays run independent schedules.
 
     Each path keeps its visible-case rate times (1 - loss) per covert relay
     it crosses. The first covert relay on a path sees Poisson input, so its
-    loss is the closed form (at boosted source rates where applicable); any
+    loss is the closed form (at the lifted source rates where applicable); any
     later covert relay sees already-thinned, non-Poisson input and its loss
     is measured by a seeded simulation. Sessions with covert sets that
     differ only by node names form one relabelling class. The topology
@@ -584,9 +558,9 @@ def covert_sum_rate(
     class reads the held result through its labels, so no result depends
     on which session asked first.
     """
-    _check_sim_packets(sim_packets)
+    check_count("sim_packets", sim_packets)
     shape, classes, relays, names, order, lv = _session_form(session, topo)
-    cell = (frozenset(relays[v] for v in covert if v in relays), delay, sim_packets, seed, boost)
+    cell = (frozenset(relays[v] for v in covert if v in relays), delay, sim_packets, seed)
     held = classes.get(cell)
     if held is None:
         rep, caps, _, lam_v = _representative(shape)

@@ -117,12 +117,25 @@ _CHUNK = 1 << 16  # epochs per chunk of a streamed draw
 
 
 def _draw(rng: np.random.Generator, scale: float, n: int, prev: float) -> np.ndarray:
-    """The next n epochs after `prev`: exponential gaps summed in place, one
-    at a time, so any split of a draw into consecutive pieces gives the same
-    epochs bit for bit."""
+    """The next n epochs after `prev`: exponential gaps summed one at a time,
+    so any split of a draw into consecutive pieces gives the same epochs bit
+    for bit.
+
+    A gap below half the float spacing of the running epoch adds nothing.
+    Such an epoch becomes the next float above the one before it, and the
+    sum goes on from there, so epochs strictly increase."""
     x = rng.exponential(scale, n)
-    x[0] += prev
-    return np.cumsum(x, out=x)
+    k = 0
+    while k < n:  # x[k:] still holds gaps; seg[0] is the last final epoch
+        seg = np.cumsum(np.concatenate([[x[k - 1] if k else prev], x[k:k + _CHUNK]]))
+        tied = np.flatnonzero(seg[1:] <= seg[:-1])
+        if tied.size:
+            j = tied[0] + 1
+            seg[j] = np.nextafter(seg[j - 1], math.inf)
+            seg = seg[:j + 1]  # the epochs up to the lifted one are final
+        x[k:k + seg.size - 1] = seg[1:]
+        k += seg.size - 1
+    return x
 
 
 def poisson_epochs(rate: float, horizon: float, rng: np.random.Generator) -> np.ndarray:

@@ -163,6 +163,12 @@ def test_region_csv_lists_both_sections():
     assert "inner," in text and "outer," in text
 
 
+@pytest.mark.parametrize("events", [0, -3, 2.5, True, 1e4])
+def test_region_rejects_a_corner_count_that_is_not_a_positive_integer(events):
+    with pytest.raises(ValueError, match="corner_events"):
+        two_source_region(1.0, 1.0, 2.0, 1.0, corner_events=events)
+
+
 def test_argument_validation():
     with pytest.raises(ValueError):
         loss_fraction(-1.0, 1.0, 1.0)

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 
@@ -167,7 +168,7 @@ def test_best_deterministic_rejects_targets_above_one(switching):
 
 def test_expected_covert_rate_all_visible(switching):
     topo, prior = switching
-    assert expected_covert_rate(prior, frozenset(), topo, 1.0, 10_000, 0, True) \
+    assert expected_covert_rate(prior, frozenset(), topo, 1.0, 10_000, 0) \
         == pytest.approx(4.0, abs=1e-9)
 
 
@@ -334,10 +335,10 @@ def test_infinite_entries_get_zero_mass():
 
 
 def test_tradeoff_curve_invariants_and_policies(switching, switching_model):
-    topo, prior = switching
+    _, prior = switching
     model = switching_model
     grid = [0.0, 0.25, 0.4362, 0.6, 0.8, 1.0]
-    curve = tradeoff_curve(prior, topo, 1.0, grid, model=model)
+    curve = tradeoff_curve(prior, 1.0, grid, model=model)
     rates = [p.rate for p in curve.points]
     assert rates[0] == pytest.approx(4.0, abs=1e-9)
     assert rates[1] == pytest.approx(4.0, abs=1e-9)  # flat below the free anonymity
@@ -355,9 +356,9 @@ def test_tradeoff_curve_invariants_and_policies(switching, switching_model):
 def test_switching_frontier_matches_closed_form(switching, switching_model):
     # D(R) on the switching network is the straight chord from the common
     # column (rate 0, loss 4/3) to the lossless floor (rate log2 6, loss 0)
-    topo, prior = switching
+    _, prior = switching
     grid = np.linspace(0.0, 1.0, 33).tolist()
-    curve = tradeoff_curve(prior, topo, 1.0, grid, model=switching_model)
+    curve = tradeoff_curve(prior, 1.0, grid, model=switching_model)
     for pt in curve.points:
         share = min(1.0, math.log2(24) * (1.0 - pt.alpha) / math.log2(6))
         assert pt.rate == pytest.approx(8.0 / 3.0 + 4.0 / 3.0 * share, abs=1e-9)
@@ -370,7 +371,7 @@ def test_tradeoff_dominates_deterministic_hull(switching, switching_model):
     model = switching_model
     det = deterministic_points(prior, topo, 1.0, sim_packets=30_000, seed=1)
     pairs = [(p.sum_rate, p.alpha) for p in det]
-    curve = tradeoff_curve(prior, topo, 1.0, [0.5, 0.727, 0.9, 1.0], model=model)
+    curve = tradeoff_curve(prior, 1.0, [0.5, 0.727, 0.9, 1.0], model=model)
     for pt in curve.points:
         assert pt.rate >= deterministic_hull_value(pairs, pt.alpha) - 1e-9
 
@@ -443,7 +444,7 @@ def test_points_read_off_the_model_match_direct_enumeration(network, request):
     ref = {}
     for p in points:
         alpha = anonymity_level(p.covert, prior)
-        rate = expected_covert_rate(prior, p.covert, topo, 1.0, 20_000, 4, True)
+        rate = expected_covert_rate(prior, p.covert, topo, 1.0, 20_000, 4)
         assert p.alpha == pytest.approx(alpha, abs=1e-12)
         assert p.sum_rate == pytest.approx(rate, abs=1e-12)
         ref[p.covert] = (alpha, rate)
@@ -467,7 +468,7 @@ def test_model_for_another_prior_or_delay_is_rejected(switching, switching_model
         (s, (2.0 if k < 12 else 1.0) / 36.0) for k, s in enumerate(prior.sessions)))
     reordered = SessionPrior(entries=prior.entries[::-1])
     calls = (
-        lambda pr, delay: tradeoff_curve(pr, topo, delay, [0.5], model=switching_model),
+        lambda pr, delay: tradeoff_curve(pr, delay, [0.5], model=switching_model),
         lambda pr, delay: deterministic_points(pr, topo, delay, model=switching_model),
     )
     for call in calls:
@@ -555,3 +556,32 @@ def test_cascade_with_shared_relay_consistency(leaky_network):
     analytic_eps = r.eps[(1, "Y")]
     assert analytic_eps.source == "analytic"
     assert abs(analytic_eps.value - sim.relay_stats["Y"][1].drop_fraction) < 0.05
+
+
+def test_enumeration_cap_stops_before_any_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(nm, "solve_packing_lp", no_solve)
+    nodes = ["src"] + [f"r{k:02d}" for k in range(21)] + ["dst"]
+    topo = Topology(bounds=tuple(RateBound(n, 2.0) for n in nodes),
+                    edges=frozenset(zip(nodes, nodes[1:])))
+    prior = uniform_prior([Session(paths=(tuple(nodes),))])
+    with pytest.raises(ValueError, match="enumeration cap is 20"):
+        build_distortion_model(prior, topo, 1.0)
+    with pytest.raises(ValueError, match="enumeration cap 20"):
+        deterministic_points(prior, topo, 1.0)
+
+
+def test_covert_rate_settings_are_constants(switching):
+    fixed = {"boost", "max_relays", "max_relays_per_session", "proc_delay"}
+    for module in (ao, nm):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isfunction(obj):
+                assert not fixed & set(inspect.signature(obj).parameters), name
+    params = inspect.signature(tradeoff_curve).parameters
+    assert not {"topo", "sim_packets", "seed", "ba_tol"} & set(params)
+    _, prior = switching
+    with pytest.raises(TypeError):
+        tradeoff_curve(prior, 1.0, [0.5])

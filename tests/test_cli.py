@@ -154,6 +154,20 @@ def test_relay_check_without_error_bar_fails(tmp_path, capsys):
     assert doc["pass"] is False
 
 
+def test_relay_check_on_an_empty_stream_fails(tmp_path, capsys):
+    # at seed 0 the one-packet horizon draws no arrivals: the loss of 0 that
+    # an infinite window predicts matches the empty measurement, but nothing
+    # was measured, so the row has no error bar and cannot pass
+    assert main([
+        "relay", "--cs", "1", "--cb", "2", "--delta", "inf", "--packets", "1",
+        "--seed", "0", "--out-dir", str(tmp_path),
+    ]) == 1
+    assert "[FAIL] strict-loss-fraction" in capsys.readouterr().out
+    row, = json.loads((tmp_path / "relay_report.json").read_text())["checks"]
+    assert (row["predicted"], row["measured"]) == (0.0, 0.0)
+    assert math.isnan(row["stderr"])
+
+
 def test_tradeoff_rejects_empty_alpha_grid(tmp_path):
     with pytest.raises(SystemExit, match="alpha-points"):
         main(["tradeoff", "--alpha-points", "0", "--out-dir", str(tmp_path)])
@@ -192,6 +206,18 @@ def test_tradeoff_with_zero_delay_runs(tmp_path):
         lines = (tmp_path / name).read_text().splitlines()
         col = lines[0].split(",").index(column)
         assert all(float(ln.split(",")[col]) >= 0.0 for ln in lines[1:]), name
+
+
+@pytest.mark.parametrize("value", [0, -3, 2.5])
+def test_bad_corner_events_exit_with_a_message(value, tmp_path):
+    if isinstance(value, int):
+        with pytest.raises(SystemExit, match="--corner-events must be an integer"):
+            main(["region", "--corner-events", str(value), "--out-dir", str(tmp_path)])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"corner-events": value}))
+    with pytest.raises(SystemExit, match="--corner-events must be an integer"):
+        main(["region", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert not any(tmp_path.glob("region*"))
 
 
 @pytest.mark.parametrize("command", ["switching", "tradeoff"])

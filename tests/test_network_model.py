@@ -155,10 +155,6 @@ def test_covert_single_relay_two_hop_closed_form():
     assert r.sum_rate == pytest.approx(
         2.0 * (1 - analytic.loss_fraction(2.0, 2.0, 1.0))
     )
-    r_noboost = covert_sum_rate(session, {"n1"}, topo, 1.0, boost=False)
-    assert r_noboost.sum_rate == pytest.approx(
-        2.0 * (1 - analytic.loss_fraction(2.0, 2.0, 1.0))
-    )
 
 
 def test_covert_never_beats_visible():

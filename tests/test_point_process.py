@@ -168,3 +168,50 @@ def test_whole_draw_is_cut_at_the_horizon():
     y = poisson_epochs(2.0, 1e6, substream(8, "cut"))
     assert x[-1] <= 100.0 < y[x.size]
     assert np.array_equal(x, y[:x.size])
+
+
+def _summed_one_at_a_time(gaps, prev):
+    """Reference for `_draw`: each epoch is the one before plus its gap, or
+    the next float above the one before where the gap adds nothing."""
+    out = []
+    for g in gaps:
+        t = prev + g
+        prev = t if t > prev else np.nextafter(prev, np.inf)
+        out.append(prev)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 16])
+def test_draw_lifts_gaps_too_small_to_add_anything(chunk, monkeypatch):
+    # at 4.4e6 the float spacing is 9.3e-10, so gaps of mean 5e-10 mostly tie
+    monkeypatch.setattr(point_process, "_CHUNK", chunk)
+    n, scale, prev = 300, 5e-10, 4.4e6
+    gaps = substream(0, "ties").exponential(scale, n)
+    want = _summed_one_at_a_time(gaps, prev)
+    ties = [k for k in range(1, n) if want[k - 1] + gaps[k] <= want[k - 1]]
+    assert len(ties) > 20
+    x = point_process._draw(substream(0, "ties"), scale, n, prev)
+    assert np.array_equal(x, want)
+    assert x[0] > prev and (np.diff(x) > 0).all()
+    # a split into consecutive draws gives the same epochs and leaves the
+    # generator where the whole draw does, with a tie on the split or not
+    cut_on_tie = ties[len(ties) // 2]
+    cut_off_tie = next(k for k in range(1, n) if k not in ties)
+    for cut in (cut_on_tie, cut_off_tie):
+        rng = substream(0, "ties")
+        a = point_process._draw(rng, scale, cut, prev)
+        b = point_process._draw(rng, scale, n - cut, a[-1])
+        assert np.array_equal(np.concatenate([a, b]), want)
+        whole_rng = substream(0, "ties")
+        point_process._draw(whole_rng, scale, n, prev)
+        assert rng.random() == whole_rng.random()
+
+
+def test_long_streamed_draw_never_repeats_an_epoch():
+    # without the lift, departures 13,263,074 and 13,263,075 of this draw
+    # were both 4420304.581555256
+    last, n = -1.0, 0
+    for c in poisson_chunks(GenSpec(3.0, 10_000_100.0, 0), node_id="out"):
+        assert c[0] > last and (np.diff(c) > 0).all()
+        last, n = c[-1], n + c.size
+    assert n > 13_263_075

@@ -31,7 +31,6 @@ __all__ = [
     "entropy_bits",
     "anonymity_level",
     "fano_error_bound",
-    "expected_covert_rate",
     "CovertPolicy",
     "AnonymityInfeasibleError",
     "BAConvergenceError",
@@ -200,19 +199,20 @@ class DetPoint:
     sum_rate: float
 
 
-def expected_covert_rate(prior, covert, topo, delay, sim_packets, seed) -> float:
-    total = 0.0
-    for session, p in prior.entries:
-        r = covert_sum_rate(session, covert, topo, delay, sim_packets=sim_packets, seed=seed)
-        total += p * r.sum_rate
-    return total
-
-
 def _subsets(relays: Sequence[str]):
     """Every subset of `relays` as a frozenset, smallest first."""
     for size in range(len(relays) + 1):
         for combo in itertools.combinations(relays, size):
             yield frozenset(combo)
+
+
+def _fixed_covert_sets(sessions) -> list[frozenset]:
+    """Every covert set fixed for all sessions: each subset of the relays
+    interior to some session, smallest first."""
+    relays = sorted(set().union(*(s.interior_nodes for s in sessions)))
+    if len(relays) > _MAX_RELAYS:
+        raise ValueError(f"{len(relays)} relays exceed the enumeration cap {_MAX_RELAYS}")
+    return list(_subsets(relays))
 
 
 def deterministic_points(
@@ -226,33 +226,23 @@ def deterministic_points(
     """(anonymity, expected sum rate) of every fixed covert subset, smallest
     first, read off the distortion model for this prior and delay (built
     here unless given)."""
-    relays = sorted(set().union(*(s.interior_nodes for s in prior.sessions)))
-    if len(relays) > _MAX_RELAYS:
-        raise ValueError(f"{len(relays)} relays exceed the enumeration cap {_MAX_RELAYS}")
+    covert_sets = _fixed_covert_sets(prior.sessions)
     if model is None:
         model = build_distortion_model(prior, topo, delay, sim_packets, seed)
     else:
         _check_model(model, prior, delay)
-    return tuple(
-        DetPoint(covert=b, alpha=model.anonymity(b), sum_rate=model.covert_rate(b))
-        for b in _subsets(relays)
-    )
+    return tuple(DetPoint(covert=b, alpha=model.anonymity(b), sum_rate=model.covert_rate(b))
+                 for b in covert_sets)
 
 
-def best_deterministic(
-    prior: SessionPrior,
-    topo: Topology,
-    alpha_target: float,
-    delay: float,
-    sim_packets: int = 200_000,
-    seed: int = 0,
-) -> DetPoint:
+def best_deterministic(model: DistortionModel, alpha_target: float) -> DetPoint:
     """Highest expected sum rate over fixed covert subsets meeting the
-    anonymity target. Subsets are enumerated smallest first, so ties go to
-    the cheapest set of covert relays."""
+    anonymity target, read off `model`. Subsets are enumerated smallest
+    first, so ties go to the cheapest set of covert relays."""
     if alpha_target > 1.0:
         raise AnonymityInfeasibleError(alpha_target, 1.0, frozenset())
-    points = deterministic_points(prior, topo, delay, sim_packets, seed)
+    points = [DetPoint(covert=b, alpha=model.anonymity(b), sum_rate=model.covert_rate(b))
+              for b in _fixed_covert_sets(model.sessions)]
     feasible = [p for p in points if p.alpha + 1e-12 >= alpha_target]
     if not feasible:
         top = max(points, key=lambda p: p.alpha)
@@ -274,21 +264,60 @@ class DistortionModel:
     matrix the distortion-rate computation minimises over. A covert set
     fixed for every session picks one cell per row, so `covert_rate` and
     `anonymity` read deterministic strategies off the model.
+
+    Each cell is evaluated on its first read, at most once per model:
+    `covert_rate` reads one cell per session, `d` reads them all. Over the
+    cells evaluated so far, `metadata` counts those whose covert rate reads
+    a cascade simulation (`simulated_entries`), and the relabelling classes
+    evaluated and cascades simulated that the topology did not already hold
+    (`class_evaluations`, `cascade_simulations`). The same reads give the
+    same counts, and they are fixed once `d` has been read in full.
     """
 
     sessions: tuple[Session, ...]
     probs: np.ndarray
     observations: tuple
-    d: np.ndarray
     covert_for: dict  # (session index, observation index) -> frozenset
     lambda_v: tuple[float, ...]
     rate_zero: float
     delay: float
+    topo: Topology
+    sim_packets: int
+    seed: int
     metadata: dict
 
     @cached_property
     def _column(self) -> dict:
         return {(si, b): oi for (si, oi), b in self.covert_for.items()}
+
+    @cached_property
+    def _losses(self) -> np.ndarray:
+        """The loss table as read so far: NaN marks a cell not yet evaluated."""
+        table = np.full((len(self.sessions), len(self.observations)), np.inf)
+        table[tuple(zip(*self.covert_for))] = np.nan
+        return table
+
+    def _loss(self, si: int, oi: int) -> float:
+        """Loss of one cell, evaluated on its first read."""
+        loss = float(self._losses[si, oi])
+        if math.isnan(loss):
+            topo, counts = self.topo, self.metadata
+            held = len(topo._classes), len(topo._cascades)
+            res = covert_sum_rate(self.sessions[si], self.covert_for[(si, oi)], topo,
+                                  self.delay, sim_packets=self.sim_packets, seed=self.seed)
+            counts["simulated_entries"] += res.mode == "simulated"
+            counts["class_evaluations"] += len(topo._classes) - held[0]
+            counts["cascade_simulations"] += len(topo._cascades) - held[1]
+            loss = self.lambda_v[si] - res.sum_rate
+            loss = self._losses[si, oi] = 0.0 if abs(loss) < 1e-12 else loss
+        return loss
+
+    @cached_property
+    def d(self) -> np.ndarray:
+        """The whole loss table, every cell evaluated."""
+        for si, oi in self.covert_for:
+            self._loss(si, oi)
+        return self._losses
 
     def _columns(self, covert) -> list[int]:
         covert = frozenset(covert)
@@ -299,8 +328,7 @@ class DistortionModel:
         """Expected sum rate with `covert` covert in every session, rate_zero
         minus sum_s p_s * d[s, col], added up as sum_s p_s * (lambda_v[s] -
         d[s, col]) so that each term is the session's covert sum rate."""
-        cols = self._columns(covert)
-        losses = self.d[np.arange(len(cols)), cols].tolist()
+        losses = [self._loss(si, oi) for si, oi in enumerate(self._columns(covert))]
         return sum(p * (lv - loss)
                    for p, lv, loss in zip(self.probs.tolist(), self.lambda_v, losses))
 
@@ -324,34 +352,28 @@ def build_distortion_model(
     sim_packets: int = 200_000,
     seed: int = 0,
 ) -> DistortionModel:
-    """Enumerate every (session, covert subset) pair and tabulate losses.
+    """Enumerate every (session, covert subset) cell: the model's columns,
+    the covert set behind each cell and each session's visible optimum. No
+    loss is evaluated here; the model evaluates a cell on its first read, so
+    `metadata` counts nothing until something reads the model.
 
     Each session contributes one finite column entry per subset of its own
     interior relays; the subset must be recoverable from the observation,
     so a collision raises `ObservationCollisionError`. A session with more
     than _MAX_RELAYS interior relays raises ValueError before any solve.
-    `metadata` counts the relabelling classes evaluated and cascades
-    simulated for this model: what the topology did not already hold.
     """
     check_count("sim_packets", sim_packets)
     sessions = prior.sessions
     widest = max(len(s.interior_nodes) for s in sessions)
     if widest > _MAX_RELAYS:
         raise ValueError(f"session has {widest} interior relays, enumeration cap is {_MAX_RELAYS}")
-    held = len(topo._classes), len(topo._cascades)
-    probs = np.asarray(prior.probs)
-    rows: list[dict] = []
     lambda_v = []
     obs_index: dict = {}
-    observations: list = []
     covert_for: dict = {}
     subsets: dict = {}  # relays -> their subsets, one copy for every session with them
-    n_sim = 0
     for si, session in enumerate(sessions):
         relays = tuple(sorted(session.interior_nodes))
-        lv, _ = max_sum_rate_visible(session, topo)
-        lambda_v.append(lv)
-        row: dict = {}
+        lambda_v.append(max_sum_rate_visible(session, topo)[0])
         seen: dict = {}
         if relays not in subsets:
             subsets[relays] = tuple(_subsets(relays))
@@ -363,37 +385,14 @@ def build_distortion_model(
                     f"observation for the same session"
                 )
             seen[obs] = b
-            res = covert_sum_rate(session, b, topo, delay, sim_packets=sim_packets, seed=seed)
-            if res.mode == "simulated":
-                n_sim += 1
-            loss = lv - res.sum_rate
-            if abs(loss) < 1e-12:
-                loss = 0.0
-            oi = obs_index.setdefault(obs, len(observations))
-            if oi == len(observations):
-                observations.append(obs)
-            row[oi] = loss
-            covert_for[(si, oi)] = b
-        rows.append(row)
-
-    d = np.full((len(sessions), len(observations)), np.inf)
-    for si, row in enumerate(rows):
-        for oi, loss in row.items():
-            d[si, oi] = loss
-    rate_zero = float(np.dot(probs, lambda_v))
+            covert_for[(si, obs_index.setdefault(obs, len(obs_index)))] = b
+    probs = np.asarray(prior.probs)
     return DistortionModel(
-        sessions=sessions,
-        probs=probs,
-        observations=tuple(observations),
-        d=d,
-        covert_for=covert_for,
-        lambda_v=tuple(lambda_v),
-        rate_zero=rate_zero,
-        delay=delay,
-        metadata={"sim_packets": sim_packets, "seed": seed,
-                  "simulated_entries": n_sim,
-                  "class_evaluations": len(topo._classes) - held[0],
-                  "cascade_simulations": len(topo._cascades) - held[1]},
+        sessions=sessions, probs=probs, observations=tuple(obs_index), covert_for=covert_for,
+        lambda_v=tuple(lambda_v), rate_zero=float(np.dot(probs, lambda_v)), delay=delay,
+        topo=topo, sim_packets=sim_packets, seed=seed,
+        metadata=dict.fromkeys(("simulated_entries", "class_evaluations",
+                                "cascade_simulations"), 0),
     )
 
 

@@ -147,32 +147,35 @@ def _relay_avg(args, rows):
                               analytic.loss_fraction(cs_hat, cb_hat, window), tally))
 
 
-def _check_count(flag: str, n) -> None:
-    """Reject a count no run can use, naming the flag; values from --config
-    are held to the same rule."""
-    try:
-        check_count(flag, n)
-    except ValueError:
-        raise SystemExit(f"--{flag} must be an integer of at least 1, got {n!r}") from None
+_LEAST = {"packets": 1, "corner_events": 1, "sim_packets": 1, "alpha_points": 2}
+_POSITIVE = ("cs", "cs1", "cs2", "cb", "dbar", "capacity")
 
 
-def _check_relay_args(args) -> None:
-    """Reject relay parameters no run can use, naming the flag; values from
-    --config are held to the same rules."""
-    def real(x):
-        return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
-
-    _check_count("packets", args.packets)
-    for flag in ("cs", "cs2", "cb", "dbar"):
-        v = getattr(args, flag)
-        if not (real(v) and math.isfinite(v) and v > 0.0):
-            raise SystemExit(f"--{flag} must be finite and positive, got {v!r}")
-    if not (real(args.delta) and args.delta >= 0.0):
-        raise SystemExit(f"--delta must be nonnegative, got {args.delta!r}")
+def _check_args(args) -> None:
+    """Reject parameters no run can use, naming the flag; values from
+    --config are held to the same rules. A count is an integer of at least
+    1, or 2 for --alpha-points, since the tradeoff report reads both ends of
+    the grid; --delta is nonnegative and may be infinite; rates and
+    capacities are finite and positive."""
+    for dest, v in vars(args).items():
+        flag = "--" + dest.replace("_", "-")
+        real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+        if dest in _LEAST:
+            try:
+                check_count(flag, v)
+                ok = v >= _LEAST[dest]
+            except ValueError:
+                ok = False
+            if not ok:
+                raise SystemExit(f"{flag} must be an integer of at least {_LEAST[dest]}, "
+                                 f"got {v!r}")
+        elif dest == "delta" and not (real and v >= 0.0):
+            raise SystemExit(f"--delta must be nonnegative, got {v!r}")
+        elif dest in _POSITIVE and not (real and math.isfinite(v) and v > 0.0):
+            raise SystemExit(f"{flag} must be finite and positive, got {v!r}")
 
 
 def cmd_relay(args) -> int:
-    _check_relay_args(args)
     if args.stats_from:
         res = relay_core.match_result_from_text(Path(args.stats_from).read_text())
         print(f"matched={res.n_matched} dropped={res.n_dropped} "
@@ -202,7 +205,6 @@ def cmd_relay(args) -> int:
 
 
 def cmd_region(args) -> int:
-    _check_count("corner-events", args.corner_events)
     region = analytic.two_source_region(
         args.cs1, args.cs2, args.cb, args.delta,
         corner_events=args.corner_events, seed=args.seed,
@@ -242,20 +244,17 @@ _SWITCHING_SUBSETS = (
 def cmd_switching(args) -> int:
     topo, prior = network_model.switching_topology(args.capacity)
     h_bits = anonymity_opt.entropy_bits(prior)
-    rate_zero = sum(
-        p * network_model.max_sum_rate_visible(s, topo)[0] for s, p in prior.entries
+    model = anonymity_opt.build_distortion_model(
+        prior, topo, args.delta, sim_packets=args.sim_packets, seed=args.seed
     )
+    # a sum over sessions: `model.rate_zero`, a dot product, may differ in the last bit
+    rate_zero = sum(p * lv for p, lv in zip(model.probs.tolist(), model.lambda_v))
     table = []
     for subset in _SWITCHING_SUBSETS:
-        b = frozenset(subset)
-        alpha = anonymity_opt.anonymity_level(b, prior)
-        rate = anonymity_opt.expected_covert_rate(
-            prior, b, topo, args.delta, args.sim_packets, args.seed
-        )
         table.append({
-            "covert": "+".join(sorted(b)) if b else "-",
-            "alpha": alpha,
-            "expected_sum_rate": rate,
+            "covert": "+".join(sorted(subset)) if subset else "-",
+            "alpha": model.anonymity(subset),
+            "expected_sum_rate": model.covert_rate(subset),
         })
     checks = [
         ("alpha-all-visible", table[0]["alpha"], math.log(4) / math.log(24)),
@@ -293,8 +292,6 @@ def cmd_switching(args) -> int:
 
 
 def cmd_tradeoff(args) -> int:
-    if not args.alpha_points >= 1:
-        raise SystemExit(f"--alpha-points must be at least 1, got {args.alpha_points}")
     if args.topology:
         topo, prior = network_model.parse_network_config(Path(args.topology).read_text())
     else:
@@ -432,8 +429,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if hasattr(args, "config"):
         args = _apply_config(args)
-    if hasattr(args, "sim_packets"):
-        _check_count("sim-packets", args.sim_packets)
+    _check_args(args)
     return args.fn(args)
 
 

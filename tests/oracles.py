@@ -5,8 +5,9 @@ come from exhaustive matching enumeration, greedy matchings from the
 per-departure loops the block-scan kernel replaced, walk statistics from the
 per-step loop the block-measured walk replaced, distortion-rate values from
 a batched grid search polished by direct constrained minimisation over the
-conditional simplex, and the deterministic time-sharing hull from a scan
-over every pair of points.
+conditional simplex, the deterministic time-sharing hull from a scan
+over every pair of points, and the expected rate of a fixed covert set from
+a per-session sum of `covert_sum_rate`, with no distortion model between.
 """
 from __future__ import annotations
 
@@ -16,6 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize
+
+from anonrelay.network_model import covert_sum_rate
 
 
 def min_drops_exhaustive(arrivals, departures, delay) -> int:
@@ -334,3 +337,13 @@ def hull_pairwise(points) -> list[tuple[float, float]]:
                 break
         pruned.append((r, a))
     return pruned
+
+
+def expected_covert_rate(prior, covert, topo, delay, sim_packets, seed) -> float:
+    """Expected sum rate with `covert` covert in every session: the prior
+    mean of each session's covert sum rate, read session by session."""
+    total = 0.0
+    for session, p in prior.entries:
+        r = covert_sum_rate(session, covert, topo, delay, sim_packets=sim_packets, seed=seed)
+        total += p * r.sum_rate
+    return total

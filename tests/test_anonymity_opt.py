@@ -11,6 +11,7 @@ from oracles import (
     _mutual_info_bits,
     _simplex_grid,
     distortion_rate_oracle,
+    expected_covert_rate,
     grid_search,
     hull_pairwise,
     hull_value_pairwise,
@@ -29,7 +30,6 @@ from anonrelay.anonymity_opt import (
     deterministic_hull_value,
     deterministic_points,
     entropy_bits,
-    expected_covert_rate,
     fano_error_bound,
     tradeoff_curve,
 )
@@ -146,30 +146,65 @@ def test_distortion_model_solves_one_lp_per_session(monkeypatch):
     assert len(calls) == 24
 
 
-def test_best_deterministic_zero_target_keeps_everything_visible(switching):
-    topo, prior = switching
-    best = best_deterministic(prior, topo, 0.0, 1.0, sim_packets=30_000)
+def test_best_deterministic_zero_target_keeps_everything_visible(switching_model):
+    best = best_deterministic(switching_model, 0.0)
     assert best.covert == frozenset()
     assert best.sum_rate == pytest.approx(4.0, abs=1e-9)
 
 
-def test_best_deterministic_perfect_anonymity_is_second_stage(switching):
-    topo, prior = switching
-    best = best_deterministic(prior, topo, 1.0, 1.0, sim_packets=30_000)
+def test_best_deterministic_perfect_anonymity_is_second_stage(switching_model):
+    best = best_deterministic(switching_model, 1.0)
     assert best.covert == frozenset({"M2", "M4"})
     assert best.alpha == pytest.approx(1.0, abs=1e-9)
 
 
-def test_best_deterministic_rejects_targets_above_one(switching):
-    topo, prior = switching
+def test_best_deterministic_rejects_targets_above_one(switching_model):
     with pytest.raises(AnonymityInfeasibleError):
-        best_deterministic(prior, topo, 1.5, 1.0)
+        best_deterministic(switching_model, 1.5)
 
 
-def test_expected_covert_rate_all_visible(switching):
+def test_expected_covert_rate_all_visible(switching, switching_model):
     topo, prior = switching
-    assert expected_covert_rate(prior, frozenset(), topo, 1.0, 10_000, 0) \
+    assert expected_covert_rate(prior, frozenset(), topo, 1.0, 30_000, 1) \
         == pytest.approx(4.0, abs=1e-9)
+    assert switching_model.covert_rate(frozenset()) == pytest.approx(4.0, abs=1e-9)
+
+
+def test_model_evaluates_cells_on_first_read(monkeypatch):
+    # the four covert sets `switching` reports read one cell per session
+    # each: 96 covert rates, in the 8 classes and 2 cascades that summing
+    # them session by session evaluates
+    from anonrelay.cli import _SWITCHING_SUBSETS
+
+    calls = []
+    covert_sum_rate = ao.covert_sum_rate
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return covert_sum_rate(*args, **kwargs)
+
+    monkeypatch.setattr(ao, "covert_sum_rate", counting)
+    topo, prior = switching_topology(2.0)
+    model = build_distortion_model(prior, topo, 1.0, sim_packets=20_000, seed=2)
+    assert calls == []
+    rates = [model.covert_rate(b) for b in _SWITCHING_SUBSETS]
+    assert len(calls) == 96
+    assert (len(topo._classes), len(topo._cascades)) == (8, 2)
+    summed = switching_topology(2.0)[0]
+    assert rates == [pytest.approx(expected_covert_rate(prior, frozenset(b), summed, 1.0,
+                                                        20_000, 2), abs=1e-12)
+                     for b in _SWITCHING_SUBSETS]
+    assert (len(summed._classes), len(summed._cascades)) == (8, 2)
+    # reading the whole table evaluates only the cells not yet read
+    d = model.d
+    assert len(calls) == 24 * 16
+    full = build_distortion_model(prior, switching_topology(2.0)[0], 1.0,
+                                  sim_packets=20_000, seed=2)
+    assert np.array_equal(d, full.d)
+    assert model.metadata == full.metadata
+    assert len(calls) == 2 * 24 * 16
+    assert [model.covert_rate(b) for b in _SWITCHING_SUBSETS] == rates
+    assert len(calls) == 2 * 24 * 16
 
 
 def test_distortion_model_structure(switching, switching_model):
@@ -456,10 +491,9 @@ def test_points_read_off_the_model_match_direct_enumeration(network, request):
                 want = b
         if want is None:
             with pytest.raises(AnonymityInfeasibleError):
-                best_deterministic(prior, topo, target, 1.0, sim_packets=20_000, seed=4)
+                best_deterministic(model, target)
         else:
-            best = best_deterministic(prior, topo, target, 1.0, sim_packets=20_000, seed=4)
-            assert best.covert == want
+            assert best_deterministic(model, target).covert == want
 
 
 def test_model_for_another_prior_or_delay_is_rejected(switching, switching_model):
@@ -505,8 +539,9 @@ def test_unanonymizable_sessions_score_zero(leaky_network):
 
 def test_best_deterministic_reports_unreachable_target(leaky_network):
     topo, prior = leaky_network
+    model = build_distortion_model(prior, topo, 1.0, sim_packets=20_000)
     with pytest.raises(AnonymityInfeasibleError) as err:
-        best_deterministic(prior, topo, 0.5, 1.0, sim_packets=20_000)
+        best_deterministic(model, 0.5)
     assert err.value.best_alpha == 0.0
 
 
@@ -582,6 +617,9 @@ def test_covert_rate_settings_are_constants(switching):
                 assert not fixed & set(inspect.signature(obj).parameters), name
     params = inspect.signature(tradeoff_curve).parameters
     assert not {"topo", "sim_packets", "seed", "ba_tol"} & set(params)
+    # covert rates are read off a model, and no second path sums them
+    assert list(inspect.signature(best_deterministic).parameters) == ["model", "alpha_target"]
+    assert not hasattr(ao, "expected_covert_rate")
     _, prior = switching
     with pytest.raises(TypeError):
         tradeoff_curve(prior, 1.0, [0.5])

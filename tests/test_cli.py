@@ -72,6 +72,24 @@ def test_switching_reports_exact_alphas(tmp_path):
     assert doc["table"][2]["alpha"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_switching_reads_one_cell_per_session_and_subset(tmp_path, monkeypatch):
+    # four covert sets, one cell per session each: 96 covert rates in the 8
+    # classes and 2 cascades that summing them session by session evaluates
+    calls = {"rates": 0, "classes": 0, "cascades": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(ao, "covert_sum_rate", counting("rates", ao.covert_sum_rate))
+    monkeypatch.setattr(nm, "_class_rates", counting("classes", nm._class_rates))
+    monkeypatch.setattr(nm, "_run_session_sim", counting("cascades", nm._run_session_sim))
+    assert main(["switching", "--sim-packets", "20000", "--out-dir", str(tmp_path)]) == 0
+    assert calls == {"rates": 4 * 24, "classes": 8, "cascades": 2}
+
+
 def test_tradeoff_files_and_dominance(tmp_path, monkeypatch):
     calls = []
     covert_sum_rate = ao.covert_sum_rate
@@ -169,12 +187,15 @@ def test_relay_check_on_an_empty_stream_fails(tmp_path, capsys):
 
 
 def test_tradeoff_rejects_empty_alpha_grid(tmp_path):
-    with pytest.raises(SystemExit, match="alpha-points"):
-        main(["tradeoff", "--alpha-points", "0", "--out-dir", str(tmp_path)])
+    # the report reads both ends of the grid, so one point is too few
+    for value in ("0", "1"):
+        with pytest.raises(SystemExit, match="--alpha-points must be an integer of at least 2"):
+            main(["tradeoff", "--alpha-points", value, "--out-dir", str(tmp_path)])
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"alpha_points": -3}))
-    with pytest.raises(SystemExit, match="alpha-points"):
-        main(["tradeoff", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    for value in (-3, 1, 2.5, True, "100"):
+        cfg.write_text(json.dumps({"alpha_points": value}))
+        with pytest.raises(SystemExit, match="--alpha-points must be an integer of at least 2"):
+            main(["tradeoff", "--config", str(cfg), "--out-dir", str(tmp_path)])
     assert not (tmp_path / "tradeoff_report.json").exists()
 
 
@@ -263,6 +284,30 @@ def test_bad_relay_values_exit_with_a_message(flag, value, message, tmp_path):
     with pytest.raises(SystemExit, match=message):
         main(["relay", "--config", str(cfg), "--out-dir", str(tmp_path)])
     assert not any(tmp_path.glob("relay_*"))
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    (command, "capacity", value) for command in ("switching", "tradeoff", "gen-topology")
+    for value in ("0", "-2", "inf", "nan")
+] + [
+    (command, "delta", value) for command in ("switching", "tradeoff", "region")
+    for value in ("-1", "nan")
+] + [("region", "cs1", "0"), ("region", "cb", "inf")])
+def test_bad_network_values_exit_with_a_message(command, flag, value, tmp_path):
+    rule = "nonnegative" if flag == "delta" else "finite and positive"
+    message = f"--{flag} must be {rule}"
+    if command == "gen-topology":  # it takes neither --out-dir nor --config
+        with pytest.raises(SystemExit, match=message):
+            main([command, f"--{flag}", value, "--out", str(tmp_path / "net.cfg")])
+        assert not any(tmp_path.iterdir())
+        return
+    with pytest.raises(SystemExit, match=message):
+        main([command, f"--{flag}", value, "--out-dir", str(tmp_path)])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag: float(value)}))
+    with pytest.raises(SystemExit, match=message):
+        main([command, "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 @pytest.mark.parametrize("value", [2.5, 1000.0, True, "100"])

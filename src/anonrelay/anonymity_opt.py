@@ -22,9 +22,10 @@ from .network_model import (
     Session,
     SessionPrior,
     Topology,
+    _session_form,
     covert_sum_rate,
-    max_sum_rate_visible,
     observe,
+    observe_single,
 )
 
 __all__ = [
@@ -52,6 +53,7 @@ __all__ = [
 _LN2 = math.log(2.0)
 _MAX_RELAYS = 20  # enumeration cap: a covert subset per subset of at most this many relays
 _BA_GAP_TOL = 1e-11  # a fixed-slope solve stops once its Lagrangian gap is this small
+BA_TOL = 1e-6  # default distortion tolerance of a certified distortion-rate point
 
 
 class AnonymityInfeasibleError(ValueError):
@@ -265,11 +267,15 @@ class DistortionModel:
     fixed for every session picks one cell per row, so `covert_rate` and
     `anonymity` read deterministic strategies off the model.
 
-    Each cell is evaluated on its first read, at most once per model:
-    `covert_rate` reads one cell per session, `d` reads them all. Over the
-    cells evaluated so far, `metadata` counts those whose covert rate reads
-    a cascade simulation (`simulated_entries`), and the relabelling classes
-    evaluated and cascades simulated that the topology did not already hold
+    Cells fall into groups: one per session form and set of covert relay
+    labels, the cells whose covert sum rate is one relabelling class's.
+    The first read of any cell of a group evaluates the whole group, at
+    most once per model: one covert rate, and each cell's loss is its
+    session's visible optimum minus it. `covert_rate` reads one cell per
+    session, `d` reads them all. Over the cells evaluated so far, `metadata`
+    counts those whose covert rate reads a cascade simulation
+    (`simulated_entries`), and the relabelling classes evaluated and
+    cascades simulated that the topology did not already hold
     (`class_evaluations`, `cascade_simulations`). The same reads give the
     same counts, and they are fixed once `d` has been read in full.
     """
@@ -278,6 +284,7 @@ class DistortionModel:
     probs: np.ndarray
     observations: tuple
     covert_for: dict  # (session index, observation index) -> frozenset
+    groups: dict  # session form -> {covert labels: (session indices, observation indices)}
     lambda_v: tuple[float, ...]
     rate_zero: float
     delay: float
@@ -287,8 +294,12 @@ class DistortionModel:
     metadata: dict
 
     @cached_property
-    def _column(self) -> dict:
-        return {(si, b): oi for (si, oi), b in self.covert_for.items()}
+    def _column(self) -> tuple[dict, ...]:
+        """Per session, its observation index of each covert subset."""
+        column = tuple({} for _ in self.sessions)
+        for (si, oi), b in self.covert_for.items():
+            column[si][b] = oi
+        return column
 
     @cached_property
     def _losses(self) -> np.ndarray:
@@ -297,32 +308,42 @@ class DistortionModel:
         table[tuple(zip(*self.covert_for))] = np.nan
         return table
 
+    def _evaluate(self, rows: np.ndarray, cols: np.ndarray) -> None:
+        """Evaluate one group of cells through the covert rate of its first cell."""
+        topo, counts = self.topo, self.metadata
+        held = len(topo._classes), len(topo._cascades)
+        si = int(rows[0])
+        res = covert_sum_rate(self.sessions[si], self.covert_for[(si, int(cols[0]))], topo,
+                              self.delay, sim_packets=self.sim_packets, seed=self.seed)
+        counts["simulated_entries"] += rows.size if res.mode == "simulated" else 0
+        counts["class_evaluations"] += len(topo._classes) - held[0]
+        counts["cascade_simulations"] += len(topo._cascades) - held[1]
+        loss = np.asarray(self.lambda_v)[rows] - res.sum_rate
+        self._losses[rows, cols] = np.where(np.abs(loss) < 1e-12, 0.0, loss)
+
     def _loss(self, si: int, oi: int) -> float:
-        """Loss of one cell, evaluated on its first read."""
+        """Loss of one cell, its group evaluated on the first read."""
         loss = float(self._losses[si, oi])
         if math.isnan(loss):
-            topo, counts = self.topo, self.metadata
-            held = len(topo._classes), len(topo._cascades)
-            res = covert_sum_rate(self.sessions[si], self.covert_for[(si, oi)], topo,
-                                  self.delay, sim_packets=self.sim_packets, seed=self.seed)
-            counts["simulated_entries"] += res.mode == "simulated"
-            counts["class_evaluations"] += len(topo._classes) - held[0]
-            counts["cascade_simulations"] += len(topo._cascades) - held[1]
-            loss = self.lambda_v[si] - res.sum_rate
-            loss = self._losses[si, oi] = 0.0 if abs(loss) < 1e-12 else loss
+            shape, _, labels, *_ = _session_form(self.sessions[si], self.topo)
+            covert = frozenset(labels[v] for v in self.covert_for[(si, oi)])
+            self._evaluate(*self.groups[shape][covert])
+            loss = float(self._losses[si, oi])
         return loss
 
     @cached_property
     def d(self) -> np.ndarray:
         """The whole loss table, every cell evaluated."""
-        for si, oi in self.covert_for:
-            self._loss(si, oi)
-        return self._losses
+        table = self._losses
+        for by_labels in self.groups.values():
+            for rows, cols in by_labels.values():
+                if math.isnan(table[rows[0], cols[0]]):
+                    self._evaluate(rows, cols)
+        return table
 
     def _columns(self, covert) -> list[int]:
         covert = frozenset(covert)
-        return [self._column[(si, covert & s.interior_nodes)]
-                for si, s in enumerate(self.sessions)]
+        return [col[covert & s.interior_nodes] for col, s in zip(self._column, self.sessions)]
 
     def covert_rate(self, covert) -> float:
         """Expected sum rate with `covert` covert in every session, rate_zero
@@ -353,14 +374,17 @@ def build_distortion_model(
     seed: int = 0,
 ) -> DistortionModel:
     """Enumerate every (session, covert subset) cell: the model's columns,
-    the covert set behind each cell and each session's visible optimum. No
-    loss is evaluated here; the model evaluates a cell on its first read, so
-    `metadata` counts nothing until something reads the model.
+    the covert set behind each cell, each cell's group and each session's
+    visible optimum. No loss is evaluated here; the model evaluates a group
+    of cells on the first read of any of them, so `metadata` counts nothing
+    until something reads the model.
 
     Each session contributes one finite column entry per subset of its own
-    interior relays; the subset must be recoverable from the observation,
-    so a collision raises `ObservationCollisionError`. A session with more
-    than _MAX_RELAYS interior relays raises ValueError before any solve.
+    interior relays. Subsets come smallest first, so each subset's
+    observation is the one without its largest relay cut once more. The
+    subset must be recoverable from the observation, so a collision raises
+    `ObservationCollisionError`. A session with more than _MAX_RELAYS
+    interior relays raises ValueError before any solve.
     """
     check_count("sim_packets", sim_packets)
     sessions = prior.sessions
@@ -370,27 +394,38 @@ def build_distortion_model(
     lambda_v = []
     obs_index: dict = {}
     covert_for: dict = {}
+    groups: dict = {}
     subsets: dict = {}  # relays -> their subsets, one copy for every session with them
     for si, session in enumerate(sessions):
         relays = tuple(sorted(session.interior_nodes))
-        lambda_v.append(max_sum_rate_visible(session, topo)[0])
-        seen: dict = {}
+        shape, _, labels, _, _, lv = _session_form(session, topo)
+        lambda_v.append(lv)
+        by_labels = groups.setdefault(shape, {})
         if relays not in subsets:
-            subsets[relays] = tuple(_subsets(relays))
-        for b in subsets[relays]:
-            obs = observe(session, b)
+            subsets[relays] = [(tuple(sorted(b)), b) for b in _subsets(relays)]
+        obs_of: dict = {}
+        seen: dict = {}
+        for combo, b in subsets[relays]:
+            obs = (observe_single(obs_of[combo[:-1]], combo[-1]) if combo
+                   else observe_single(session.paths))
             if obs in seen:
                 raise ObservationCollisionError(
                     f"covert sets {sorted(seen[obs])} and {sorted(b)} give one "
                     f"observation for the same session"
                 )
+            obs_of[combo] = obs
             seen[obs] = b
-            covert_for[(si, obs_index.setdefault(obs, len(obs_index)))] = b
+            cell = (si, obs_index.setdefault(obs, len(obs_index)))
+            covert_for[cell] = b
+            by_labels.setdefault(frozenset(labels[v] for v in combo), []).append(cell)
+    for by_labels in groups.values():
+        for covert, cells in by_labels.items():
+            by_labels[covert] = tuple(np.array(cells, dtype=np.int32).T)
     probs = np.asarray(prior.probs)
     return DistortionModel(
         sessions=sessions, probs=probs, observations=tuple(obs_index), covert_for=covert_for,
-        lambda_v=tuple(lambda_v), rate_zero=float(np.dot(probs, lambda_v)), delay=delay,
-        topo=topo, sim_packets=sim_packets, seed=seed,
+        groups=groups, lambda_v=tuple(lambda_v), rate_zero=float(np.dot(probs, lambda_v)),
+        delay=delay, topo=topo, sim_packets=sim_packets, seed=seed,
         metadata=dict.fromkeys(("simulated_entries", "class_evaluations",
                                 "cascade_simulations"), 0),
     )
@@ -483,7 +518,7 @@ def blahut_arimoto(
     d,
     prior,
     rate_bits: float,
-    tol: float = 1e-6,
+    tol: float = BA_TOL,
     max_iter: int = 4000,
     probe_cache: Optional[dict] = None,
 ) -> BAResult:

@@ -61,8 +61,17 @@ def _check_epochs(x: np.ndarray) -> np.ndarray:
 
 
 def _as_epochs(values) -> np.ndarray:
-    x = _check_epochs(np.asarray(values, dtype=float)).copy()
-    x.flags.writeable = False
+    """`values` as checked, read-only epochs. An array that nothing can
+    write, its base included, is kept as it is (`gen_poisson` freezes its
+    fresh draw so); any other is copied, so a caller's array may change
+    without changing the schedule."""
+    x = _check_epochs(np.asarray(values, dtype=float))
+    base = x
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if base is not None:  # an array or buffer in the chain can be written
+        x = x.copy()
+        x.flags.writeable = False
     return x
 
 
@@ -179,7 +188,11 @@ def gen_poisson(spec: GenSpec, node_id: str = "node") -> Schedule:
     """Draw one Poisson schedule. Identical (rate, horizon, seed, node_id)
     always reproduce the identical epoch sequence."""
     rng = substream(spec.seed, "poisson", node_id)
-    return Schedule(node_id=node_id, epochs=poisson_epochs(spec.rate, spec.horizon, rng))
+    epochs = poisson_epochs(spec.rate, spec.horizon, rng)
+    for a in (epochs, epochs.base):  # the draw is a view of the block it was cut from
+        if a is not None:
+            a.flags.writeable = False
+    return Schedule(node_id=node_id, epochs=epochs)
 
 
 def _rate(n: int, last: float, node_id: str) -> float:

@@ -6,8 +6,10 @@ per-departure loops the block-scan kernel replaced, walk statistics from the
 per-step loop the block-measured walk replaced, distortion-rate values from
 a batched grid search polished by direct constrained minimisation over the
 conditional simplex, the deterministic time-sharing hull from a scan
-over every pair of points, and the expected rate of a fixed covert set from
-a per-session sum of `covert_sum_rate`, with no distortion model between.
+over every pair of points, the expected rate of a fixed covert set from
+a per-session sum of `covert_sum_rate`, with no distortion model between,
+and the distortion model's cells, observations and losses built cell by
+cell, each observed from scratch and read through its own covert rate.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import minimize
 
-from anonrelay.network_model import covert_sum_rate
+from anonrelay.network_model import covert_sum_rate, max_sum_rate_visible, observe
 
 
 def min_drops_exhaustive(arrivals, departures, delay) -> int:
@@ -347,3 +349,52 @@ def expected_covert_rate(prior, covert, topo, delay, sim_packets, seed) -> float
         r = covert_sum_rate(session, covert, topo, delay, sim_packets=sim_packets, seed=seed)
         total += p * r.sum_rate
     return total
+
+
+def distortion_cells_reference(prior, topo, delay, sim_packets, seed):
+    """The distortion model one cell at a time: every (session, covert
+    subset) cell, subsets smallest first, is observed with `observe` and its
+    loss read from its own `covert_sum_rate` call, the visible optimum minus
+    the covert sum rate, below 1e-12 in size read as 0. The counters tally
+    per cell what the topology gained from that cell's call.
+
+    Returns (observations, covert_for, d, metadata) as a model holds them."""
+    obs_index: dict = {}
+    covert_for: dict = {}
+    for si, session in enumerate(prior.sessions):
+        relays = sorted(session.interior_nodes)
+        for size in range(len(relays) + 1):
+            for combo in itertools.combinations(relays, size):
+                b = frozenset(combo)
+                covert_for[(si, obs_index.setdefault(observe(session, b), len(obs_index)))] = b
+    d = np.full((len(prior.sessions), len(obs_index)), np.inf)
+    metadata = dict.fromkeys(("simulated_entries", "class_evaluations",
+                              "cascade_simulations"), 0)
+    for (si, oi), b in covert_for.items():
+        session = prior.sessions[si]
+        classes, cascades = len(topo._classes), len(topo._cascades)
+        res = covert_sum_rate(session, b, topo, delay, sim_packets=sim_packets, seed=seed)
+        metadata["simulated_entries"] += res.mode == "simulated"
+        metadata["class_evaluations"] += len(topo._classes) - classes
+        metadata["cascade_simulations"] += len(topo._cascades) - cascades
+        loss = max_sum_rate_visible(session, topo)[0] - res.sum_rate
+        d[si, oi] = 0.0 if abs(loss) < 1e-12 else loss
+    return tuple(obs_index), covert_for, d, metadata
+
+
+def fixed_set_reference(prior, topo, covert_for, d, covert):
+    """(expected sum rate, anonymity) of `covert` fixed in every session,
+    read off per-cell reference data: the rate sums p_s * (visible optimum
+    - loss) session by session, and the anonymity sums p_s * log2(p_s / m),
+    m the prior mass of the session's column, over minus the prior entropy."""
+    column = {(si, b): oi for (si, oi), b in covert_for.items()}
+    covert = frozenset(covert)
+    cols = [column[(si, covert & s.interior_nodes)] for si, s in enumerate(prior.sessions)]
+    rate = 0.0
+    mass: dict = {}
+    for si, ((session, p), c) in enumerate(zip(prior.entries, cols)):
+        rate += p * (max_sum_rate_visible(session, topo)[0] - d[si, c])
+        mass[c] = mass.get(c, 0.0) + p
+    h_prior = -sum(p * math.log2(p) for p in prior.probs)
+    h_cond = sum(p * math.log2(p / mass[c]) for p, c in zip(prior.probs, cols))
+    return rate, float(-h_cond / h_prior)

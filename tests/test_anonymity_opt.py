@@ -172,8 +172,9 @@ def test_expected_covert_rate_all_visible(switching, switching_model):
 
 def test_model_evaluates_cells_on_first_read(monkeypatch):
     # the four covert sets `switching` reports read one cell per session
-    # each: 96 covert rates, in the 8 classes and 2 cascades that summing
-    # them session by session evaluates
+    # each; those 96 cells fall into 8 of the model's 32 groups (2 session
+    # forms x 16 covert label sets), one covert rate each, in the 8 classes
+    # and 2 cascades that summing them session by session evaluates
     from anonrelay.cli import _SWITCHING_SUBSETS
 
     calls = []
@@ -187,24 +188,25 @@ def test_model_evaluates_cells_on_first_read(monkeypatch):
     topo, prior = switching_topology(2.0)
     model = build_distortion_model(prior, topo, 1.0, sim_packets=20_000, seed=2)
     assert calls == []
+    groups = sum(len(by_labels) for by_labels in model.groups.values())
     rates = [model.covert_rate(b) for b in _SWITCHING_SUBSETS]
-    assert len(calls) == 96
+    assert len(calls) == 8 < groups == 2 * 16
     assert (len(topo._classes), len(topo._cascades)) == (8, 2)
     summed = switching_topology(2.0)[0]
     assert rates == [pytest.approx(expected_covert_rate(prior, frozenset(b), summed, 1.0,
                                                         20_000, 2), abs=1e-12)
                      for b in _SWITCHING_SUBSETS]
     assert (len(summed._classes), len(summed._cascades)) == (8, 2)
-    # reading the whole table evaluates only the cells not yet read
+    # reading the whole table evaluates only the groups not yet read
     d = model.d
-    assert len(calls) == 24 * 16
+    assert len(calls) == groups
     full = build_distortion_model(prior, switching_topology(2.0)[0], 1.0,
                                   sim_packets=20_000, seed=2)
     assert np.array_equal(d, full.d)
     assert model.metadata == full.metadata
-    assert len(calls) == 2 * 24 * 16
+    assert len(calls) == 2 * groups
     assert [model.covert_rate(b) for b in _SWITCHING_SUBSETS] == rates
-    assert len(calls) == 2 * 24 * 16
+    assert len(calls) == 2 * groups
 
 
 def test_distortion_model_structure(switching, switching_model):

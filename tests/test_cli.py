@@ -73,8 +73,10 @@ def test_switching_reports_exact_alphas(tmp_path):
 
 
 def test_switching_reads_one_cell_per_session_and_subset(tmp_path, monkeypatch):
-    # four covert sets, one cell per session each: 96 covert rates in the 8
-    # classes and 2 cascades that summing them session by session evaluates
+    # four covert sets, one cell per session each: 96 cells in 8 groups of
+    # the model (session form, covert labels), one covert rate per group, in
+    # the 8 classes and 2 cascades that summing them session by session
+    # evaluates
     calls = {"rates": 0, "classes": 0, "cascades": 0}
 
     def counting(name, fn):
@@ -87,7 +89,7 @@ def test_switching_reads_one_cell_per_session_and_subset(tmp_path, monkeypatch):
     monkeypatch.setattr(nm, "_class_rates", counting("classes", nm._class_rates))
     monkeypatch.setattr(nm, "_run_session_sim", counting("cascades", nm._run_session_sim))
     assert main(["switching", "--sim-packets", "20000", "--out-dir", str(tmp_path)]) == 0
-    assert calls == {"rates": 4 * 24, "classes": 8, "cascades": 2}
+    assert calls == {"rates": 8, "classes": 8, "cascades": 2}
 
 
 def test_tradeoff_files_and_dominance(tmp_path, monkeypatch):
@@ -104,9 +106,10 @@ def test_tradeoff_files_and_dominance(tmp_path, monkeypatch):
         "--out-dir", str(tmp_path),
     ])
     assert code == 0
-    # one covert rate per model cell (24 sessions x 16 covert subsets); the
+    # one covert rate per group of model cells (2 session forms x 16 covert
+    # label sets), not per cell (24 sessions x 16 covert subsets); the
     # deterministic points are read off the model
-    assert len(calls) == 24 * 16
+    assert len(calls) == 2 * 16
     doc = json.loads((tmp_path / "tradeoff_report.json").read_text())
     assert doc["randomized_dominates_hull"]
     assert doc["rate_at_alpha0"] == pytest.approx(4.0, abs=1e-9)
@@ -373,3 +376,19 @@ def test_relay_memory_does_not_grow_with_the_horizon(mode, tmp_path, capsys):
                            "--out-dir", str(tmp_path / str(n))])
              for n in (250_000, 1_000_000)]
     assert peaks[1] - peaks[0] <= 4_000_000, peaks
+
+
+def test_tradeoff_fails_when_the_gap_misses_its_tolerance(tmp_path, monkeypatch):
+    # five iterations per fixed-slope solve leave the curve dominating the
+    # hull but its certified gap far above blahut_arimoto's tolerance
+    import functools
+
+    monkeypatch.setattr(ao, "blahut_arimoto", functools.partial(ao.blahut_arimoto, max_iter=5))
+    code = main(["tradeoff", "--alpha-points", "5", "--sim-packets", "20000",
+                 "--out-dir", str(tmp_path)])
+    doc = json.loads((tmp_path / "tradeoff_report.json").read_text())
+    assert doc["randomized_dominates_hull"]
+    assert doc["ba_unconverged"] == 1
+    assert doc["max_duality_gap"] > ao.BA_TOL == 1e-6
+    assert doc["pass"] is False
+    assert code == 1

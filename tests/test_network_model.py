@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import distortion_cells_reference, fixed_set_reference
+
 from anonrelay import analytic, network_model as nm
-from anonrelay.anonymity_opt import _subsets, build_distortion_model
+from anonrelay import anonymity_opt as ao
+from anonrelay.anonymity_opt import _fixed_covert_sets, _subsets, build_distortion_model
 from anonrelay.network_model import (
     NetworkConfigError,
     RateBound,
@@ -475,6 +478,49 @@ def test_each_relabelling_class_is_evaluated_once(monkeypatch, network, most):
     assert np.array_equal(again.d, model.d)
     assert len(evaluated) == model.metadata["class_evaluations"]
     assert again.metadata["class_evaluations"] == again.metadata["cascade_simulations"] == 0
+
+
+@pytest.mark.parametrize("network", ["switching", "six_by_six"])
+def test_model_equals_the_per_cell_reference(network):
+    # a model evaluated a group at a time against one built cell by cell,
+    # each on its own fresh topology: the same columns in the same order,
+    # the same bytes in every loss cell, the same counters, and the same
+    # rate and anonymity of every fixed covert set
+    make = switching_topology if network == "switching" else (lambda _: six_by_six())
+    topo, prior = make(2.0)
+    model = build_distortion_model(prior, topo, 1.0, sim_packets=5_000, seed=3)
+    observations, covert_for, d, metadata = distortion_cells_reference(
+        prior, make(2.0)[0], 1.0, 5_000, 3)
+    assert model.observations == observations
+    assert list(model.covert_for.items()) == list(covert_for.items())
+    assert model.d.tobytes() == d.tobytes()
+    assert model.metadata == metadata
+    for b in _fixed_covert_sets(prior.sessions):
+        assert (model.covert_rate(b), model.anonymity(b)) == \
+            fixed_set_reference(prior, topo, covert_for, d, b)
+
+
+def test_six_by_six_model_evaluates_each_group_once(monkeypatch):
+    # 720 sessions of 16 cells each: one observation step per cell at build,
+    # and at most one covert rate per (session form, covert labels) group
+    calls = {"observe_single": 0, "covert_sum_rate": 0}
+
+    def counting(name):
+        fn = getattr(ao, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(ao, name, counting(name))
+    topo, prior = six_by_six()
+    model = build_distortion_model(prior, topo, 1.0, sim_packets=2_000, seed=3)
+    assert calls == {"observe_single": 720 * 16, "covert_sum_rate": 0}
+    model.d
+    groups = sum(len(by_labels) for by_labels in model.groups.values())
+    assert calls["covert_sum_rate"] == groups <= 96
 
 
 def test_source_sharing_separates_classes():

@@ -215,3 +215,34 @@ def test_long_streamed_draw_never_repeats_an_epoch():
         assert c[0] > last and (np.diff(c) > 0).all()
         last, n = c[-1], n + c.size
     assert n > 13_263_075
+
+
+def test_gen_poisson_keeps_its_draw_without_a_copy():
+    # the schedule takes the fresh draw as it is: the peak stays near the
+    # epochs it returns, not twice them, and the epochs are those drawn
+    import tracemalloc
+
+    spec = GenSpec(rate=1.0, horizon=3e6, seed=7)
+    tracemalloc.start()
+    try:
+        s = gen_poisson(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(s) > 2_900_000
+    assert peak <= 1.2 * s.epochs.nbytes
+    assert not s.epochs.flags.writeable
+    rng = substream(spec.seed, "poisson", "node")
+    assert np.array_equal(s.epochs, poisson_epochs(spec.rate, spec.horizon, rng))
+
+
+def test_schedule_copies_arrays_a_caller_can_write():
+    a = np.array([1.0, 2.0, 3.0])
+    view = a[:]
+    view.flags.writeable = False  # read-only, but `a` can still write it
+    for given in (a, view):
+        s = Schedule("n", given)
+        assert not np.shares_memory(s.epochs, a)
+        assert not s.epochs.flags.writeable
+    a[0] = 0.5
+    assert s.epochs[0] == 1.0

@@ -1,4 +1,5 @@
-"""Small shared helpers: reproducible substreams, batch-mean error bars,
+"""Small shared helpers: reproducible substreams, the one batch-means
+error bar (a streaming accumulator; `batch_stderr` feeds it a whole array),
 convex hulls, and stable float formatting."""
 from __future__ import annotations
 
@@ -18,37 +19,45 @@ def substream(seed: int, *tags) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+class BatchMeans:
+    """Batch-means standard error of a stream's mean (Schmeiser 1982), fed in
+    pieces, in O(batches) memory. Its batches are the first b = min(batches,
+    n // 2) runs of n // b values, `n` being the count the run knows or
+    expects; one the stream does not fill is left out. A batch sum is the
+    difference of the running sum, carried across `add` calls, at its two
+    edges, so any split of the stream gives the same result bit for bit."""
+
+    def __init__(self, n: int, batches: int = 32):
+        self.b = min(batches, n // 2)
+        self.k = n // self.b if self.b > 0 else 1  # with no batches, any k finds no edge
+        self.edges = np.zeros(self.b + 1)  # the running sum at each batch edge
+        self.count = 0
+        self.total = 0.0
+
+    def add(self, values) -> "BatchMeans":
+        start, run = self.count, np.concatenate(([self.total], np.ravel(values)))
+        np.add.accumulate(run, out=run)  # run[i] sums the first start + i values
+        self.count += run.size - 1
+        self.total = float(run[-1])
+        j = np.arange(start // self.k + 1, min(self.count // self.k, self.b) + 1)  # edges passed
+        self.edges[j] = run[j * self.k - start]
+        return self
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.count if self.count else float("nan")
+
+    @property
+    def stderr(self) -> float:
+        """NaN below two full batches, so always for n < 4."""
+        means = np.diff(self.edges[: min(self.count // self.k, self.b) + 1]) / self.k
+        return float(means.std(ddof=1) / np.sqrt(means.size)) if means.size > 1 else float("nan")
+
+
 def batch_stderr(values, batches: int = 32) -> float:
-    """Standard error of the mean via batch means.
-
-    Batching absorbs the short-range correlation of matcher output streams,
-    which a plain i.i.d. error bar would understate.
-    """
-    x = np.asarray(values, dtype=float)
-    n = x.size
-    if n < 4:
-        return float("nan")
-    b = min(batches, n // 2)
-    k = n // b
-    means = x[: k * b].reshape(b, k).mean(axis=1)
-    return float(means.std(ddof=1) / np.sqrt(b))
-
-
-def flag_batch_stderr(packed: np.ndarray, n: int, batches: int = 32) -> float:
-    """`batch_stderr` of n boolean flags packed eight to a byte, first flag
-    in the high bit (as `np.packbits` packs them), from per-batch counts:
-    one batch is unpacked at a time, so the scratch is one batch, not all n
-    flags, and the result is bit-identical, since a batch mean of 0/1 values
-    is its count over the batch length."""
-    if n < 4:
-        return float("nan")
-    b = min(batches, n // 2)
-    k = n // b
-    counts = np.empty(b, dtype=np.int64)
-    for j in range(b):
-        q, r = divmod(j * k, 8)  # batch j starts at bit r of byte q
-        counts[j] = np.count_nonzero(np.unpackbits(packed[q:q + (r + k + 7) // 8])[r:r + k])
-    return float((counts / k).std(ddof=1) / np.sqrt(b))
+    """Standard error of the mean of `values` via batch means, which absorb the
+    short-range correlation of matcher output that an i.i.d. error bar misses."""
+    return BatchMeans(np.size(values), batches).add(values).stderr
 
 
 def check_count(name: str, n) -> None:

@@ -19,10 +19,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analytic, anonymity_opt, network_model, relay_core
-from ._util import batch_stderr, check_count, fmt
+from ._util import BatchMeans, check_count, fmt
 from .point_process import GenSpec, poisson_chunks, poisson_rate
 
 __all__ = ["main"]
+
+
+def _parse_file(flag: str, path: str, parse):
+    """`parse` of the file a flag names; a missing or malformed file exits naming the flag."""
+    try:
+        return parse(Path(path).read_text())
+    except (OSError, ValueError) as e:
+        raise SystemExit(f"{flag} {path}: {e}")
 
 
 def _write(path: Path, text: str) -> None:
@@ -67,10 +75,8 @@ def _rows_csv(rows) -> str:
 
 
 def _loss_row(name, predicted, tally: relay_core.DropTally):
-    st = tally.stats(100)
     # a stream that drew no arrivals measured nothing, so it has no error bar
-    return _check_row(name, predicted, st.drop_fraction,
-                      st.drop_stderr if st.n_in else math.nan)
+    return _check_row(name, predicted, tally.stats().drop_fraction, tally.flags.stderr)
 
 
 def _streamed(sources: dict, out: GenSpec, ordering, delay: float):
@@ -82,7 +88,7 @@ def _streamed(sources: dict, out: GenSpec, ordering, delay: float):
 
 def _relay_strict(args, rows):
     horizon = args.packets / args.cs
-    tally, parts = relay_core.DropTally(), []
+    tally, parts = relay_core.DropTally(args.packets, 100), []
     for step in _streamed({"in": GenSpec(args.cs, horizon, args.seed)},
                           GenSpec(args.cb, horizon, args.seed), ("in",), args.delta):
         tally.add(step["in"])
@@ -100,14 +106,15 @@ def _relay_priority(args, rows):
     sources = {"src1": GenSpec(args.cs, horizon, args.seed),
                "src2": GenSpec(args.cs2, horizon, args.seed)}
     out = GenSpec(args.cb, horizon, args.seed)
-    top, low_matched = relay_core.DropTally(), 0
+    # each source's error bar batches the arrivals it expects, rate × horizon
+    top, low_matched = relay_core.DropTally(round(args.cs * horizon), 100), 0
     for step in _streamed(sources, out, ("src1", "src2"), args.delta):
         top.add(step["src1"])
         low_matched += step["src2"].n_matched
     rows.append(_loss_row("priority-top-loss",
                           analytic.loss_fraction(args.cs, args.cb, args.delta), top))
     rows.append(_check_row("priority-low-rate", math.nan, low_matched / horizon, math.nan))
-    equal = {k: relay_core.DropTally() for k in sources}
+    equal = {k: relay_core.DropTally(round(s.rate * horizon), 100) for k, s in sources.items()}
     for step in _streamed(sources, out, None, args.delta):
         for k, tally in equal.items():
             tally.add(step[k])
@@ -126,25 +133,19 @@ def _relay_avg(args, rows):
     cs_hat = poisson_rate(arrivals, node_id="in")
     cb_hat = poisson_rate(departures, node_id="out")
     window = analytic.solve_strict_delay(args.dbar, cs_hat, cb_hat)
-    tally, delays = relay_core.DropTally(), []
+    loss = analytic.loss_fraction(cs_hat, cb_hat, window)
+    # the delays' batches are runs of the matched packets the closed form predicts
+    tally = relay_core.DropTally(args.packets, 100)
+    delays = BatchMeans(round(args.packets * (1.0 - loss)), 100)
     for step in _streamed({"in": arrivals}, departures, ("in",), window):
         tally.add(step["in"])
-        if not math.isinf(window):
-            delays.append(step["in"].delays)
+        if not math.isinf(window):  # an infinite window reads only the drop count
+            delays.add(step["in"].delays)
     if math.isinf(window):
-        rows.append(_check_row("avg-mode-zero-drops", 0.0, float(tally.n_dropped), 0.0))
+        rows.append(_check_row("avg-mode-zero-drops", 0.0, float(tally.stats().n_dropped), 0.0))
     else:
-        delays = np.concatenate(delays)
-        rows.append(
-            _check_row(
-                "avg-mode-mean-delay",
-                args.dbar,
-                float(delays.mean()) if delays.size else math.nan,
-                batch_stderr(delays, 100),
-            )
-        )
-        rows.append(_loss_row("avg-mode-loss-fraction",
-                              analytic.loss_fraction(cs_hat, cb_hat, window), tally))
+        rows.append(_check_row("avg-mode-mean-delay", args.dbar, delays.mean, delays.stderr))
+        rows.append(_loss_row("avg-mode-loss-fraction", loss, tally))
 
 
 _LEAST = {"packets": 1, "corner_events": 1, "sim_packets": 1, "alpha_points": 2}
@@ -177,7 +178,7 @@ def _check_args(args) -> None:
 
 def cmd_relay(args) -> int:
     if args.stats_from:
-        res = relay_core.match_result_from_text(Path(args.stats_from).read_text())
+        res = _parse_file("--stats-from", args.stats_from, relay_core.match_result_from_text)
         print(f"matched={res.n_matched} dropped={res.n_dropped} "
               f"dummies={res.dummy_departures.size} "
               f"drop_fraction={res.drop_fraction:.6g} mean_delay={res.mean_delay:.6g}")
@@ -293,7 +294,8 @@ def cmd_switching(args) -> int:
 
 def cmd_tradeoff(args) -> int:
     if args.topology:
-        topo, prior = network_model.parse_network_config(Path(args.topology).read_text())
+        topo, prior = _parse_file("--topology", args.topology,
+                                  network_model.parse_network_config)
     else:
         topo, prior = network_model.switching_topology(args.capacity)
     model = anonymity_opt.build_distortion_model(
@@ -359,7 +361,9 @@ def cmd_gen_topology(args) -> int:
 
 def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
     if getattr(args, "config", None):
-        overrides = json.loads(Path(args.config).read_text())
+        overrides = _parse_file("--config", args.config, json.loads)
+        if not isinstance(overrides, dict):
+            raise SystemExit(f"--config {args.config}: not a JSON object")
         for key, value in overrides.items():
             dest = key.replace("-", "_")
             if not hasattr(args, dest):

@@ -355,9 +355,7 @@ def _run_session_sim(session, caps, covert, src_rates, delay, horizon, seed, sch
             for key, res in results.items():
                 i = tag_of[key]
                 streams[i] = res.departures[res.index >= 0]
-                tally = DropTally()
-                tally.add(res)
-                stats[i] = tally.stats()
+                stats[i] = DropTally(res.arrivals.size).add(res).stats()
             relay_stats[node] = stats
             if schedules:
                 node_schedules[node] = dep

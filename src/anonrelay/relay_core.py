@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from . import analytic
-from ._util import flag_batch_stderr, fmt, substream
+from ._util import BatchMeans, fmt, substream
 from .point_process import (
     EmptyScheduleError,
     Schedule,
@@ -179,32 +179,20 @@ class RelayPathStats:
 
 class DropTally:
     """What a relay keeps of one arrival stream's drops, fed one
-    `MatchResult` per step: its counts, and its drop flags packed eight to a
-    byte into one growing buffer for the batch-means error bar."""
+    `MatchResult` per step: its drop flags, through a `_util.BatchMeans`
+    that expects `n` arrivals, so it holds O(batches) numbers."""
 
-    def __init__(self):
-        self.n_in = 0
-        self.n_dropped = 0
-        self.bits = bytearray()
-        self.tail = np.empty(0, dtype=bool)  # the last flags, fewer than eight, not yet packed
+    def __init__(self, n: int, batches: int = 32):
+        self.flags = BatchMeans(n, batches)
 
-    def add(self, res: MatchResult) -> None:
-        flags = np.concatenate([self.tail, res.dropped])
-        whole = flags.size - flags.size % 8
-        self.bits += memoryview(np.packbits(flags[:whole]))
-        self.tail = flags[whole:]
-        self.n_in += res.arrivals.size
-        self.n_dropped += res.n_dropped
+    def add(self, res: MatchResult) -> "DropTally":
+        self.flags.add(res.dropped)
+        return self
 
-    def stats(self, batches: int = 32) -> RelayPathStats:
-        """The counts and the drop fraction's batch-means standard error
-        (`_util.batch_stderr` of the flags, bit for bit); an empty stream
-        loses nothing, exactly, so its error is 0."""
-        if not self.n_in:
-            return RelayPathStats(0, 0, 0.0)
-        packed = np.concatenate([np.frombuffer(self.bits, dtype=np.uint8), np.packbits(self.tail)])
-        return RelayPathStats(self.n_in, self.n_dropped,
-                              flag_batch_stderr(packed, self.n_in, batches))
+    def stats(self) -> RelayPathStats:
+        """Counts and error bar; an empty stream loses nothing, exactly: error 0."""
+        f = self.flags
+        return RelayPathStats(f.count, int(f.total), f.stderr if f.count else 0.0)
 
 
 def _epoch_array(x) -> np.ndarray:

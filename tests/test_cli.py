@@ -9,7 +9,7 @@ import pytest
 from anonrelay import anonymity_opt as ao
 from anonrelay import analytic, point_process, relay_core
 from anonrelay import network_model as nm
-from anonrelay._util import batch_stderr
+from anonrelay._util import BatchMeans
 from anonrelay.cli import main
 
 
@@ -267,6 +267,26 @@ def test_match_dump_round_trips_through_cli(tmp_path, capsys):
     assert "drop_fraction=" in out and "matched=" in out
 
 
+@pytest.mark.parametrize("command,flag,text", [
+    ("tradeoff", "--topology", "node a cap 1\nnode b cap x\n"),
+    ("tradeoff", "--topology", None),
+    ("relay", "--config", "{\"packets\": 5"),
+    ("relay", "--config", "[5]"),
+    ("relay", "--config", None),
+    ("relay", "--stats-from", "match window 1.0\n[pairs]\n"),
+    ("relay", "--stats-from", None),
+], ids=["topology-malformed", "topology-missing", "config-malformed", "config-not-an-object",
+        "config-missing", "stats-from-bad-header", "stats-from-missing"])
+def test_bad_file_flags_exit_with_a_message(command, flag, text, tmp_path):
+    # None: the file is missing
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit, match=f"^{flag} "):
+        main([command, flag, str(path), "--out-dir", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flag,value,message", [
     ("packets", "0", "--packets must be an integer of at least 1"),
     ("packets", "-5", "--packets must be an integer of at least 1"),
@@ -343,19 +363,23 @@ def test_streamed_avg_relay_equals_the_whole_schedule_relay(tmp_path, monkeypatc
         point_process.GenSpec(cb, horizon + 100.0 * max(dbar, 1.0 / cb), seed), node_id="out")
     res = relay_core.avg_delay_relay(arrivals, departures, dbar)
     assert math.isfinite(res.delay_bound)
-    assert checks["avg-mode-mean-delay"]["measured"] == res.mean_delay
-    assert checks["avg-mode-mean-delay"]["stderr"] == batch_stderr(res.delays, 100)
+    loss = analytic.loss_fraction(point_process.empirical_rate(arrivals),
+                                  point_process.empirical_rate(departures), res.delay_bound)
+    # the run batches the arrivals it expects and the matched packets it predicts
+    delays = BatchMeans(round(n * (1.0 - loss)), 100).add(res.delays)
+    assert checks["avg-mode-mean-delay"]["measured"] == delays.mean
+    assert checks["avg-mode-mean-delay"]["stderr"] == delays.stderr
     assert checks["avg-mode-loss-fraction"]["measured"] == res.drop_fraction
-    assert checks["avg-mode-loss-fraction"]["stderr"] == batch_stderr(res.dropped, 100)
-    assert checks["avg-mode-loss-fraction"]["predicted"] == analytic.loss_fraction(
-        point_process.empirical_rate(arrivals), point_process.empirical_rate(departures),
-        res.delay_bound)
+    assert checks["avg-mode-loss-fraction"]["stderr"] == \
+        BatchMeans(n, 100).add(res.dropped).stderr
+    assert checks["avg-mode-loss-fraction"]["predicted"] == loss
 
 
 RELAY_MODES = {
     "strict": ["--cs", "1", "--cb", "1", "--delta", "1"],
     "priority": ["--mode", "priority", "--cs", "1", "--cs2", "1", "--cb", "2", "--delta", "1"],
     "avg": ["--mode", "avg", "--cs", "1", "--cb", "3", "--dbar", "1"],
+    "avg_window": ["--mode", "avg", "--cs", "1", "--cb", "1", "--dbar", "1"],
 }
 
 
@@ -368,13 +392,14 @@ def _traced_peak(argv) -> int:
         tracemalloc.stop()
 
 
-# Whole schedules would add about 30 MB or more between these sizes; a
-# streamed run keeps one drop bit per arrival beyond a few chunks.
+# Whole schedules would add about 30 MB or more between these sizes, and
+# keeping every matched delay of a finite window about 5 MB; a streamed run
+# holds a few chunks and O(batches) numbers per error bar.
 @pytest.mark.parametrize("mode", list(RELAY_MODES))
 def test_relay_memory_does_not_grow_with_the_horizon(mode, tmp_path, capsys):
     peaks = [_traced_peak(["relay", *RELAY_MODES[mode], "--packets", str(n),
                            "--out-dir", str(tmp_path / str(n))])
-             for n in (250_000, 1_000_000)]
+             for n in (250_000, 2_000_000)]
     assert peaks[1] - peaks[0] <= 4_000_000, peaks
 
 

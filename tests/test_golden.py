@@ -18,6 +18,7 @@ COMMANDS = {
                      "--dump-match", "relay_strict/match.txt"],
     "relay_avg": ["relay", "--mode", "avg", "--cs", "1", "--cb", "3", "--dbar", "1",
                   "--packets", "20000"],
+    "relay_avg_window": ["relay", "--mode", "avg", "--packets", "20000"],
     "relay_priority": ["relay", "--mode", "priority", "--cs", "1", "--cs2", "1", "--cb", "2",
                        "--delta", "1", "--packets", "20000"],
     "region": ["region", "--cs1", "1", "--cs2", "1", "--cb", "2", "--delta", "1",
@@ -30,8 +31,8 @@ COMMANDS = {
                           "--sim-packets", "20000"],
 }
 
-# (exit code, {file name: sha256}) per command, made before the index-based
-# match results replaced the epoch-array ones
+# (exit code, {file name: sha256}) per command, most of them made before the
+# index-based match results replaced the epoch-array ones
 GOLDEN = {
     "relay_strict": (0, {
         "match.txt":
@@ -47,11 +48,17 @@ GOLDEN = {
         "relay_runs.csv":
             "c13a8ac9608ac24a12a0413d71f71e97ed4bc6e4b34e6990ef4cf07902597c31",
     }),
+    "relay_avg_window": (0, {
+        "relay_report.json":
+            "a37ae71dc48f8483e3c0c5d5bee9b8d7ab0828c9d744aacfa2946a89309c7d76",
+        "relay_runs.csv":
+            "dcc7e45dd66278f1ac5305aa3443c79660e59f42be0bad1ff19a9c07a12dc8f4",
+    }),
     "relay_priority": (0, {
         "relay_report.json":
-            "3fffe9a64f2740380f99b793f473f5d146d270fb454876a3e7db581f383f1082",
+            "e976852d60f710d70fe570265f176f283e78a5e91b99ea4d0d915ccba1f5383f",
         "relay_runs.csv":
-            "13516650c026afd8f25e5b81b9e6b84f000ea7db2ab65b4ea859e915c18410fe",
+            "6ea15e0244ed416912903e1b849f758a24a899fc8b19d321f950c027450cebe5",
     }),
     "region": (0, {
         "region.csv":

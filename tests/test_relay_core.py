@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import min_drops_exhaustive, walk_oracle_reference
 
 from anonrelay import analytic
-from anonrelay._util import batch_stderr, flag_batch_stderr, substream
+from anonrelay._util import batch_stderr, substream
 from anonrelay.point_process import (
     EmptyScheduleError,
     GenSpec,
@@ -299,36 +299,26 @@ def test_match_result_rejects_bad_pairs():
 
 
 def test_drop_tally_of_streamed_steps_equals_the_whole_match():
-    # split unevenly, so steps end off byte edges and flags wait in the tail
+    # split unevenly, so steps end off batch edges
     rng = substream(9, "tally")
     arr = np.cumsum(rng.exponential(1.0, 150_000))
     dep = np.cumsum(rng.exponential(0.9, 150_000))
     whole = bounded_greedy_match(arr, dep, 1.0)
-    tally = DropTally()
-    for step in stream_relay({"in": np.array_split(arr, 13)}, np.array_split(dep, 7),
-                             ("in",), 1.0):
-        tally.add(step["in"])
     for batches in (32, 100):
-        st = tally.stats(batches)
+        tally = DropTally(arr.size, batches)
+        for step in stream_relay({"in": np.array_split(arr, 13)}, np.array_split(dep, 7),
+                                 ("in",), 1.0):
+            tally.add(step["in"])
+        st = tally.stats()
         assert st == RelayPathStats(arr.size, whole.n_dropped,
                                     batch_stderr(whole.dropped, batches))
     assert st.drop_fraction == whole.drop_fraction
 
 
-@pytest.mark.parametrize("n", [4, 5, 7, 8, 9, 17, 63, 64, 65, 200, 4097])
-def test_error_bar_from_packed_flags_equals_batch_stderr(n):
-    # batch edges on and off byte edges, batches of fewer than eight flags
-    rng = np.random.default_rng(n)
-    for density in (0.0, 0.3, 1.0):
-        flags = rng.random(n) < density
-        for batches in (2, 3, 32, 100):
-            assert flag_batch_stderr(np.packbits(flags), n, batches) == \
-                batch_stderr(flags, batches)
-
-
 def test_drop_tally_of_an_empty_stream_loses_nothing_exactly():
-    assert DropTally().stats() == RelayPathStats(0, 0, 0.0)
-    tally = DropTally()
+    assert DropTally(0).stats() == RelayPathStats(0, 0, 0.0)
+    assert DropTally(1000, 100).stats() == RelayPathStats(0, 0, 0.0)
+    tally = DropTally(1000, 100)
     tally.add(bounded_greedy_match([], [1.0, 2.0], 1.0))
     assert tally.stats() == RelayPathStats(0, 0, 0.0)
     assert tally.stats().drop_fraction == 0.0

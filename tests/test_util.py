@@ -1,0 +1,80 @@
+import math
+
+import numpy as np
+import pytest
+
+from anonrelay._util import BatchMeans, batch_stderr
+
+
+def _reshape_means(x, batches):
+    """Reference batch means: the first b runs of n // b values, each
+    averaged on its own."""
+    b = min(batches, x.size // 2)
+    k = x.size // b
+    return x[: k * b].reshape(b, k).mean(axis=1)
+
+
+def _fed_in_pieces(x, n, batches, rng, pieces):
+    acc = BatchMeans(n, batches)
+    for part in np.split(x, np.sort(rng.integers(0, x.size + 1, pieces - 1))):
+        acc.add(part)
+    return acc
+
+
+@pytest.mark.parametrize("n", [4, 5, 7, 9, 63, 200, 4097, 100_000])
+def test_any_split_of_a_stream_gives_the_same_error_bar(n):
+    rng = np.random.default_rng(n)
+    for x in (rng.exponential(1.0, n), rng.random(n) < 0.3):
+        whole = BatchMeans(n, 100).add(x)
+        for pieces in (2, 7, 50):
+            acc = _fed_in_pieces(x, n, 100, rng, pieces)
+            assert (acc.count, acc.total, acc.stderr) == (whole.count, whole.total, whole.stderr)
+            assert np.array_equal(acc.edges, whole.edges)
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 17, 64, 65, 200, 4097])
+def test_batch_means_equal_the_reshape_means(n):
+    rng = np.random.default_rng(n)
+    for batches in (2, 3, 32, 100):
+        for density in (0.0, 0.3, 1.0):
+            flags = rng.random(n) < density
+            acc = BatchMeans(n, batches).add(flags)
+            ref = _reshape_means(flags.astype(float), batches)
+            assert np.array_equal(np.diff(acc.edges) / acc.k, ref)  # counts are exact
+            assert batch_stderr(flags, batches) == float(ref.std(ddof=1) / np.sqrt(ref.size))
+        x = rng.normal(1.0, 0.5, n)
+        ref = _reshape_means(x, batches)
+        acc = BatchMeans(n, batches).add(x)
+        np.testing.assert_allclose(np.diff(acc.edges) / acc.k, ref, rtol=0, atol=1e-12)
+        assert batch_stderr(x, batches) == pytest.approx(ref.std(ddof=1) / np.sqrt(ref.size),
+                                                         rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_fewer_than_four_values_have_no_error_bar(n):
+    x = np.arange(n, dtype=float)
+    assert math.isnan(batch_stderr(x))
+    assert math.isnan(BatchMeans(n, 2).add(x).stderr)
+    # the count the run expects sets the batches, not the count it gets
+    assert math.isnan(BatchMeans(n, 2).add(np.arange(100.0)).stderr)
+    assert math.isfinite(batch_stderr(np.arange(4.0), 2))
+
+
+def test_an_empty_stream_has_no_mean():
+    acc = BatchMeans(1000, 100)
+    assert math.isnan(acc.add([]).mean) and math.isnan(acc.stderr)
+
+
+def test_expected_count_sets_the_batches():
+    rng = np.random.default_rng(5)
+    x = rng.exponential(1.0, 1000)
+    # values past the last batch count toward the mean only
+    longer = BatchMeans(900, 100).add(x)
+    assert longer.stderr == batch_stderr(x[:900], 100)
+    assert longer.mean == np.add.accumulate(x)[-1] / x.size
+    # a batch the stream does not fill is left out: 95 of 100 batches of 10
+    shorter = BatchMeans(1000, 100).add(x[:955])
+    ref = _reshape_means(x[:950], 95)
+    assert shorter.stderr == pytest.approx(ref.std(ddof=1) / np.sqrt(95), rel=1e-12, abs=0)
+    # one full batch is not enough to spread
+    assert math.isnan(BatchMeans(1000, 100).add(x[:15]).stderr)

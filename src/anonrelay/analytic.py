@@ -187,18 +187,19 @@ class RateRegion2:
 
 def _priority_corner_rate(rate_hi, rate_lo, relay_rate, delay, events, seed, tag):
     """Delivered rate of the low-priority source when the other has strict
-    priority, measured by running the successive matcher on seeded Poisson
-    schedules."""
+    priority, measured by streaming seeded Poisson draws through the
+    successive matcher, so the run holds a few chunks of epochs whatever
+    `events` is."""
     from . import relay_core
-    from .point_process import GenSpec, gen_poisson
+    from .point_process import GenSpec, poisson_chunks
 
     horizon = events / (rate_hi + rate_lo)
-    hi = gen_poisson(GenSpec(rate=rate_hi, horizon=horizon, seed=seed), node_id=f"{tag}-hi")
-    lo = gen_poisson(GenSpec(rate=rate_lo, horizon=horizon, seed=seed), node_id=f"{tag}-lo")
-    out = gen_poisson(GenSpec(rate=relay_rate, horizon=horizon, seed=seed), node_id=f"{tag}-out")
-    order = relay_core.PriorityOrder.single((hi.node_id, lo.node_id))
-    results = relay_core.priority_relay([hi, lo], out, order, delay)
-    return results[1].n_matched / horizon
+    hi, lo = f"{tag}-hi", f"{tag}-lo"
+    arrivals = {k: poisson_chunks(GenSpec(rate, horizon, seed), node_id=k)
+                for k, rate in ((hi, rate_hi), (lo, rate_lo))}
+    out = poisson_chunks(GenSpec(relay_rate, horizon, seed), node_id=f"{tag}-out")
+    steps = relay_core.stream_relay(arrivals, out, (hi, lo), delay)
+    return sum(step[lo].n_matched for step in steps) / horizon
 
 
 def two_source_region(
@@ -214,8 +215,11 @@ def two_source_region(
 
     The published closed form for the corner tangent lines does not survive
     validation against the matcher (see the region tests), so the two
-    priority corners use a deterministic seeded measurement instead; they are
-    clipped into the outer bound so containment is exact by construction.
+    priority corners use a deterministic seeded measurement instead, made on
+    streamed draws of about `corner_events` arrivals whose memory does not
+    grow with it; they are clipped into the outer bound so containment is
+    exact by construction. Time sharing between the operating points gives
+    exactly their convex hull, so the inner region is that hull.
     `corner_events` must be a positive integer.
     """
     check_count("corner_events", corner_events)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analytic, anonymity_opt, network_model, relay_core
-from ._util import BatchMeans, check_count, fmt
+from ._util import BatchMeans, fmt
 from .point_process import GenSpec, poisson_chunks, poisson_rate
 
 __all__ = ["main"]
@@ -148,7 +148,7 @@ def _relay_avg(args, rows):
         rows.append(_loss_row("avg-mode-loss-fraction", loss, tally))
 
 
-_LEAST = {"packets": 1, "corner_events": 1, "sim_packets": 1, "alpha_points": 2}
+_LEAST = {"packets": 1, "corner_events": 1, "sim_packets": 1, "alpha_points": 2, "seed": 0}
 _POSITIVE = ("cs", "cs1", "cs2", "cb", "dbar", "capacity")
 
 
@@ -156,18 +156,14 @@ def _check_args(args) -> None:
     """Reject parameters no run can use, naming the flag; values from
     --config are held to the same rules. A count is an integer of at least
     1, or 2 for --alpha-points, since the tradeoff report reads both ends of
-    the grid; --delta is nonnegative and may be infinite; rates and
-    capacities are finite and positive."""
+    the grid, and a seed an integer of at least 0 (a bool is neither);
+    --delta is nonnegative and may be infinite; rates and capacities are
+    finite and positive."""
     for dest, v in vars(args).items():
         flag = "--" + dest.replace("_", "-")
         real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
         if dest in _LEAST:
-            try:
-                check_count(flag, v)
-                ok = v >= _LEAST[dest]
-            except ValueError:
-                ok = False
-            if not ok:
+            if not (real and isinstance(v, (int, np.integer)) and v >= _LEAST[dest]):
                 raise SystemExit(f"{flag} must be an integer of at least {_LEAST[dest]}, "
                                  f"got {v!r}")
         elif dest == "delta" and not (real and v >= 0.0):

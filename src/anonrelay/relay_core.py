@@ -1,7 +1,7 @@
 """Delay-constrained relaying: greedy matching of arrivals to an independent
-departure schedule, priority and time-shared variants, the average-delay
-relaxation, and a clipped-random-walk oracle that predicts the same losses
-without sharing any matching code.
+departure schedule, successive-priority and equal-priority variants, the
+average-delay relaxation, and a clipped-random-walk oracle that predicts the
+same losses without sharing any matching code.
 
 One block-scan kernel, `_scan`, serves every matcher. It is resumable:
 `_Greedy` feeds it departures in chunks of _CHUNK and carries the count of
@@ -38,7 +38,6 @@ __all__ = [
     "MatchResult",
     "RelayPathStats",
     "DropTally",
-    "PriorityOrder",
     "bounded_greedy_match",
     "priority_relay",
     "stream_relay",
@@ -376,37 +375,6 @@ def bounded_greedy_match(arrivals, departures, delay: float) -> MatchResult:
     return MatchResult(arr, dep, _match_index(arr, dep, delay), delay)
 
 
-@dataclass(frozen=True)
-class PriorityOrder:
-    """Time-shared priority assignment over a fixed set of sources.
-
-    Each ordering lists source node ids from highest to lowest priority; the
-    weights say what fraction of the horizon runs under each ordering.
-    """
-
-    orderings: tuple[tuple[str, ...], ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.orderings:
-            raise ValueError("need at least one ordering")
-        base = frozenset(self.orderings[0])
-        for o in self.orderings:
-            if len(o) != len(self.orderings[0]) or frozenset(o) != base or len(set(o)) != len(o):
-                raise ValueError("orderings must all be permutations of one source set")
-        if len(self.weights) != len(self.orderings):
-            raise ValueError("one weight per ordering")
-        if any(w < 0.0 for w in self.weights):
-            raise ValueError("weights must be nonnegative")
-        total = sum(self.weights)
-        if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
-            raise ValueError(f"weights must sum to 1, got {total}")
-
-    @classmethod
-    def single(cls, ordering: Sequence[str]) -> "PriorityOrder":
-        return cls(orderings=(tuple(ordering),), weights=(1.0,))
-
-
 class _Successive:
     """Successive priority matching, resumable: each stream, in priority
     order, is matched on the departures left unused by the streams above it."""
@@ -490,10 +458,17 @@ class _Joint:
         return out
 
 
-def _successive_match(streams: dict[str, np.ndarray], ordering, departures, delay):
-    """Apply the greedy matcher stream by stream in priority order; each
-    stream sees only the departure epochs left unused by higher priorities."""
-    return _Successive(ordering, delay).step(departures, streams, final=True)
+def _matcher(ids, ordering: Optional[Sequence[str]], delay: float):
+    """The resumable matcher of the streams `ids`: successive under an
+    `ordering` (every id once, highest priority first), equal priority under
+    None. The delay is checked here, so even no streams reject a bad one."""
+    if not (delay >= 0.0):
+        raise ValueError(f"delay must be nonnegative, got {delay}")
+    if ordering is None:
+        return _Joint(ids, delay)
+    if sorted(ordering) != sorted(ids):
+        raise ValueError("ordering must list every stream exactly once")
+    return _Successive(ordering, delay)
 
 
 def _joint_match(streams: dict[str, np.ndarray], departures, delay):
@@ -505,7 +480,7 @@ def _joint_match(streams: dict[str, np.ndarray], departures, delay):
 
 
 def _concat_results(parts: list[MatchResult], delay: float) -> MatchResult:
-    """Join per-segment results of one stream, segments in time order."""
+    """Join per-step results of one stream, steps in time order."""
     index = []
     offset = 0
     for p in parts:
@@ -522,55 +497,26 @@ def _concat_results(parts: list[MatchResult], delay: float) -> MatchResult:
 def priority_relay(
     arrival_streams: Sequence[Schedule],
     departures: Schedule,
-    order: Optional[PriorityOrder],
+    ordering: Optional[Sequence[str]],
     delay: float,
 ) -> list[MatchResult]:
-    """Relay several source streams through one departure schedule.
+    """Relay several whole source streams through one departure schedule;
+    one result per stream, in the order given.
 
-    With a `PriorityOrder`, matching is the successive greedy scheme: the top
-    stream is matched as if alone, the next on the leftover epochs, and so
-    on, so the top stream's result equals its standalone match exactly.
-    Multiple weighted orderings time-share by splitting the horizon in
-    proportion to the weights.
-
-    With `order=None` the streams are merged and matched with equal priority;
-    in that mode the dummy section of every per-stream result is the shared
-    list of unused departure epochs.
+    With an `ordering` (every stream's node id, highest priority first)
+    matching is the successive greedy scheme: the top stream is matched as
+    if alone, the next on the leftover epochs, and so on, so the top
+    stream's result equals its standalone match exactly. With None the
+    streams are merged and matched with equal priority; in that mode the
+    dummy section of every per-stream result is the shared list of unused
+    departure epochs.
     """
     ids = [s.node_id for s in arrival_streams]
     if len(set(ids)) != len(ids):
         raise ValueError("arrival streams must have distinct node ids")
     streams = {s.node_id: _epoch_array(s) for s in arrival_streams}
-    dep = _epoch_array(departures)
-
-    if order is None:
-        by_id = _joint_match(streams, dep, delay)
-        return [by_id[k] for k in ids]
-
-    if frozenset(order.orderings[0]) != frozenset(ids):
-        raise ValueError("priority order does not cover the given streams")
-
-    if len(order.orderings) == 1:
-        by_id = _successive_match(streams, order.orderings[0], dep, delay)
-        return [by_id[k] for k in ids]
-
-    # Time sharing: consecutive time segments sized by the weights, each run
-    # under its own ordering. Packets do not cross segment boundaries.
-    span = max(
-        [dep[-1] if dep.size else 0.0]
-        + [s[-1] if s.size else 0.0 for s in streams.values()]
-    )
-    edges = np.concatenate([[0.0], np.cumsum(order.weights)]) * span
-    edges[-1] = math.inf
-    parts: dict[str, list[MatchResult]] = {k: [] for k in ids}
-    for seg, ordering in enumerate(order.orderings):
-        lo, hi = edges[seg], edges[seg + 1]
-        seg_streams = {k: v[(v >= lo) & (v < hi)] for k, v in streams.items()}
-        seg_dep = dep[(dep >= lo) & (dep < hi)]
-        by_id = _successive_match(seg_streams, ordering, seg_dep, delay)
-        for k in ids:
-            parts[k].append(by_id[k])
-    return [_concat_results(parts[k], delay) for k in ids]
+    by_id = _matcher(streams, ordering, delay).step(_epoch_array(departures), streams, final=True)
+    return [by_id[k] for k in ids]
 
 
 def _checked_chunks(chunks: Iterable) -> Iterator[np.ndarray]:
@@ -595,21 +541,16 @@ def stream_relay(
     """Relay streams given as chunks of epochs, holding a few chunks at a
     time rather than whole schedules.
 
-    With an `ordering` (every stream's id, highest priority first) matching
-    is successive, as `priority_relay` does under a single ordering; with
-    None the streams share the relay with equal priority. Each chunk is held
-    to the Schedule rules. Yields, per step, each stream's result over that
-    step's departures and the arrivals it settled: matched, or dropped for
-    good. One step is made per departure chunk, then more as the arrivals
-    left over once departures run out are read and dropped. Joined in order,
-    the steps give the whole-schedule results index for index.
+    `ordering` is read as `priority_relay` reads it: every stream's id,
+    highest priority first, for successive matching, or None for equal
+    priority. Each chunk is held to the Schedule rules. Yields, per step,
+    each stream's result over that step's departures and the arrivals it
+    settled: matched, or dropped for good. One step is made per departure
+    chunk, then more as the arrivals left over once departures run out are
+    read and dropped. Joined in order, the steps give the whole-schedule
+    results index for index.
     """
-    if ordering is None:
-        matcher = _Joint(arrival_chunks, delay)
-    elif sorted(ordering) == sorted(arrival_chunks):
-        matcher = _Successive(ordering, delay)
-    else:
-        raise ValueError("ordering must list every stream exactly once")
+    matcher = _matcher(arrival_chunks, ordering, delay)
     sources = {k: _checked_chunks(v) for k, v in arrival_chunks.items()}
     reached = dict.fromkeys(sources, -math.inf)  # last epoch read per stream
     empty = np.empty(0)

@@ -16,7 +16,6 @@ from anonrelay import analytic, anonymity_opt as ao, network_model as nm
 from anonrelay.cli import main as cli_main
 from anonrelay.point_process import GenSpec, gen_poisson
 from anonrelay.relay_core import (
-    PriorityOrder,
     bounded_greedy_match,
     priority_relay,
     random_walk_oracle,
@@ -123,7 +122,7 @@ def _fresh_corner(rate_hi, rate_lo, cb, delta, events, seed):
     hi = gen_poisson(GenSpec(rate_hi, horizon, seed), node_id="hi")
     lo = gen_poisson(GenSpec(rate_lo, horizon, seed), node_id="lo")
     out = gen_poisson(GenSpec(cb, horizon, seed), node_id="out")
-    top, low = priority_relay([hi, lo], out, PriorityOrder.single(("hi", "lo")), delta)
+    top, low = priority_relay([hi, lo], out, ("hi", "lo"), delta)
     return low.n_matched / horizon, top.n_matched / horizon, horizon
 
 

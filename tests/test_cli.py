@@ -341,6 +341,22 @@ def test_relay_packets_from_config_must_be_an_integer(value, tmp_path):
         main(["relay", "--config", str(cfg), "--out-dir", str(tmp_path)])
 
 
+@pytest.mark.parametrize("source,value", [
+    ("flag", "-1"), ("config", -1), ("config", 1.5), ("config", True), ("config", "x"),
+])
+def test_bad_seed_exits_with_a_message(source, value, tmp_path):
+    argv = ["relay", "--out-dir", str(tmp_path)]
+    if source == "flag":
+        argv += ["--seed", value]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": value}))
+        argv += ["--config", str(cfg)]
+    with pytest.raises(SystemExit, match="--seed must be an integer of at least 0"):
+        main(argv)
+    assert not any(tmp_path.glob("relay_*"))
+
+
 def test_relay_accepts_an_unbounded_window(tmp_path):
     main(["relay", "--delta", "inf", "--cb", "2", "--packets", "2000",
           "--out-dir", str(tmp_path)])
@@ -398,6 +414,17 @@ def _traced_peak(argv) -> int:
 @pytest.mark.parametrize("mode", list(RELAY_MODES))
 def test_relay_memory_does_not_grow_with_the_horizon(mode, tmp_path, capsys):
     peaks = [_traced_peak(["relay", *RELAY_MODES[mode], "--packets", str(n),
+                           "--out-dir", str(tmp_path / str(n))])
+             for n in (250_000, 2_000_000)]
+    assert peaks[1] - peaks[0] <= 4_000_000, peaks
+
+
+# Whole schedules would add about 70 MB between these sizes; the streamed
+# corners hold a few chunks. Both sizes fill the 2^16-epoch chunks: below
+# about 500k events the chunks are partly empty and the peak still rises,
+# by 4 MB from 100k to 1M, to the flat 8.5 MB it keeps from 500k to 2M.
+def test_region_memory_does_not_grow_with_the_corner_events(tmp_path):
+    peaks = [_traced_peak(["region", "--corner-events", str(n),
                            "--out-dir", str(tmp_path / str(n))])
              for n in (250_000, 2_000_000)]
     assert peaks[1] - peaks[0] <= 4_000_000, peaks

@@ -126,10 +126,10 @@ def test_output_bytes_unchanged(name, tmp_path, monkeypatch):
     assert run_command(name) == GOLDEN[name]
 
 
-# 20k packets fit in one default chunk, so the relay commands are also run
-# with chunks of 1,000 epochs and departures, where every run crosses many
-# chunk edges.
-@pytest.mark.parametrize("name", [n for n in COMMANDS if n.startswith("relay")])
+# 20k packets or corner events fit in one default chunk, so the relay and
+# region commands are also run with chunks of 1,000 epochs and departures,
+# where every run crosses many chunk edges.
+@pytest.mark.parametrize("name", [n for n in COMMANDS if n.startswith("relay")] + ["region"])
 def test_relay_bytes_unchanged_in_small_chunks(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(point_process, "_CHUNK", 1000)

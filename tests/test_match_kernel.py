@@ -17,11 +17,10 @@ from anonrelay import relay_core
 from anonrelay.point_process import GenSpec, Schedule, ScheduleError, gen_poisson
 from anonrelay.relay_core import (
     OTHER,
-    PriorityOrder,
     _concat_results,
     _joint_match,
     _match_index,
-    _successive_match,
+    _matcher,
     bounded_greedy_match,
     priority_relay,
     stream_relay,
@@ -119,7 +118,7 @@ def test_joint_without_departures_drops_everything():
 
 
 @pytest.mark.parametrize("delay", [-1.0, math.nan])
-@pytest.mark.parametrize("order", [PriorityOrder.single(("s1", "s2")), None])
+@pytest.mark.parametrize("order", [("s1", "s2"), None])
 def test_priority_relay_rejects_bad_delay(delay, order):
     s1 = Schedule("s1", np.array([0.5, 1.5]))
     s2 = Schedule("s2", np.array([1.0]))
@@ -197,8 +196,7 @@ fractions = st.lists(st.floats(0.0, 1.0), max_size=4)
 def test_streamed_steps_join_to_the_whole_match(ordering, a, b, dep, delay, cut_a, cut_b,
                                                 cut_dep, chunk):
     streams = {"a": a, "b": b}
-    whole = (_joint_match(streams, dep, delay) if ordering is None
-             else _successive_match(streams, ordering, dep, delay))
+    whole = _matcher(streams, ordering, delay).step(dep, streams, final=True)
     chunks = {"a": _pieces(a, cut_a), "b": _pieces(b, cut_b)}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(relay_core, "_CHUNK", chunk)
@@ -214,7 +212,11 @@ def test_stream_rejects_bad_chunks_and_orderings():
                           ("a",), 1.0))
     with pytest.raises(ScheduleError, match="increasing"):
         list(stream_relay({"a": good}, [np.array([2.0, 1.0])], ("a",), 1.0))
-    with pytest.raises(ValueError, match="every stream exactly once"):
-        list(stream_relay({"a": good, "b": good}, good, ("a",), 1.0))
+    for ordering in (("a",), ("a", "a")):
+        with pytest.raises(ValueError, match="every stream exactly once"):
+            list(stream_relay({"a": good, "b": good}, good, ordering, 1.0))
+    for ordering in ((), None):  # no streams still check the delay
+        with pytest.raises(ValueError, match="delay must be nonnegative"):
+            list(stream_relay({}, good, ordering, math.nan))
     with pytest.raises(ValueError, match="delay must be nonnegative"):
         list(stream_relay({"a": good}, good, None, math.nan))

@@ -20,7 +20,6 @@ from anonrelay.point_process import (
 from anonrelay.relay_core import (
     DropTally,
     MatchResult,
-    PriorityOrder,
     RelayPathStats,
     avg_delay_relay,
     bounded_greedy_match,
@@ -127,7 +126,7 @@ def test_single_stream_priority_equals_plain_match():
     h = 5000.0
     s = gen_poisson(GenSpec(1.0, h, 3), node_id="s")
     out = gen_poisson(GenSpec(1.5, h, 4), node_id="b")
-    (res,) = priority_relay([s], out, PriorityOrder.single(("s",)), 0.8)
+    (res,) = priority_relay([s], out, ("s",), 0.8)
     plain = bounded_greedy_match(s, out, 0.8)
     assert np.array_equal(res.pairs, plain.pairs)
     assert np.array_equal(res.dropped_arrivals, plain.dropped_arrivals)
@@ -138,7 +137,7 @@ def test_top_priority_stream_sees_departures_alone():
     s1 = gen_poisson(GenSpec(1.0, h, 5), node_id="s1")
     s2 = gen_poisson(GenSpec(0.8, h, 6), node_id="s2")
     out = gen_poisson(GenSpec(1.5, h, 7), node_id="b")
-    top, low = priority_relay([s1, s2], out, PriorityOrder.single(("s1", "s2")), 1.0)
+    top, low = priority_relay([s1, s2], out, ("s1", "s2"), 1.0)
     alone = bounded_greedy_match(s1, out, 1.0)
     assert np.array_equal(top.pairs, alone.pairs)
     assert np.array_equal(top.dropped_arrivals, alone.dropped_arrivals)
@@ -167,29 +166,6 @@ def test_equal_priority_shares_dummy_epochs():
     assert np.array_equal(r1.dummy_departures, r2.dummy_departures)
     used = set(r1.pairs[:, 1]) | set(r2.pairs[:, 1]) | set(r1.dummy_departures)
     assert used == set(out.epochs.tolist())
-
-
-def test_time_sharing_interpolates_priority():
-    h = 4e4
-    s1 = gen_poisson(GenSpec(1.0, h, 21), node_id="s1")
-    s2 = gen_poisson(GenSpec(1.0, h, 22), node_id="s2")
-    out = gen_poisson(GenSpec(1.2, h, 23), node_id="b")
-    order = PriorityOrder(orderings=(("s1", "s2"), ("s2", "s1")), weights=(0.5, 0.5))
-    shared = priority_relay([s1, s2], out, order, 1.0)
-    pure1 = priority_relay([s1, s2], out, PriorityOrder.single(("s1", "s2")), 1.0)
-    pure2 = priority_relay([s1, s2], out, PriorityOrder.single(("s2", "s1")), 1.0)
-    for k in range(2):
-        mix = 0.5 * (pure1[k].n_matched + pure2[k].n_matched)
-        assert shared[k].n_matched == pytest.approx(mix, rel=0.05)
-
-
-def test_priority_order_validation():
-    with pytest.raises(ValueError):
-        PriorityOrder(orderings=(("a", "b"), ("a", "c")), weights=(0.5, 0.5))
-    with pytest.raises(ValueError):
-        PriorityOrder(orderings=(("a", "b"),), weights=(0.5,))
-    with pytest.raises(ValueError):
-        PriorityOrder(orderings=(("a", "a"),), weights=(1.0,))
 
 
 def test_avg_delay_fast_relay_never_drops():

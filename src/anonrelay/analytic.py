@@ -225,11 +225,10 @@ def two_source_region(
     check_count("corner_events", corner_events)
     _check_rates(rate1, relay_rate)
     _check_rates(rate2, relay_rate)
-    cap1 = rate1 * (1.0 - loss_fraction(rate1, relay_rate, delay))
-    cap2 = rate2 * (1.0 - loss_fraction(rate2, relay_rate, delay))
-    keep = 1.0 - loss_fraction(rate1 + rate2, relay_rate, delay)
-    sum_cap = (rate1 + rate2) * keep
-    pstar = (rate1 * keep, rate2 * keep)
+    cap1 = rate1 * erasure_capacity(rate1, relay_rate, delay)
+    cap2 = rate2 * erasure_capacity(rate2, relay_rate, delay)
+    sum_cap = (rate1 + rate2) * erasure_capacity(rate1 + rate2, relay_rate, delay)
+    pstar = shared_relay_rates((rate1, rate2), relay_rate, delay)
 
     y1 = _priority_corner_rate(rate1, rate2, relay_rate, delay, corner_events, seed, "c1")
     x2 = _priority_corner_rate(rate2, rate1, relay_rate, delay, corner_events, seed, "c2")

@@ -92,8 +92,9 @@ class ObservationCollisionError(RuntimeError):
 
 
 def entropy_bits(prior) -> float:
-    """Shannon entropy in bits of the prior's `probs` (a `DistortionModel` has them too)."""
-    return -sum(p * math.log2(p) for p in prior.probs)
+    """Shannon entropy in bits of the prior's `probs` (a `DistortionModel` has
+    them too), a Python float whichever sequence holds them."""
+    return float(-sum(p * math.log2(p) for p in prior.probs))
 
 
 @dataclass(frozen=True)
@@ -208,13 +209,13 @@ def _subsets(relays: Sequence[str]):
             yield frozenset(combo)
 
 
-def _fixed_covert_sets(sessions) -> list[frozenset]:
-    """Every covert set fixed for all sessions: each subset of the relays
-    interior to some session, smallest first."""
+def _fixed_relays(sessions) -> list[str]:
+    """The relays interior to some session, sorted; more than _MAX_RELAYS
+    raise ValueError."""
     relays = sorted(set().union(*(s.interior_nodes for s in sessions)))
     if len(relays) > _MAX_RELAYS:
         raise ValueError(f"{len(relays)} relays exceed the enumeration cap {_MAX_RELAYS}")
-    return list(_subsets(relays))
+    return relays
 
 
 def deterministic_points(
@@ -223,18 +224,11 @@ def deterministic_points(
     delay: float,
     sim_packets: int = 200_000,
     seed: int = 0,
-    model: Optional[DistortionModel] = None,
 ) -> tuple[DetPoint, ...]:
-    """(anonymity, expected sum rate) of every fixed covert subset, smallest
-    first, read off the distortion model for this prior and delay (built
-    here unless given)."""
-    covert_sets = _fixed_covert_sets(prior.sessions)
-    if model is None:
-        model = build_distortion_model(prior, topo, delay, sim_packets, seed)
-    else:
-        _check_model(model, prior, delay)
-    return tuple(DetPoint(covert=b, alpha=model.anonymity(b), sum_rate=model.covert_rate(b))
-                 for b in covert_sets)
+    """`DistortionModel.deterministic_points` of the model built here. A
+    relay union above the enumeration cap raises ValueError before any solve."""
+    _fixed_relays(prior.sessions)
+    return build_distortion_model(prior, topo, delay, sim_packets, seed).deterministic_points()
 
 
 def best_deterministic(model: DistortionModel, alpha_target: float) -> DetPoint:
@@ -243,8 +237,7 @@ def best_deterministic(model: DistortionModel, alpha_target: float) -> DetPoint:
     first, so ties go to the cheapest set of covert relays."""
     if alpha_target > 1.0:
         raise AnonymityInfeasibleError(alpha_target, 1.0, frozenset())
-    points = [DetPoint(covert=b, alpha=model.anonymity(b), sum_rate=model.covert_rate(b))
-              for b in _fixed_covert_sets(model.sessions)]
+    points = model.deterministic_points()
     feasible = [p for p in points if p.alpha + 1e-12 >= alpha_target]
     if not feasible:
         top = max(points, key=lambda p: p.alpha)
@@ -265,7 +258,8 @@ class DistortionModel:
     into that observation, and +inf where no subset does. This is the loss
     matrix the distortion-rate computation minimises over. A covert set
     fixed for every session picks one cell per row, so `covert_rate` and
-    `anonymity` read deterministic strategies off the model.
+    `anonymity` read deterministic strategies off the model, and
+    `deterministic_points` reads every one.
 
     Cells fall into groups: one per session form and set of covert relay
     labels, the cells whose covert sum rate is one relabelling class's.
@@ -365,6 +359,13 @@ class DistortionModel:
         terms = zip(cols, self.probs.tolist())
         return float(-sum(p * math.log2(p / mass[c]) for c, p in terms) / h_prior)
 
+    def deterministic_points(self) -> tuple[DetPoint, ...]:
+        """(anonymity, expected sum rate) of every covert set fixed for all
+        sessions: each subset of the relays interior to some session,
+        smallest first."""
+        return tuple(DetPoint(covert=b, alpha=self.anonymity(b), sum_rate=self.covert_rate(b))
+                     for b in _subsets(_fixed_relays(self.sessions)))
+
 
 def build_distortion_model(
     prior: SessionPrior,
@@ -429,13 +430,6 @@ def build_distortion_model(
         metadata=dict.fromkeys(("simulated_entries", "class_evaluations",
                                 "cascade_simulations"), 0),
     )
-
-
-def _check_model(model: DistortionModel, prior: SessionPrior, delay: float) -> None:
-    """Reject a model built for another prior or delay."""
-    if (model.sessions != prior.sessions or not np.array_equal(model.probs, prior.probs)
-            or model.delay != delay):
-        raise ValueError("distortion model was built for another prior or delay")
 
 
 @dataclass(frozen=True, eq=False)
@@ -516,7 +510,7 @@ def _ba_fixed_slope(d, probs, beta, max_iter, finite, d_fin):
 
 def blahut_arimoto(
     d,
-    prior,
+    probs,
     rate_bits: float,
     tol: float = BA_TOL,
     max_iter: int = 4000,
@@ -535,11 +529,11 @@ def blahut_arimoto(
     mutual information is convex in the conditional; `BAResult.gap` is its
     certified distortion gap. `max_iter` caps each fixed-slope solve, and an
     unconverged uncertified solve ends the descent with the gap it reached.
-    `prior` may be a `SessionPrior` or a bare probability vector. Callers
+    `probs` is the source probability vector, one per row of `d`. Callers
     evaluating many rate targets on one matrix can pass a shared
     `probe_cache` dict so fixed-slope solves are reused.
     """
-    probs = np.asarray(prior.probs if isinstance(prior, SessionPrior) else prior, dtype=float)
+    probs = np.asarray(probs, dtype=float)
     d = np.asarray(d, dtype=float)
     if d.ndim != 2 or d.shape[0] != probs.size:
         raise ValueError("loss matrix and prior sizes disagree")
@@ -683,23 +677,16 @@ class TradeoffCurve:
         return "\n".join(lines) + "\n"
 
 
-def tradeoff_curve(
-    prior: SessionPrior,
-    delay: float,
-    alpha_grid: Sequence[float],
-    *,
-    model: DistortionModel,
-) -> TradeoffCurve:
+def tradeoff_curve(model: DistortionModel, alpha_grid: Sequence[float]) -> TradeoffCurve:
     """Randomized-strategy frontier R(alpha) = R(0) - D(H(S)(1 - alpha)) on
-    the distortion model built for this prior and delay.
+    the distortion model, which holds the prior, the delay and every loss.
 
     For each anonymity level the distortion-rate solution yields both the
     least sum-rate loss and the covert-set distribution achieving it, mapped
     back through the uniqueness of the covert set given (session,
     observation).
     """
-    _check_model(model, prior, delay)
-    h = entropy_bits(prior)
+    h = entropy_bits(model)
     points = []
     probe_cache: dict = {}
     for alpha in sorted(alpha_grid):

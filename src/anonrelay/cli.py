@@ -74,9 +74,10 @@ def _rows_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _loss_row(name, predicted, tally: relay_core.DropTally):
+def _loss_row(name, predicted, flags: BatchMeans):
     # a stream that drew no arrivals measured nothing, so it has no error bar
-    return _check_row(name, predicted, tally.stats().drop_fraction, tally.flags.stderr)
+    stats = relay_core.RelayPathStats.from_flags(flags)
+    return _check_row(name, predicted, stats.drop_fraction, flags.stderr)
 
 
 def _streamed(sources: dict, out: GenSpec, ordering, delay: float):
@@ -88,14 +89,14 @@ def _streamed(sources: dict, out: GenSpec, ordering, delay: float):
 
 def _relay_strict(args, rows):
     horizon = args.packets / args.cs
-    tally, parts = relay_core.DropTally(args.packets, 100), []
+    flags, parts = BatchMeans(args.packets, 100), []
     for step in _streamed({"in": GenSpec(args.cs, horizon, args.seed)},
                           GenSpec(args.cb, horizon, args.seed), ("in",), args.delta):
-        tally.add(step["in"])
+        flags.add(step["in"].dropped)
         if args.dump_match:  # the dump is the whole match, so it keeps every step
             parts.append(step["in"])
     rows.append(_loss_row("strict-loss-fraction",
-                          analytic.loss_fraction(args.cs, args.cb, args.delta), tally))
+                          analytic.loss_fraction(args.cs, args.cb, args.delta), flags))
     if args.dump_match:
         res = relay_core._concat_results(parts, args.delta)
         _write(Path(args.dump_match), relay_core.match_result_to_text(res))
@@ -107,20 +108,20 @@ def _relay_priority(args, rows):
                "src2": GenSpec(args.cs2, horizon, args.seed)}
     out = GenSpec(args.cb, horizon, args.seed)
     # each source's error bar batches the arrivals it expects, rate × horizon
-    top, low_matched = relay_core.DropTally(round(args.cs * horizon), 100), 0
+    top, low_matched = BatchMeans(round(args.cs * horizon), 100), 0
     for step in _streamed(sources, out, ("src1", "src2"), args.delta):
-        top.add(step["src1"])
+        top.add(step["src1"].dropped)
         low_matched += step["src2"].n_matched
     rows.append(_loss_row("priority-top-loss",
                           analytic.loss_fraction(args.cs, args.cb, args.delta), top))
     rows.append(_check_row("priority-low-rate", math.nan, low_matched / horizon, math.nan))
-    equal = {k: relay_core.DropTally(round(s.rate * horizon), 100) for k, s in sources.items()}
+    equal = {k: BatchMeans(round(s.rate * horizon), 100) for k, s in sources.items()}
     for step in _streamed(sources, out, None, args.delta):
-        for k, tally in equal.items():
-            tally.add(step[k])
+        for k, flags in equal.items():
+            flags.add(step[k].dropped)
     loss = analytic.loss_fraction(args.cs + args.cs2, args.cb, args.delta)
-    for k, tally in equal.items():
-        rows.append(_loss_row(f"equal-priority-loss-{k}", loss, tally))
+    for k, flags in equal.items():
+        rows.append(_loss_row(f"equal-priority-loss-{k}", loss, flags))
 
 
 def _relay_avg(args, rows):
@@ -135,17 +136,17 @@ def _relay_avg(args, rows):
     window = analytic.solve_strict_delay(args.dbar, cs_hat, cb_hat)
     loss = analytic.loss_fraction(cs_hat, cb_hat, window)
     # the delays' batches are runs of the matched packets the closed form predicts
-    tally = relay_core.DropTally(args.packets, 100)
+    flags = BatchMeans(args.packets, 100)
     delays = BatchMeans(round(args.packets * (1.0 - loss)), 100)
     for step in _streamed({"in": arrivals}, departures, ("in",), window):
-        tally.add(step["in"])
+        flags.add(step["in"].dropped)
         if not math.isinf(window):  # an infinite window reads only the drop count
             delays.add(step["in"].delays)
     if math.isinf(window):
-        rows.append(_check_row("avg-mode-zero-drops", 0.0, float(tally.stats().n_dropped), 0.0))
+        rows.append(_check_row("avg-mode-zero-drops", 0.0, flags.total, 0.0))
     else:
         rows.append(_check_row("avg-mode-mean-delay", args.dbar, delays.mean, delays.stderr))
-        rows.append(_loss_row("avg-mode-loss-fraction", loss, tally))
+        rows.append(_loss_row("avg-mode-loss-fraction", loss, flags))
 
 
 _LEAST = {"packets": 1, "corner_events": 1, "sim_packets": 1, "alpha_points": 2, "seed": 0}
@@ -179,6 +180,8 @@ def cmd_relay(args) -> int:
               f"dummies={res.dummy_departures.size} "
               f"drop_fraction={res.drop_fraction:.6g} mean_delay={res.mean_delay:.6g}")
         return 0
+    if args.dump_match and args.mode != "strict":
+        raise SystemExit(f"--dump-match writes a strict-mode match, not one of --mode {args.mode}")
     rows: list[dict] = []
     if args.mode == "strict":
         _relay_strict(args, rows)
@@ -294,12 +297,15 @@ def cmd_tradeoff(args) -> int:
                                   network_model.parse_network_config)
     else:
         topo, prior = network_model.switching_topology(args.capacity)
-    model = anonymity_opt.build_distortion_model(
-        prior, topo, args.delta, sim_packets=args.sim_packets, seed=args.seed
-    )
+    try:  # only a --topology file can pass the enumeration cap
+        model = anonymity_opt.build_distortion_model(
+            prior, topo, args.delta, sim_packets=args.sim_packets, seed=args.seed
+        )
+        det = model.deterministic_points()
+    except ValueError as e:
+        raise SystemExit(f"--topology {args.topology}: {e}")
     grid = np.linspace(0.0, 1.0, args.alpha_points)
-    curve = anonymity_opt.tradeoff_curve(prior, args.delta, grid.tolist(), model=model)
-    det = anonymity_opt.deterministic_points(prior, topo, args.delta, model=model)
+    curve = anonymity_opt.tradeoff_curve(model, grid.tolist())
     det_pairs = [(p.sum_rate, p.alpha) for p in det]
     hull = anonymity_opt.deterministic_hull(det_pairs)
     dominance = all(
@@ -391,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("strict", "priority", "avg"), default="strict")
     p.add_argument("--packets", type=int, default=200_000, help="input packets to simulate")
     p.add_argument("--dump-match", default=None,
-                   help="also write the strict-mode match outcome in text form")
+                   help="also write the match outcome in text form (strict mode only)")
     p.add_argument("--stats-from", default=None,
                    help="print the statistics of a previously dumped match file and exit")
     common(p)

@@ -18,11 +18,11 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import relay_core
-from ._util import check_count, fmt, substream
+from ._util import BatchMeans, check_count, fmt, substream
 from .analytic import loss_fraction
 from .lp import solve_packing_lp
 from .point_process import RateBound, poisson_epochs
-from .relay_core import DropTally, RelayPathStats
+from .relay_core import RelayPathStats
 
 __all__ = [
     "Path",
@@ -355,7 +355,8 @@ def _run_session_sim(session, caps, covert, src_rates, delay, horizon, seed, sch
             for key, res in results.items():
                 i = tag_of[key]
                 streams[i] = res.departures[res.index >= 0]
-                stats[i] = DropTally(res.arrivals.size).add(res).stats()
+                flags = BatchMeans(res.arrivals.size).add(res.dropped)
+                stats[i] = RelayPathStats.from_flags(flags)
             relay_stats[node] = stats
             if schedules:
                 node_schedules[node] = dep
@@ -521,13 +522,12 @@ def _class_rates(key, topo) -> CovertRateResult:
                 e = EpsEstimate(value=e_analytic, stderr=0.0, source="analytic")
             else:
                 st = stats_of[i][paths[i].index(node)]
-                se = st.drop_stderr if math.isfinite(st.drop_stderr) else 0.0
-                e = EpsEstimate(value=st.drop_fraction, stderr=se, source="simulated")
+                e = EpsEstimate(value=st.drop_fraction, stderr=st.drop_stderr, source="simulated")
             eps[(i, node)] = e
             stream_rate[i] *= 1.0 - e.value
             path_rates[i] *= 1.0 - e.value
-            if e.stderr and e.value < 1.0:
-                rel_var[i] += (e.stderr / (1.0 - e.value)) ** 2
+            if e.stderr:  # at a total loss only NaN, no error bar, gets here
+                rel_var[i] += (e.stderr / (1.0 - e.value)) ** 2 if e.value < 1.0 else math.nan
 
     path_var = sum((r * math.sqrt(v)) ** 2 if v else 0.0 for r, v in zip(path_rates, rel_var))
     mode = "analytic" if stats_of is None else "simulated"
@@ -666,4 +666,5 @@ def parse_network_config(text: str):
     prior = SessionPrior(entries=tuple(entries))
     for s, _ in prior.entries:
         s.validate_in(topo)
+        s.relay_order  # a cyclic relay graph raises here, not in the middle of a run
     return topo, prior

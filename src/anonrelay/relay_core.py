@@ -37,7 +37,6 @@ from .point_process import (
 __all__ = [
     "MatchResult",
     "RelayPathStats",
-    "DropTally",
     "bounded_greedy_match",
     "priority_relay",
     "stream_relay",
@@ -175,23 +174,11 @@ class RelayPathStats:
     def drop_fraction(self) -> float:
         return self.n_dropped / self.n_in if self.n_in else 0.0  # nothing carried, nothing lost
 
-
-class DropTally:
-    """What a relay keeps of one arrival stream's drops, fed one
-    `MatchResult` per step: its drop flags, through a `_util.BatchMeans`
-    that expects `n` arrivals, so it holds O(batches) numbers."""
-
-    def __init__(self, n: int, batches: int = 32):
-        self.flags = BatchMeans(n, batches)
-
-    def add(self, res: MatchResult) -> "DropTally":
-        self.flags.add(res.dropped)
-        return self
-
-    def stats(self) -> RelayPathStats:
-        """Counts and error bar; an empty stream loses nothing, exactly: error 0."""
-        f = self.flags
-        return RelayPathStats(f.count, int(f.total), f.stderr if f.count else 0.0)
+    @classmethod
+    def from_flags(cls, flags: BatchMeans) -> "RelayPathStats":
+        """Counts and error bar of a stream's drop flags fed to `flags`; an
+        empty stream loses nothing, exactly: error 0."""
+        return cls(flags.count, int(flags.total), flags.stderr if flags.count else 0.0)
 
 
 def _epoch_array(x) -> np.ndarray:

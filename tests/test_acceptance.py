@@ -310,7 +310,7 @@ def test_criterion_09_randomized_dominates_hull(switching, switching_model):
     det = ao.deterministic_points(prior, topo, 1.0, sim_packets=200_000, seed=11)
     pairs = [(p.sum_rate, p.alpha) for p in det]
     grid = sorted(set(np.linspace(0.0, 1.0, 33)) | {ao.anonymity_level(frozenset(), prior)})
-    curve = ao.tradeoff_curve(prior, 1.0, grid, model=model)
+    curve = ao.tradeoff_curve(model, grid)
     ok = True
     worst = ""
     for pt in curve.points:

@@ -375,7 +375,7 @@ def test_tradeoff_curve_invariants_and_policies(switching, switching_model):
     _, prior = switching
     model = switching_model
     grid = [0.0, 0.25, 0.4362, 0.6, 0.8, 1.0]
-    curve = tradeoff_curve(prior, 1.0, grid, model=model)
+    curve = tradeoff_curve(model, grid)
     rates = [p.rate for p in curve.points]
     assert rates[0] == pytest.approx(4.0, abs=1e-9)
     assert rates[1] == pytest.approx(4.0, abs=1e-9)  # flat below the free anonymity
@@ -390,12 +390,11 @@ def test_tradeoff_curve_invariants_and_policies(switching, switching_model):
         assert dist == ((frozenset(), 1.0),)
 
 
-def test_switching_frontier_matches_closed_form(switching, switching_model):
+def test_switching_frontier_matches_closed_form(switching_model):
     # D(R) on the switching network is the straight chord from the common
     # column (rate 0, loss 4/3) to the lossless floor (rate log2 6, loss 0)
-    _, prior = switching
     grid = np.linspace(0.0, 1.0, 33).tolist()
-    curve = tradeoff_curve(prior, 1.0, grid, model=switching_model)
+    curve = tradeoff_curve(switching_model, grid)
     for pt in curve.points:
         share = min(1.0, math.log2(24) * (1.0 - pt.alpha) / math.log2(6))
         assert pt.rate == pytest.approx(8.0 / 3.0 + 4.0 / 3.0 * share, abs=1e-9)
@@ -408,7 +407,7 @@ def test_tradeoff_dominates_deterministic_hull(switching, switching_model):
     model = switching_model
     det = deterministic_points(prior, topo, 1.0, sim_packets=30_000, seed=1)
     pairs = [(p.sum_rate, p.alpha) for p in det]
-    curve = tradeoff_curve(prior, 1.0, [0.5, 0.727, 0.9, 1.0], model=model)
+    curve = tradeoff_curve(model, [0.5, 0.727, 0.9, 1.0])
     for pt in curve.points:
         assert pt.rate >= deterministic_hull_value(pairs, pt.alpha) - 1e-9
 
@@ -472,7 +471,7 @@ def test_hull_matches_pairwise_reference(pts, below, between):
 def test_points_read_off_the_model_match_direct_enumeration(network, request):
     topo, prior = request.getfixturevalue(network)
     model = build_distortion_model(prior, topo, 1.0, sim_packets=20_000, seed=4)
-    points = deterministic_points(prior, topo, 1.0, model=model)
+    points = model.deterministic_points()
     assert points == deterministic_points(prior, topo, 1.0, sim_packets=20_000, seed=4)
     relays = sorted(set().union(*(s.interior_nodes for s in prior.sessions)))
     assert [p.covert for p in points] == [
@@ -496,22 +495,6 @@ def test_points_read_off_the_model_match_direct_enumeration(network, request):
                 best_deterministic(model, target)
         else:
             assert best_deterministic(model, target).covert == want
-
-
-def test_model_for_another_prior_or_delay_is_rejected(switching, switching_model):
-    topo, prior = switching
-    skewed = SessionPrior(entries=tuple(
-        (s, (2.0 if k < 12 else 1.0) / 36.0) for k, s in enumerate(prior.sessions)))
-    reordered = SessionPrior(entries=prior.entries[::-1])
-    calls = (
-        lambda pr, delay: tradeoff_curve(pr, delay, [0.5], model=switching_model),
-        lambda pr, delay: deterministic_points(pr, topo, delay, model=switching_model),
-    )
-    for call in calls:
-        for pr, delay in ((prior, 2.0), (skewed, 1.0), (reordered, 1.0)):
-            with pytest.raises(ValueError, match="another prior or delay"):
-                call(pr, delay)
-        call(prior, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -617,8 +600,8 @@ def test_covert_rate_settings_are_constants(switching):
             obj = getattr(module, name)
             if inspect.isfunction(obj):
                 assert not fixed & set(inspect.signature(obj).parameters), name
-    params = inspect.signature(tradeoff_curve).parameters
-    assert not {"topo", "sim_packets", "seed", "ba_tol"} & set(params)
+    assert list(inspect.signature(tradeoff_curve).parameters) == ["model", "alpha_grid"]
+    assert "model" not in inspect.signature(deterministic_points).parameters
     # covert rates are read off a model, and no second path sums them
     assert list(inspect.signature(best_deterministic).parameters) == ["model", "alpha_target"]
     assert not hasattr(ao, "expected_covert_rate")

@@ -267,15 +267,32 @@ def test_match_dump_round_trips_through_cli(tmp_path, capsys):
     assert "drop_fraction=" in out and "matched=" in out
 
 
+def _network_text(nodes, edges, paths) -> str:
+    return ("".join(f"node {n} cap 2\n" for n in nodes)
+            + "".join(f"edge {u} {v}\n" for u, v in edges)
+            + "session 1\n" + "".join(f"path {' '.join(p)}\n" for p in paths) + "end\n")
+
+
+_CHAIN = ["src"] + [f"r{k:02d}" for k in range(21)] + ["dst"]
+
+
 @pytest.mark.parametrize("command,flag,text", [
     ("tradeoff", "--topology", "node a cap 1\nnode b cap x\n"),
     ("tradeoff", "--topology", None),
+    # X precedes Y on one path and follows it on the other
+    ("tradeoff", "--topology", _network_text(
+        ["A", "B", "X", "Y", "D1", "D2"],
+        [("A", "X"), ("X", "Y"), ("Y", "D1"), ("B", "Y"), ("Y", "X"), ("X", "D2")],
+        [("A", "X", "Y", "D1"), ("B", "Y", "X", "D2")])),
+    # one session with 21 interior relays, one more than the enumeration cap
+    ("tradeoff", "--topology", _network_text(_CHAIN, zip(_CHAIN, _CHAIN[1:]), [_CHAIN])),
     ("relay", "--config", "{\"packets\": 5"),
     ("relay", "--config", "[5]"),
     ("relay", "--config", None),
     ("relay", "--stats-from", "match window 1.0\n[pairs]\n"),
     ("relay", "--stats-from", None),
-], ids=["topology-malformed", "topology-missing", "config-malformed", "config-not-an-object",
+], ids=["topology-malformed", "topology-missing", "topology-cyclic",
+        "topology-over-the-enumeration-cap", "config-malformed", "config-not-an-object",
         "config-missing", "stats-from-bad-header", "stats-from-missing"])
 def test_bad_file_flags_exit_with_a_message(command, flag, text, tmp_path):
     # None: the file is missing
@@ -285,6 +302,16 @@ def test_bad_file_flags_exit_with_a_message(command, flag, text, tmp_path):
     with pytest.raises(SystemExit, match=f"^{flag} "):
         main([command, flag, str(path), "--out-dir", str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode", ["avg", "priority"])
+def test_dump_match_is_rejected_outside_strict_mode(mode, tmp_path):
+    # only a strict-mode run has one match to dump
+    dump = tmp_path / "match.txt"
+    with pytest.raises(SystemExit, match="--dump-match"):
+        main(["relay", "--mode", mode, "--packets", "2000", "--dump-match", str(dump),
+              "--out-dir", str(tmp_path / "out")])
+    assert not dump.exists() and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flag,value,message", [

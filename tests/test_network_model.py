@@ -12,7 +12,7 @@ from oracles import distortion_cells_reference, fixed_set_reference
 
 from anonrelay import analytic, network_model as nm
 from anonrelay import anonymity_opt as ao
-from anonrelay.anonymity_opt import _fixed_covert_sets, _subsets, build_distortion_model
+from anonrelay.anonymity_opt import _subsets, build_distortion_model
 from anonrelay.network_model import (
     NetworkConfigError,
     RateBound,
@@ -495,9 +495,8 @@ def test_model_equals_the_per_cell_reference(network):
     assert list(model.covert_for.items()) == list(covert_for.items())
     assert model.d.tobytes() == d.tobytes()
     assert model.metadata == metadata
-    for b in _fixed_covert_sets(prior.sessions):
-        assert (model.covert_rate(b), model.anonymity(b)) == \
-            fixed_set_reference(prior, topo, covert_for, d, b)
+    for p in model.deterministic_points():
+        assert (p.sum_rate, p.alpha) == fixed_set_reference(prior, topo, covert_for, d, p.covert)
 
 
 def test_six_by_six_model_evaluates_each_group_once(monkeypatch):
@@ -566,6 +565,23 @@ def test_empty_cascade_stream_loses_nothing():
     assert second == [nm.EpsEstimate(value=0.0, stderr=0.0, source="simulated")] * 4
 
 
+def test_cascade_hop_too_short_to_batch_has_no_error_bar():
+    # eight packets leave the second stage too few arrivals for two batches:
+    # its measured loss has no error bar, and neither has the rate built on it
+    topo, prior = switching_topology(2.0)
+    r = covert_sum_rate(prior.sessions[0], {"M1", "M2"}, topo, 1.0, sim_packets=8, seed=0)
+    hop = r.eps[(0, "M2")]
+    assert (hop.source, hop.value) == ("simulated", 1.0 / 3.0)
+    assert math.isnan(hop.stderr) and math.isnan(r.stderr)
+    # the other path's stream through M2 is empty: it loses nothing, exactly
+    assert r.eps[(1, "M2")] == nm.EpsEstimate(value=0.0, stderr=0.0, source="simulated")
+    # nor when such a hop drops every packet it saw
+    r = covert_sum_rate(prior.sessions[0], {"M1", "M2", "M3", "M4"}, topo, 0.1,
+                        sim_packets=4, seed=1)
+    hop = r.eps[(0, "M2")]
+    assert hop.value == 1.0 and math.isnan(hop.stderr) and math.isnan(r.stderr)
+
+
 @pytest.mark.parametrize("bad", [0, -5, 2.5, "100", None])
 def test_sim_packets_must_be_a_positive_integer(bad):
     topo, prior = switching_topology(2.0)
@@ -595,6 +611,11 @@ def test_config_parse_errors():
         parse_network_config("node a cap 1\npath a b\n")
     with pytest.raises(NetworkConfigError):
         parse_network_config("node a cap 1\nsession 1.0\npath a b\n")
+    # X precedes Y on one path and follows it on the other: no relay order
+    nodes = "".join(f"node {n} cap 2\n" for n in ("A", "B", "X", "Y", "D1", "D2"))
+    with pytest.raises(NetworkConfigError, match="cycle"):
+        parse_network_config(nodes + "edge A X\nedge X Y\nedge Y D1\nedge B Y\nedge Y X\n"
+                             "edge X D2\nsession 1\npath A X Y D1\npath B Y X D2\nend\n")
 
 
 def test_nan_prior_probability_rejected():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import min_drops_exhaustive, walk_oracle_reference
 
 from anonrelay import analytic
-from anonrelay._util import batch_stderr, substream
+from anonrelay._util import BatchMeans, batch_stderr, substream
 from anonrelay.point_process import (
     EmptyScheduleError,
     GenSpec,
@@ -18,7 +18,6 @@ from anonrelay.point_process import (
     gen_poisson,
 )
 from anonrelay.relay_core import (
-    DropTally,
     MatchResult,
     RelayPathStats,
     avg_delay_relay,
@@ -281,20 +280,20 @@ def test_drop_tally_of_streamed_steps_equals_the_whole_match():
     dep = np.cumsum(rng.exponential(0.9, 150_000))
     whole = bounded_greedy_match(arr, dep, 1.0)
     for batches in (32, 100):
-        tally = DropTally(arr.size, batches)
+        flags = BatchMeans(arr.size, batches)
         for step in stream_relay({"in": np.array_split(arr, 13)}, np.array_split(dep, 7),
                                  ("in",), 1.0):
-            tally.add(step["in"])
-        st = tally.stats()
+            flags.add(step["in"].dropped)
+        st = RelayPathStats.from_flags(flags)
         assert st == RelayPathStats(arr.size, whole.n_dropped,
                                     batch_stderr(whole.dropped, batches))
     assert st.drop_fraction == whole.drop_fraction
 
 
 def test_drop_tally_of_an_empty_stream_loses_nothing_exactly():
-    assert DropTally(0).stats() == RelayPathStats(0, 0, 0.0)
-    assert DropTally(1000, 100).stats() == RelayPathStats(0, 0, 0.0)
-    tally = DropTally(1000, 100)
-    tally.add(bounded_greedy_match([], [1.0, 2.0], 1.0))
-    assert tally.stats() == RelayPathStats(0, 0, 0.0)
-    assert tally.stats().drop_fraction == 0.0
+    assert RelayPathStats.from_flags(BatchMeans(0)) == RelayPathStats(0, 0, 0.0)
+    assert RelayPathStats.from_flags(BatchMeans(1000, 100)) == RelayPathStats(0, 0, 0.0)
+    flags = BatchMeans(1000, 100)
+    flags.add(bounded_greedy_match([], [1.0, 2.0], 1.0).dropped)
+    assert RelayPathStats.from_flags(flags) == RelayPathStats(0, 0, 0.0)
+    assert RelayPathStats.from_flags(flags).drop_fraction == 0.0

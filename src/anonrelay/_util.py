@@ -24,8 +24,13 @@ class BatchMeans:
     pieces, in O(batches) memory. Its batches are the first b = min(batches,
     n // 2) runs of n // b values, `n` being the count the run knows or
     expects; one the stream does not fill is left out. A batch sum is the
-    difference of the running sum, carried across `add` calls, at its two
-    edges, so any split of the stream gives the same result bit for bit."""
+    difference of the running sum, carried across calls, at its two edges,
+    so any split of the stream gives the same result bit for bit.
+
+    A piece comes as its values (`add`) or, for a 0/1 stream such as drop
+    flags, as its length and the sorted positions of its zeros (`add_ones`):
+    the running sum of 0/1 values is a whole number, so both give the same
+    result bit for bit, and the second never builds the flags."""
 
     def __init__(self, n: int, batches: int = 32):
         self.b = min(batches, n // 2)
@@ -41,6 +46,17 @@ class BatchMeans:
         self.total = float(run[-1])
         j = np.arange(start // self.k + 1, min(self.count // self.k, self.b) + 1)  # edges passed
         self.edges[j] = run[j * self.k - start]
+        return self
+
+    def add_ones(self, n: int, zeros) -> "BatchMeans":
+        """`add` of n values, each 1 but at the sorted positions `zeros` in
+        this piece, where it is 0."""
+        start = self.count
+        self.count += n
+        j = np.arange(start // self.k + 1, min(self.count // self.k, self.b) + 1)  # edges passed
+        at = j * self.k - start  # each edge's offset in the piece: the values it sums
+        self.edges[j] = self.total + (at - np.searchsorted(zeros, at))
+        self.total += n - len(zeros)
         return self
 
     @property
@@ -60,10 +76,11 @@ def batch_stderr(values, batches: int = 32) -> float:
     return BatchMeans(np.size(values), batches).add(values).stderr
 
 
-def check_count(name: str, n) -> None:
-    """Reject `n` unless it is an integer of at least 1; a bool is not one."""
-    if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1):
-        raise ValueError(f"{name} must be a positive integer, got {n!r}")
+def check_count(name: str, n, least: int = 1) -> None:
+    """Reject `n` unless it is an integer of at least `least`; a bool is not one."""
+    if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= least):
+        what = "a positive integer" if least == 1 else f"an integer of at least {least}"
+        raise ValueError(f"{name} must be {what}, got {n!r}")
 
 
 def fmt(x: float) -> str:

@@ -92,7 +92,7 @@ def _relay_strict(args, rows):
     flags, parts = BatchMeans(args.packets, 100), []
     for step in _streamed({"in": GenSpec(args.cs, horizon, args.seed)},
                           GenSpec(args.cb, horizon, args.seed), ("in",), args.delta):
-        flags.add(step["in"].dropped)
+        flags.add_ones(step["in"].arrivals.size, step["in"].carried)
         if args.dump_match:  # the dump is the whole match, so it keeps every step
             parts.append(step["in"])
     rows.append(_loss_row("strict-loss-fraction",
@@ -110,7 +110,7 @@ def _relay_priority(args, rows):
     # each source's error bar batches the arrivals it expects, rate × horizon
     top, low_matched = BatchMeans(round(args.cs * horizon), 100), 0
     for step in _streamed(sources, out, ("src1", "src2"), args.delta):
-        top.add(step["src1"].dropped)
+        top.add_ones(step["src1"].arrivals.size, step["src1"].carried)
         low_matched += step["src2"].n_matched
     rows.append(_loss_row("priority-top-loss",
                           analytic.loss_fraction(args.cs, args.cb, args.delta), top))
@@ -118,7 +118,7 @@ def _relay_priority(args, rows):
     equal = {k: BatchMeans(round(s.rate * horizon), 100) for k, s in sources.items()}
     for step in _streamed(sources, out, None, args.delta):
         for k, flags in equal.items():
-            flags.add(step[k].dropped)
+            flags.add_ones(step[k].arrivals.size, step[k].carried)
     loss = analytic.loss_fraction(args.cs + args.cs2, args.cb, args.delta)
     for k, flags in equal.items():
         rows.append(_loss_row(f"equal-priority-loss-{k}", loss, flags))
@@ -139,7 +139,7 @@ def _relay_avg(args, rows):
     flags = BatchMeans(args.packets, 100)
     delays = BatchMeans(round(args.packets * (1.0 - loss)), 100)
     for step in _streamed({"in": arrivals}, departures, ("in",), window):
-        flags.add(step["in"].dropped)
+        flags.add_ones(step["in"].arrivals.size, step["in"].carried)
         if not math.isinf(window):  # an infinite window reads only the drop count
             delays.add(step["in"].delays)
     if math.isinf(window):

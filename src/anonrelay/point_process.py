@@ -130,20 +130,31 @@ def _draw(rng: np.random.Generator, scale: float, n: int, prev: float) -> np.nda
     so any split of a draw into consecutive pieces gives the same epochs bit
     for bit.
 
-    A gap below half the float spacing of the running epoch adds nothing.
-    Such an epoch becomes the next float above the one before it, and the
-    sum goes on from there, so epochs strictly increase."""
+    The gaps are summed in place, in chunks of at most _CHUNK, and one
+    buffer, reused from chunk to chunk, keeps the chunk's raw gaps. A gap
+    below half the float spacing of the running epoch adds nothing. Such an
+    epoch becomes the next float above the one before it, the gaps after it
+    are restored from the buffer, and the sum goes on from there, so epochs
+    strictly increase."""
     x = rng.exponential(scale, n)
+    gaps = np.empty(min(n, _CHUNK))
+    tied = np.empty(gaps.size, dtype=bool)
     k = 0
-    while k < n:  # x[k:] still holds gaps; seg[0] is the last final epoch
-        seg = np.cumsum(np.concatenate([[x[k - 1] if k else prev], x[k:k + _CHUNK]]))
-        tied = np.flatnonzero(seg[1:] <= seg[:-1])
-        if tied.size:
-            j = tied[0] + 1
-            seg[j] = np.nextafter(seg[j - 1], math.inf)
-            seg = seg[:j + 1]  # the epochs up to the lifted one are final
-        x[k:k + seg.size - 1] = seg[1:]
-        k += seg.size - 1
+    while k < n:  # x[:k] holds final epochs and x[k:] gaps; `prev` is the epoch before x[k]
+        seg = x[k:k + _CHUNK]
+        c = seg.size
+        gaps[:c] = seg
+        seg[0] += prev
+        np.cumsum(seg, out=seg)
+        tied[0] = seg[0] <= prev
+        np.less_equal(seg[1:], seg[:-1], out=tied[1:c])
+        j = int(tied[:c].argmax())  # the first tie, or 0 if there is none
+        if tied[j]:
+            seg[j] = np.nextafter(seg[j - 1] if j else prev, math.inf)
+            seg[j + 1:] = gaps[j + 1:c]  # the epochs up to the lifted one are final
+            c = j + 1
+        prev = seg[c - 1]
+        k += c
     return x
 
 

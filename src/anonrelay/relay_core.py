@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from . import analytic
-from ._util import BatchMeans, fmt, substream
+from ._util import BatchMeans, check_count, fmt, substream
 from .point_process import (
     EmptyScheduleError,
     Schedule,
@@ -67,7 +67,8 @@ class MatchResult:
     Holds the sorted `arrivals` and `departures` and, per departure, the
     `index` of the arrival it carries: DUMMY (-1) for a dummy and, in
     equal-priority mode, OTHER (-2) for another stream's packet. Everything
-    else is derived from these on demand: `pairs`, an (n, 2) array of
+    else is derived from these on demand: `carried`, the indices of the
+    carried arrivals; `pairs`, an (n, 2) array of
     (arrival, departure) epochs in FIFO order (matched packets never overtake
     each other); `dropped`, one flag per arrival for those that outlived
     their window or were still waiting when departures ran out;
@@ -103,6 +104,12 @@ class MatchResult:
                 raise ValueError("matched pair exceeds the delay bound")
 
     @property
+    def carried(self) -> np.ndarray:
+        """The indices of the carried arrivals, increasing: the zeros of the
+        drop flags, which `BatchMeans.add_ones` reads without the flags."""
+        return self.index[self.index >= 0]
+
+    @property
     def pairs(self) -> np.ndarray:
         carried = self.index >= 0
         return np.column_stack([self.arrivals[self.index[carried]], self.departures[carried]])
@@ -118,7 +125,7 @@ class MatchResult:
     def dropped(self) -> np.ndarray:
         """One flag per arrival, in arrival order: True where it was dropped."""
         flags = np.ones(self.arrivals.size, dtype=bool)
-        flags[self.index[self.index >= 0]] = False
+        flags[self.carried] = False
         return flags
 
     @property
@@ -614,13 +621,28 @@ def random_walk_oracle(
     both exponential. It shares no code with the matchers, so its loss and
     mean-delay estimates are an independent check on both the matcher and
     the closed forms.
+
+    Steps are drawn in blocks of up to 512 rows, one row per step across
+    the `chains` independent chains, into two buffers allocated once, so
+    memory is O(chains) whatever `steps` is. Each row is added to the state
+    and clamped to the window in place, the block's barrier hits are counted
+    column by column, and each chain's interior sum is carried into the
+    block's first row and summed down its column, in step order.
+
+    Rates must be finite and positive, `delay` finite and nonnegative,
+    `steps` and `chains` positive integers and `burn_in` an integer of at
+    least 0; ValueError names the first argument that is not.
     """
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    if not (delay >= 0.0):
-        raise ValueError(f"delay must be nonnegative, got {delay}")
+    for name, rate in (("input_rate", input_rate), ("relay_rate", relay_rate)):
+        if not (math.isfinite(rate) and rate > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {rate!r}")
+    if not (math.isfinite(delay) and delay >= 0.0):
+        raise ValueError(f"delay must be finite and nonnegative, got {delay!r}")
+    check_count("steps", steps)
+    check_count("chains", chains)
+    check_count("burn_in", burn_in, least=0)
     rng = substream(seed, "walk", input_rate, relay_rate, delay)
-    chains = max(1, min(chains, steps))
+    chains = min(chains, steps)
     per_chain = -(-steps // chains)  # ceil
     total = per_chain * chains
 
@@ -633,25 +655,42 @@ def random_walk_oracle(
     scale_in = 1.0 / input_rate
     scale_out = 1.0 / relay_rate
     block = 512
+    z_buf = np.empty((block, chains))  # the block's steps, then its unclipped states
+    w_buf = np.empty((block, chains))  # the input gaps
+    up_buf = np.empty((block, chains), dtype=bool)
+    lo_buf = np.empty((block, chains), dtype=bool)
 
     def advance(iters: int, measure: bool) -> None:
         nonlocal upper, lower, interior_cnt, interior_sum
         left = iters
         while left > 0:
             m = min(block, left)
-            z = rng.exponential(scale_out, (m, chains)) - rng.exponential(scale_in, (m, chains))
+            z, w = z_buf[:m], w_buf[:m]
+            # scale × standard draw is rng.exponential(scale) bit for bit
+            rng.standard_exponential(out=z)
+            z *= scale_out
+            rng.standard_exponential(out=w)
+            w *= scale_in
+            z -= w
             for row in z:  # in place: row z[r] becomes the unclipped state y
-                np.clip(np.add(x, row, out=row), 0.0, delay, out=x)
+                np.add(x, row, out=row)
+                np.minimum(np.maximum(row, 0.0, out=x), delay, out=x)
             if measure:
-                up = z > delay
-                lo = z < 0.0
-                upper += up.sum(axis=0)
-                lower += lo.sum(axis=0)
-                np.logical_or(up, lo, out=up)
-                interior_cnt += m - up.sum(axis=0)
-                z[up] = 0.0
-                for row in z:  # row by row, so each chain's sum keeps its order
-                    interior_sum += row
+                up = np.greater(z, delay, out=up_buf[:m])
+                lo = np.less(z, 0.0, out=lo_buf[:m])
+                n_up, n_lo = up.sum(axis=0), lo.sum(axis=0)
+                upper += n_up
+                lower += n_lo
+                interior_cnt += m - n_up - n_lo  # no state is above and below
+                mid = np.logical_not(np.logical_or(up, lo, out=up), out=lo)
+                # A product, not a masked store, which mispredicts on random
+                # masks. A state below the window gives -0.0, which adds
+                # nothing to a chain's sum: from +0.0, that is never -0.0.
+                z *= mid
+                z[0] += interior_sum
+                # down axis 0 numpy adds row after row, so each chain's sum
+                # keeps its step order; one chain's column it would sum pairwise
+                interior_sum = z.sum(axis=0) if chains > 1 else np.add.accumulate(z[:, 0])[-1:]
             left -= m
 
     advance(burn_in, measure=False)

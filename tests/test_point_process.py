@@ -207,6 +207,43 @@ def test_draw_lifts_gaps_too_small_to_add_anything(chunk, monkeypatch):
         assert rng.random() == whole_rng.random()
 
 
+class _FixedGaps:
+    """Hands out the given gaps, scaled, in order."""
+
+    def __init__(self, gaps):
+        self.gaps, self.k = np.asarray(gaps, dtype=float), 0
+
+    def exponential(self, scale, size):
+        self.k += size
+        return scale * self.gaps[self.k - size:self.k]
+
+
+def test_draw_restarts_on_a_tie_at_either_end_of_a_chunk(monkeypatch):
+    # at 4.4e6 the float spacing is 9.3e-10: a gap of 1e-12 ties, one of 1 does not
+    monkeypatch.setattr(point_process, "_CHUNK", 5)
+    n, prev = 40, 4.4e6
+    gaps = np.ones(n)
+    # A chunk ends at its first tie, so chunks start at 0, 1, 6, 7, 12, 17,
+    # 18 and so on. Ties fall on the first gap of the draw, whose epoch before
+    # is `prev` (0); on the last gap of a chunk (5, 11 and 39); on a first gap
+    # whose epoch before was lifted (6); and on the first gap of a chunk after
+    # one with no tie, whose epoch before is carried in from that chunk (17).
+    tie_at = [0, 5, 6, 11, 17, 39]
+    gaps[tie_at] = 1e-12
+    want = _summed_one_at_a_time(gaps, prev)
+    before = np.concatenate([[prev], want[:-1]])
+    assert np.flatnonzero(before + gaps <= before).tolist() == tie_at
+    x = point_process._draw(_FixedGaps(gaps), 1.0, n, prev)
+    assert np.array_equal(x, want)
+    assert x[0] > prev and (np.diff(x) > 0).all()
+    # a draw cut into pieces, each ending on a tie or starting on one
+    rng, got, last = _FixedGaps(gaps), [], prev
+    for size in (6, 1, 10, 23):
+        got.append(point_process._draw(rng, 1.0, size, last))
+        last = got[-1][-1]
+    assert np.array_equal(np.concatenate(got), want)
+
+
 def test_long_streamed_draw_never_repeats_an_epoch():
     # without the lift, departures 13,263,074 and 13,263,075 of this draw
     # were both 4420304.581555256

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +234,9 @@ def test_walk_oracle_deterministic():
     (1.0, 2.0, 0.0, 30_000, 512),       # zero window
     (2.0, 1.0, 0.5, 100_003, 512),      # steps not a multiple of chains
     (0.5, 0.5, 2.0, 300, 512),          # fewer steps than chains
+    (1.0, 3.0, 1.0, 100_003, 512),      # scales that do not multiply exactly
+    (0.7, 1.3, 0.4, 30_000, 1000),
+    (1.0, 1.5, 1.0, 3_000, 1),          # one chain, whose column numpy sums pairwise
 ])
 def test_walk_oracle_matches_per_step_loop(cs, cb, delta, steps, chains):
     got = dataclasses.astuple(random_walk_oracle(cs, cb, delta, steps, seed=2024, chains=chains))
@@ -241,6 +245,42 @@ def test_walk_oracle_matches_per_step_loop(cs, cb, delta, steps, chains):
     assert len(got) == 7
     # bit for bit, NaN included
     assert [float(v).hex() for v in got] == [float(v).hex() for v in ref]
+
+
+_WALK_ARGS = dict(input_rate=1.0, relay_rate=1.0, delay=1.0, steps=100, seed=0)
+
+
+@pytest.mark.parametrize("arg,bads", [
+    ("input_rate", [0.0, -1.0, math.inf, math.nan]),
+    ("relay_rate", [0.0, -2.0, math.inf, math.nan]),
+    ("delay", [-0.5, math.inf, math.nan]),
+    ("steps", [0, -3, 2.5, True, "100"]),
+    ("chains", [0, -1, 8.0, False]),
+    ("burn_in", [-1, 10.5, True, None]),
+])
+def test_walk_oracle_rejects_a_bad_argument_by_name(arg, bads):
+    for bad in bads:
+        with pytest.raises(ValueError, match=arg):
+            random_walk_oracle(**{**_WALK_ARGS, arg: bad})
+
+
+def test_walk_oracle_accepts_no_burn_in_and_numpy_counts():
+    r = random_walk_oracle(1.0, 1.0, 1.0, steps=np.int64(1000), seed=0, chains=np.int32(10),
+                           burn_in=0)
+    assert r.steps == 1000
+
+
+def test_walk_oracle_memory_is_flat_in_the_steps():
+    random_walk_oracle(1.0, 1.0, 1.0, steps=1000, seed=3)  # numpy imports some modules lazily
+    peaks = []
+    for steps in (1_000_000, 10_000_000):
+        tracemalloc.start()
+        try:
+            random_walk_oracle(1.0, 1.0, 1.0, steps=steps, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 0.5e6, peaks
 
 
 def test_match_result_text_round_trip():

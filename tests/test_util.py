@@ -78,3 +78,48 @@ def test_expected_count_sets_the_batches():
     assert shorter.stderr == pytest.approx(ref.std(ddof=1) / np.sqrt(95), rel=1e-12, abs=0)
     # one full batch is not enough to spread
     assert math.isnan(BatchMeans(1000, 100).add(x[:15]).stderr)
+
+
+def _fed_as_ones(flags, n, batches, cuts):
+    """`flags` fed to `add_ones` in the pieces `cuts` splits them into."""
+    acc = BatchMeans(n, batches)
+    for part in np.split(flags, cuts):
+        acc.add_ones(part.size, np.flatnonzero(part == 0))
+    return acc
+
+
+def _same(a, b):
+    assert (a.count, a.total) == (b.count, b.total)
+    assert float(a.stderr).hex() == float(b.stderr).hex()  # bit for bit, NaN included
+    assert np.array_equal(a.edges, b.edges)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 7, 64, 99, 1000, 4097, 100_000])
+def test_ones_fed_by_their_zeros_equal_the_flags_fed_whole(n):
+    rng = np.random.default_rng(n)
+    for batches in (2, 3, 32, 100):
+        for density in (0.0, 0.05, 0.5, 1.0):
+            flags = rng.random(n) < density
+            whole = BatchMeans(n, batches).add(flags)
+            for pieces in (1, 2, 7, 50):  # random splits, with empty pieces among the many
+                cuts = np.sort(rng.integers(0, n + 1, pieces - 1))
+                _same(_fed_as_ones(flags, n, batches, cuts), whole)
+            if n < 4:
+                assert math.isnan(whole.stderr)
+
+
+def test_ones_fed_by_their_zeros_at_batch_edges():
+    rng = np.random.default_rng(11)
+    n, batches = 1003, 10  # 10 batches of 100, and 3 values past the last edge
+    flags = rng.random(n) < 0.4
+    whole = BatchMeans(n, batches).add(flags)
+    k = whole.k
+    for cuts in ([k], [k, 2 * k], [k - 1, k + 1], [k + 1], [0, 0, 5 * k, 5 * k, n],
+                 [3 * k + 50, 7 * k], list(range(0, n, k))):  # edges on and inside pieces
+        _same(_fed_as_ones(flags, n, batches, cuts), whole)
+    # a piece that spans several edges
+    _same(_fed_as_ones(flags, n, batches, [5, n - 2]), whole)
+    # the expected count sets the batches, as it does for `add`
+    for expected in (900, 2000):
+        _same(_fed_as_ones(flags, expected, batches, [333]),
+              BatchMeans(expected, batches).add(flags))

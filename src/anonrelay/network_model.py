@@ -354,7 +354,7 @@ def _run_session_sim(session, caps, covert, src_rates, delay, horizon, seed, sch
             stats = {}
             for key, res in results.items():
                 i = tag_of[key]
-                streams[i] = res.departures[res.index >= 0]
+                streams[i] = res.departures[res.slots]
                 flags = BatchMeans(res.arrivals.size).add_ones(res.arrivals.size, res.carried)
                 stats[i] = RelayPathStats.from_flags(flags)
             relay_stats[node] = stats

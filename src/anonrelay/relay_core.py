@@ -9,16 +9,16 @@ arrivals consumed, and the arrivals not yet settled, from one chunk to the
 next, so its scratch is O(_CHUNK) whatever the horizon. The whole-schedule
 matchers feed it one chunk; `stream_relay` feeds it chunks of epochs as they
 are drawn, through the same successive and equal-priority logic. It returns,
-per departure, the index of the arrival it carries, and a `MatchResult`
-keeps that index beside the arrival and departure epochs: pairs, drops,
-dummies, delays and the per-arrival drop flags are derived from it on
-demand, so a result holds its inputs and one index array, not copies of
-the epochs.
+per departure, the index of the arrival it carries. A `MatchResult` keeps,
+beside the epochs, only the carried pairs, `carried` arrival indices and
+departure `slots`, and derives pairs, drops, dummies and delays from them on
+demand, so an equal-priority step over S streams does O(departures)
+bookkeeping, not O(S x departures).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -64,61 +64,83 @@ def _readonly(a, dtype) -> np.ndarray:
 class MatchResult:
     """Outcome of relaying one arrival stream through one departure schedule.
 
-    Holds the sorted `arrivals` and `departures` and, per departure, the
-    `index` of the arrival it carries: DUMMY (-1) for a dummy and, in
-    equal-priority mode, OTHER (-2) for another stream's packet. Everything
-    else is derived from these on demand: `carried`, the indices of the
-    carried arrivals; `pairs`, an (n, 2) array of
-    (arrival, departure) epochs in FIFO order (matched packets never overtake
-    each other); `dropped`, one flag per arrival for those that outlived
+    Holds the sorted `arrivals` and `departures` and the carried pairs: the
+    increasing arrival indices `carried` and departure positions `slots`.
+    The rest is derived on demand: `pairs`, (arrival, departure) epochs in
+    FIFO order; `dropped`, one flag per arrival for those that outlived
     their window or were still waiting when departures ran out;
     `dropped_arrivals`; `dummy_departures`, the departures that carried no
-    packet; and `delays`. Construction raises ValueError unless the carried
-    indices increase (FIFO) and every carried packet departs within
-    [0, delay_bound] of its arrival.
+    packet, all those outside `slots` unless `dummies` is given (the results
+    of an equal-priority match share that one array, and the rest carried
+    other streams' packets); `delays`; and `index`, per departure the
+    arrival it carries, DUMMY (-1) or OTHER (-2). Construction raises
+    ValueError unless the slots strictly increase within `departures`,
+    `carried` holds one arrival index per slot in FIFO order, and each pair
+    departs within [0, delay_bound] of its arrival; the checks read the
+    carried pairs only.
     """
 
     arrivals: np.ndarray
     departures: np.ndarray
-    index: np.ndarray
+    carried: np.ndarray
+    slots: np.ndarray
     delay_bound: float
+    dummies: InitVar[Optional[np.ndarray]] = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "arrivals", _readonly(self.arrivals, float))
-        object.__setattr__(self, "departures", _readonly(self.departures, float))
-        object.__setattr__(self, "index", _readonly(self.index, np.int64))
-        idx = self.index
-        carried = idx >= 0
-        taken = idx[carried]
-        if (idx.shape != self.departures.shape or (idx.size and idx.min() < OTHER)
-                or (taken.size and taken.max() >= self.arrivals.size)):
-            raise ValueError("index must hold one arrival index, DUMMY or OTHER per departure")
+    def __post_init__(self, dummies):
+        for name, dtype in (("arrivals", float), ("departures", float),
+                            ("carried", np.int64), ("slots", np.int64)):
+            object.__setattr__(self, name, _readonly(getattr(self, name), dtype))
+        if dummies is not None:
+            self.__dict__["dummy_departures"] = _readonly(dummies, float)
+        taken, slots = self.carried, self.slots
+        if slots.ndim != 1 or slots.size and (slots[0] < 0 or slots[-1] >= self.departures.size
+                                              or (slots[1:] <= slots[:-1]).any()):
+            raise ValueError("slots must be strictly increasing positions in departures")
+        if taken.shape != slots.shape or taken.size and (  # in FIFO order, checked next,
+                taken[0] < 0 or taken[-1] >= self.arrivals.size):  # the ends bound every index
+            raise ValueError("carried must hold one arrival index per slot")
+        if (taken[1:] <= taken[:-1]).any():
+            raise ValueError("matched pairs are not in FIFO order")
         if taken.size:
-            if (taken[1:] <= taken[:-1]).any():
-                raise ValueError("matched pairs are not in FIFO order")
-            d = self.departures[carried]
+            d = self.departures[slots]
             d -= self.arrivals[taken]
             if d.min() < 0.0:
                 raise ValueError("matched pair departs before it arrives")
             if d.max() > self.delay_bound:
                 raise ValueError("matched pair exceeds the delay bound")
 
+    @classmethod
+    def from_index(cls, arrivals, departures, index, delay_bound: float) -> "MatchResult":
+        """The result of a per-departure `index` of arrivals, DUMMY and OTHER,
+        as the kernel writes it; with an OTHER, the DUMMY departures are the
+        shared `dummies`. Raises ValueError as the constructor does, and
+        unless `index` holds one arrival index, DUMMY or OTHER per departure."""
+        departures, index = np.asarray(departures, dtype=float), np.asarray(index, dtype=np.int64)
+        lowest = index.min(initial=DUMMY)
+        if index.shape == departures.shape and lowest >= OTHER:
+            slots = np.flatnonzero(index >= 0)
+            carried = index[slots]
+            if not carried.size or carried[-1] < np.size(arrivals):  # the constructor checks FIFO
+                dummies = departures[index == DUMMY] if lowest == OTHER else None
+                return cls(arrivals, departures, carried, slots, delay_bound, dummies)
+        raise ValueError("index must hold one arrival index, DUMMY or OTHER per departure")
+
     @property
-    def carried(self) -> np.ndarray:
-        """The indices of the carried arrivals, increasing: the zeros of the
-        drop flags, which `BatchMeans.add_ones` reads without the flags."""
-        return self.index[self.index >= 0]
+    def index(self) -> np.ndarray:
+        index = np.full(self.departures.size, OTHER, dtype=np.int64)
+        index[np.searchsorted(self.departures, self.dummy_departures)] = DUMMY
+        index[self.slots] = self.carried
+        return _readonly(index, np.int64)
 
     @property
     def pairs(self) -> np.ndarray:
-        carried = self.index >= 0
-        return np.column_stack([self.arrivals[self.index[carried]], self.departures[carried]])
+        return np.column_stack([self.arrivals[self.carried], self.departures[self.slots]])
 
     @property
     def delays(self) -> np.ndarray:
-        carried = self.index >= 0
-        d = self.departures[carried]
-        d -= self.arrivals[self.index[carried]]
+        d = self.departures[self.slots]
+        d -= self.arrivals[self.carried]
         return d
 
     @property
@@ -134,11 +156,11 @@ class MatchResult:
 
     @cached_property
     def dummy_departures(self) -> np.ndarray:
-        return _readonly(self.departures[self.index == DUMMY], float)
+        return _readonly(np.delete(self.departures, self.slots), float)
 
     @property
     def n_matched(self) -> int:
-        return int(np.count_nonzero(self.index >= 0))
+        return self.carried.size
 
     @property
     def n_dropped(self) -> int:
@@ -146,27 +168,11 @@ class MatchResult:
 
     @property
     def drop_fraction(self) -> float:
-        total = self.n_matched + self.n_dropped
-        return self.n_dropped / total if total else 0.0
+        return self.n_dropped / self.arrivals.size if self.arrivals.size else 0.0
 
     @property
     def mean_delay(self) -> float:
         return float(self.delays.mean()) if self.n_matched else math.nan
-
-    def verify_partition(self, arrivals, departures) -> bool:
-        """Check that matches plus drops reproduce the arrival schedule and
-        matches plus dummies reproduce the departure schedule."""
-        arr = _epoch_array(arrivals)
-        dep = _epoch_array(departures)
-        pairs = self.pairs
-        a = np.sort(np.concatenate([pairs[:, 0], self.dropped_arrivals]))
-        d = np.sort(np.concatenate([pairs[:, 1], self.dummy_departures]))
-        return (
-            a.size == arr.size
-            and d.size == dep.size
-            and np.array_equal(a, arr)
-            and np.array_equal(d, dep)
-        )
 
 
 @dataclass(frozen=True)
@@ -344,7 +350,7 @@ class _Greedy:
     def step(self, dep: np.ndarray, final: bool) -> MatchResult:
         """Match `dep`; the result covers it and the arrivals it settled."""
         index = self.match(dep)
-        return MatchResult(self.settle(final), dep, index, self.delay)
+        return MatchResult.from_index(self.settle(final), dep, index, self.delay)
 
 
 def _match_index(arr: np.ndarray, dep: np.ndarray, delay: float) -> np.ndarray:
@@ -366,7 +372,7 @@ def bounded_greedy_match(arrivals, departures, delay: float) -> MatchResult:
     """
     arr = _checked_epoch_array(arrivals)
     dep = _checked_epoch_array(departures)
-    return MatchResult(arr, dep, _match_index(arr, dep, delay), delay)
+    return MatchResult.from_index(arr, dep, _match_index(arr, dep, delay), delay)
 
 
 class _Successive:
@@ -390,8 +396,8 @@ class _Successive:
 class _Joint:
     """Equal-priority matching, resumable: the streams are merged by time, a
     tie going to the stream first in id order, and the union is matched.
-    Every stream's result sees every departure, OTHER where another stream's
-    packet left, and all of them share one dummies array."""
+    Every stream's result sees every departure and keeps its own carried
+    pairs, and all of them share one dummies array."""
 
     def __init__(self, ids, delay: float):
         self.ids = sorted(ids)
@@ -410,18 +416,12 @@ class _Joint:
             a = w.after(n0)
             parts.append(a[:np.searchsorted(a, cut, side="right")])
         times = np.concatenate(parts)
-        tags = np.argsort(times, kind="stable")  # a tie goes to the stream first in id order
-        self.merged.arrivals.feed(times[tags])
+        order = np.argsort(times, kind="stable")  # a tie goes to the stream first in id order
+        self.merged.arrivals.feed(times[order])
         del times
-        # in place, each position in the concatenation becomes its arrival's tag
-        edges = np.cumsum([0] + [a.size for a in parts])
-        stream = np.zeros(tags.size, dtype=np.min_scalar_type(len(parts)))
-        for e in edges[1:-1]:
-            stream += tags >= e
-        tags -= (edges[:-1] - self.n_merged)[stream]
-        tags <<= self.shift
-        tags |= stream
-        self.tags.feed(tags)
+        tags = np.concatenate([(np.arange(n0, n0 + a.size) << self.shift) | j
+                               for j, (a, n0) in enumerate(zip(parts, self.n_merged))])
+        self.tags.feed(tags[order])
         self.n_merged = [n0 + a.size for a, n0 in zip(parts, self.n_merged)]
 
     def step(self, dep: np.ndarray, new: dict[str, np.ndarray], final: bool):
@@ -433,22 +433,22 @@ class _Joint:
             self._merge(math.inf if final else dep[-1])
         m = self.merged.match(dep)
         self.merged.settle(final)
-        carried = np.flatnonzero(m >= 0)
-        src = self.tags.settle(self.merged.done)[m[carried]]
-        m[carried] = OTHER  # now every stream's index away from its own packets
+        slots = np.flatnonzero(m >= 0)
+        src = self.tags.settle(self.merged.done)[m[slots]]
+        dummies = dep[m == DUMMY]
         low = (1 << self.shift) - 1
-        stream = src & low
-        src >>= self.shift  # the carried packet's index in its stream
+        stream = (src & low).astype(np.min_scalar_type(len(self.ids)))
+        # one stable sort by stream makes each stream's pairs a run, in order
+        by_stream = np.argsort(stream, kind="stable")
+        cuts = np.cumsum(np.bincount(stream, minlength=len(self.ids)))[:-1]
+        src = np.split(src[by_stream] >> self.shift, cuts)  # each packet's index in its stream
+        slots = np.split(slots[by_stream], cuts)
         waiting = np.bincount(self.tags.values & low, minlength=len(self.ids))  # merged, unsettled
-        dummies = _readonly(dep[m == DUMMY], float)
         out = {}
         for j, (k, w, n0) in enumerate(zip(self.ids, self.own, self.n_merged)):
-            mine = stream == j
-            index = m.copy()
-            index[carried[mine]] = src[mine] - w.base
-            res = MatchResult(w.settle(n0 - int(waiting[j])), dep, index, self.merged.delay)
-            res.__dict__["dummy_departures"] = dummies  # the one shared array
-            out[k] = res
+            src[j] -= w.base
+            out[k] = MatchResult(w.settle(n0 - int(waiting[j])), dep, src[j], slots[j],
+                                 self.merged.delay, dummies)
         return out
 
 
@@ -475,16 +475,15 @@ def _joint_match(streams: dict[str, np.ndarray], departures, delay):
 
 def _concat_results(parts: list[MatchResult], delay: float) -> MatchResult:
     """Join per-step results of one stream, steps in time order."""
-    index = []
-    offset = 0
-    for p in parts:
-        index.append(np.where(p.index >= 0, p.index + offset, p.index))
-        offset += p.arrivals.size
+    n_arr = np.cumsum([0] + [p.arrivals.size for p in parts])
+    n_dep = np.cumsum([0] + [p.departures.size for p in parts])
     return MatchResult(
         np.concatenate([p.arrivals for p in parts]),
         np.concatenate([p.departures for p in parts]),
-        np.concatenate(index),
+        np.concatenate([p.carried + a for p, a in zip(parts, n_arr)]),
+        np.concatenate([p.slots + d for p, d in zip(parts, n_dep)]),
         delay,
+        np.concatenate([p.dummy_departures for p in parts]),
     )
 
 
@@ -760,6 +759,6 @@ def match_result_from_text(text: str) -> MatchResult:
     pairs_arr = np.asarray(pairs, dtype=float).reshape(-1, 2)
     arrivals = _check_epochs(np.sort(np.concatenate([pairs_arr[:, 0], drops])))
     departures = _check_epochs(np.sort(np.concatenate([pairs_arr[:, 1], dummies])))
-    index = np.full(departures.size, DUMMY, dtype=np.int64)
-    index[np.searchsorted(departures, pairs_arr[:, 1])] = np.searchsorted(arrivals, pairs_arr[:, 0])
-    return MatchResult(arrivals, departures, index, delay)
+    pairs_arr = pairs_arr[np.argsort(pairs_arr[:, 1], kind="stable")]
+    return MatchResult(arrivals, departures, np.searchsorted(arrivals, pairs_arr[:, 0]),
+                       np.searchsorted(departures, pairs_arr[:, 1]), delay)

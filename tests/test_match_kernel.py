@@ -16,7 +16,9 @@ from oracles import greedy_match_reference, joint_match_reference
 from anonrelay import relay_core
 from anonrelay.point_process import GenSpec, Schedule, ScheduleError, gen_poisson
 from anonrelay.relay_core import (
+    DUMMY,
     OTHER,
+    MatchResult,
     _concat_results,
     _joint_match,
     _match_index,
@@ -74,7 +76,9 @@ def test_kernel_matches_loop_at_block_edges(n, delay):
         assert_same(bounded_greedy_match(arr, dep, delay), greedy_match_reference(arr, dep, delay))
 
 
-@given(st.lists(dyadic(25), min_size=2, max_size=4), dyadic(), delays, st.permutations("wxyz"))
+# Up to six streams, as a 6x6 cascade relay merges: three tag bits.
+@given(st.lists(dyadic(25), min_size=2, max_size=6), dyadic(), delays,
+       st.permutations("uvwxyz"))
 @settings(max_examples=200, deadline=None)
 def test_joint_kernel_matches_loop(arrs, dep, delay, names):
     streams = dict(zip(names, arrs))
@@ -100,6 +104,14 @@ def test_joint_tie_goes_to_first_node_id():
     assert got["b"].index.tolist() == [OTHER]
     assert got["b"].n_matched == 0
     assert got["b"].dropped_arrivals.tolist() == [1.0]
+
+
+def test_index_round_trips_through_the_sparse_form():
+    for index in ([0, OTHER, DUMMY, 1], [DUMMY, 0, DUMMY], [], [OTHER, OTHER]):
+        dep = np.arange(len(index)) + 1.0
+        r = MatchResult.from_index([0.5, 1.5], dep, index, 3.0)
+        assert r.index.tolist() == index
+        assert r.dummy_departures.tolist() == dep[np.equal(index, DUMMY)].tolist()
 
 
 def test_joint_empty_stream_shares_dummies():
@@ -146,6 +158,30 @@ def test_kernel_scratch_is_bounded(delay):
     assert peak <= 1.5 * 8 * n, peak / (8 * n)
 
 
+# Six equal-priority streams over D departures keep each stream's carried
+# pairs and one shared dummies array: O(carried + D) bytes, where a
+# per-stream index over every departure would keep 6 x 8D.
+def test_joint_results_keep_their_carried_pairs_not_an_index_per_stream():
+    n = 200_000
+    rng = np.random.default_rng(6)
+    streams = {k: np.cumsum(rng.exponential(6.0, n // 6)) for k in "abcdef"}
+    dep = np.cumsum(rng.exponential(0.8, n))
+    _joint_match(streams, dep, 1.0)  # warm up lazily imported numpy code
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = _joint_match(streams, dep, 1.0)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    carried = sum(r.n_matched for r in got.values())
+    dummies = got["a"].dummy_departures.size
+    assert carried > 0.4 * n and dummies > 0.4 * n
+    assert all(np.shares_memory(r.dummy_departures, got["a"].dummy_departures)
+               for r in got.values())
+    assert kept <= 8 * (2 * carried + dummies) + 100_000, kept
+
+
 # Kernel passes of a few departures put chunk edges everywhere: on ties, on
 # expired windows, between a departure and the arrival it carries.
 @pytest.mark.parametrize("chunk", [1, 2, 7])
@@ -161,10 +197,10 @@ def test_chunked_kernel_matches_loop(chunk, arr, dep, delay):
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 7])
-@given(st.lists(dyadic(25), min_size=2, max_size=3), dyadic(), delays)
+@given(st.lists(dyadic(25), min_size=2, max_size=6), dyadic(), delays)
 @settings(max_examples=60, deadline=None)
 def test_chunked_joint_kernel_matches_loop(chunk, arrs, dep, delay):
-    streams = dict(zip("abc", arrs))
+    streams = dict(zip("abcdef", arrs))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(relay_core, "_CHUNK", chunk)
         got = _joint_match(streams, dep, delay)

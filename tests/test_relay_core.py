@@ -71,7 +71,10 @@ def test_match_partitions_and_fifo(arr, dep, delay):
     arrivals = _epochs(arr)
     departures = _epochs(dep)
     r = bounded_greedy_match(arrivals, departures, delay)
-    assert r.verify_partition(arrivals, departures)
+    # matches plus drops are the arrivals, matches plus dummies the departures
+    pairs = r.pairs
+    assert np.array_equal(np.sort(np.concatenate([pairs[:, 0], r.dropped_arrivals])), arrivals)
+    assert np.array_equal(np.sort(np.concatenate([pairs[:, 1], r.dummy_departures])), departures)
     mask = r.dropped
     assert np.array_equal(mask, np.isin(arrivals, r.dropped_arrivals))
     assert np.array_equal(arrivals[mask], r.dropped_arrivals)
@@ -300,17 +303,38 @@ def test_match_result_text_rejects_an_epoch_listed_twice():
 
 def test_match_result_rejects_bad_pairs():
     with pytest.raises(ValueError, match="departs before it arrives"):
-        MatchResult(arrivals=[2.0], departures=[1.0], index=[0], delay_bound=1.0)
+        MatchResult.from_index(arrivals=[2.0], departures=[1.0], index=[0], delay_bound=1.0)
     with pytest.raises(ValueError, match="exceeds the delay bound"):
-        MatchResult(arrivals=[0.0], departures=[2.0], index=[0], delay_bound=1.0)
+        MatchResult.from_index(arrivals=[0.0], departures=[2.0], index=[0], delay_bound=1.0)
     with pytest.raises(ValueError, match="not in FIFO order"):
-        MatchResult(arrivals=[1.0, 2.0], departures=[2.5, 3.0], index=[1, 0],
-                    delay_bound=2.5)
+        MatchResult.from_index(arrivals=[1.0, 2.0], departures=[2.5, 3.0], index=[1, 0],
+                               delay_bound=2.5)
     for arrivals, departures, index in (([1.0], [2.0], [1]), ([1.0], [2.0], [-3]),
                                         ([1.0], [2.0, 3.0], [0])):
         with pytest.raises(ValueError, match="one arrival index, DUMMY or OTHER"):
-            MatchResult(arrivals=arrivals, departures=departures, index=index,
-                        delay_bound=5.0)
+            MatchResult.from_index(arrivals=arrivals, departures=departures, index=index,
+                                   delay_bound=5.0)
+
+
+# Each fault planted into carried pairs that are otherwise valid: arrivals
+# 1, 2, 3 leave at departures 1.5, 2.5, 3.5 (positions 0, 2, 4) within 1.
+@pytest.mark.parametrize("carried, slots, message", [
+    ([0, 1, 2], [0, 2, 2], "strictly increasing positions"),  # a slot repeated
+    ([0, 1, 2], [0, 4, 2], "strictly increasing positions"),  # slots out of order
+    ([0, 1, 2], [0, 2, 6], "strictly increasing positions"),  # past the departures
+    ([0, 1, 2], [-1, 2, 4], "strictly increasing positions"),
+    ([0, 1, 2], [0, 2], "one arrival index per slot"),
+    ([0, 1, 3], [0, 2, 4], "one arrival index per slot"),  # past the arrivals
+    ([-1, 1, 2], [0, 2, 4], "one arrival index per slot"),
+    ([1, 0, 2], [0, 2, 4], "not in FIFO order"),
+    ([0, 1, 2], [0, 1, 2], "departs before it arrives"),
+    ([0, 1, 2], [0, 2, 5], "exceeds the delay bound"),
+])
+def test_sparse_match_result_rejects_each_planted_fault(carried, slots, message):
+    arrivals, departures = [1.0, 2.0, 3.0], [1.5, 2.0, 2.5, 3.0, 3.5, 4.5]
+    MatchResult(arrivals, departures, [0, 1, 2], [0, 2, 4], 1.0)  # the unplanted pairs pass
+    with pytest.raises(ValueError, match=message):
+        MatchResult(arrivals, departures, carried, slots, 1.0)
 
 
 def test_drop_tally_of_streamed_steps_equals_the_whole_match():

@@ -3,7 +3,8 @@ networks, with exact anonymity accounting and throughput tradeoff tools.
 
 The package is organised around one pipeline:
 
-* `point_process` generates and validates per-node transmission schedules.
+* `point_process` generates per-node transmission schedules and estimates
+  their rates.
 * `relay_core` matches arrival schedules to independent departure schedules
   under strict or average delay constraints.
 * `analytic` holds the closed-form loss and delay formulas the matchers

@@ -31,7 +31,6 @@ from .network_model import (
 __all__ = [
     "entropy_bits",
     "anonymity_level",
-    "fano_error_bound",
     "CovertPolicy",
     "AnonymityInfeasibleError",
     "BAConvergenceError",
@@ -179,18 +178,6 @@ def anonymity_level(policy_or_covert, prior: SessionPrior) -> float:
         h_prior_nats = -sum(p * math.log(p) for p in prior.probs)
         assert abs(alpha - h_cond_nats / h_prior_nats) < 1e-9
     return alpha
-
-
-def fano_error_bound(alpha: float, prior: SessionPrior) -> float:
-    """Lower bound on the eavesdropper's session-decoding error probability
-    implied by an anonymity level, clamped to [0, 1]."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    n = len(prior.entries)
-    if n < 2:
-        return 0.0
-    bound = (alpha * entropy_bits(prior) - 1.0) / math.log2(n)
-    return min(1.0, max(0.0, bound))
 
 
 @dataclass(frozen=True)

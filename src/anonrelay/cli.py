@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, analytic, anonymity_opt, network_model, relay_core
 from ._util import BatchMeans, fmt
-from .point_process import GenSpec, poisson_chunks, poisson_rate
+from .point_process import EmptyScheduleError, GenSpec, poisson_chunks
 
 __all__ = ["main"]
 
@@ -80,6 +80,14 @@ def _loss_row(name, predicted, flags: BatchMeans):
     return _check_row(name, predicted, stats.drop_fraction, flags.stderr)
 
 
+def _horizon(span: float, flags: str) -> float:
+    """The span a run draws its epochs over. One that overflows to inf, or
+    to 0 when a sum of rates overflows, exits naming the flags that set it."""
+    if not 0.0 < span < math.inf:
+        raise SystemExit(f"{flags} gives a horizon of {span}; it must be finite and positive")
+    return span
+
+
 def _streamed(sources: dict, out: GenSpec, ordering, delay: float):
     """Steps of relaying chunked Poisson draws, so a run holds a few chunks
     of epochs whatever its horizon."""
@@ -88,7 +96,7 @@ def _streamed(sources: dict, out: GenSpec, ordering, delay: float):
 
 
 def _relay_strict(args, rows):
-    horizon = args.packets / args.cs
+    horizon = _horizon(args.packets / args.cs, "--packets / --cs")
     flags, parts = BatchMeans(args.packets, 100), []
     for step in _streamed({"in": GenSpec(args.cs, horizon, args.seed)},
                           GenSpec(args.cb, horizon, args.seed), ("in",), args.delta):
@@ -103,7 +111,7 @@ def _relay_strict(args, rows):
 
 
 def _relay_priority(args, rows):
-    horizon = args.packets / (args.cs + args.cs2)
+    horizon = _horizon(args.packets / (args.cs + args.cs2), "--packets / (--cs + --cs2)")
     sources = {"src1": GenSpec(args.cs, horizon, args.seed),
                "src2": GenSpec(args.cs2, horizon, args.seed)}
     out = GenSpec(args.cb, horizon, args.seed)
@@ -126,14 +134,18 @@ def _relay_priority(args, rows):
 
 def _relay_avg(args, rows):
     horizon = args.packets / args.cs
-    drain = 100.0 * max(args.dbar, 1.0 / args.cb)
+    drained = _horizon(horizon + 100.0 * max(args.dbar, 1.0 / args.cb),
+                       "--packets / --cs + 100 max(--dbar, 1 / --cb)")
     arrivals = GenSpec(args.cs, horizon, args.seed)
-    departures = GenSpec(args.cb, horizon + drain, args.seed)
-    # The window follows from the rates the run measures, so a counting pass
-    # over both draws comes first, as `relay_core.avg_delay_relay` does.
-    cs_hat = poisson_rate(arrivals, node_id="in")
-    cb_hat = poisson_rate(departures, node_id="out")
-    window = analytic.solve_strict_delay(args.dbar, cs_hat, cb_hat)
+    departures = GenSpec(args.cb, drained, args.seed)
+    # the window follows from the rates the run measures: a counting pass comes first
+    try:
+        window, cs_hat, cb_hat = relay_core.avg_delay_window(
+            poisson_chunks(arrivals, node_id="in"), poisson_chunks(departures, node_id="out"),
+            args.dbar)
+    except EmptyScheduleError as e:
+        raise SystemExit(f"--packets {args.packets} at --seed {args.seed}: {e}; --mode avg "
+                         "solves its window from the measured rates, so raise --packets")
     loss = analytic.loss_fraction(cs_hat, cb_hat, window)
     # the delays' batches are runs of the matched packets the closed form predicts
     flags = BatchMeans(args.packets, 100)
@@ -205,6 +217,8 @@ def cmd_relay(args) -> int:
 
 
 def cmd_region(args) -> int:
+    # the horizon `two_source_region` draws its corners over
+    _horizon(args.corner_events / (args.cs1 + args.cs2), "--corner-events / (--cs1 + --cs2)")
     region = analytic.two_source_region(
         args.cs1, args.cs2, args.cb, args.delta,
         corner_events=args.corner_events, seed=args.seed,

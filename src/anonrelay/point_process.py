@@ -1,5 +1,5 @@
-"""Per-node transmission schedules: Poisson generation, rate estimation,
-and medium-access validity checks.
+"""Per-node transmission schedules: Poisson generation, whole or in chunks,
+and rate estimation.
 
 A schedule is the complete, time-ordered list of packet transmission epochs
 for one node over a finite window. Long-run rates are estimated on that
@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._util import fmt, substream
+from ._util import substream
 
 __all__ = [
     "Schedule",
@@ -22,14 +22,9 @@ __all__ = [
     "GenSpec",
     "ScheduleError",
     "EmptyScheduleError",
-    "MissingBoundError",
     "gen_poisson",
     "poisson_chunks",
-    "poisson_rate",
     "empirical_rate",
-    "validate_network_schedule",
-    "schedule_to_text",
-    "schedule_from_text",
 ]
 
 
@@ -39,10 +34,6 @@ class ScheduleError(ValueError):
 
 class EmptyScheduleError(ScheduleError):
     """Raised when a rate is requested for a schedule with no epochs."""
-
-
-class MissingBoundError(KeyError):
-    """Raised when a schedule has no matching per-node rate bound."""
 
 
 def _check_epochs(x: np.ndarray) -> np.ndarray:
@@ -119,7 +110,7 @@ class GenSpec:
         if not (math.isfinite(self.rate) and self.rate > 0.0):
             raise ScheduleError(f"rate must be positive, got {self.rate}")
         if not (math.isfinite(self.horizon) and self.horizon >= 0.0):
-            raise ScheduleError(f"horizon must be nonnegative, got {self.horizon}")
+            raise ScheduleError(f"horizon must be finite and nonnegative, got {self.horizon}")
 
 
 _CHUNK = 1 << 16  # epochs per chunk of a streamed draw
@@ -214,60 +205,8 @@ def _rate(n: int, last: float, node_id: str) -> float:
     return n / last
 
 
-def poisson_rate(spec: GenSpec, node_id: str = "node") -> float:
-    """`empirical_rate(gen_poisson(spec, node_id))`, counted over a streamed
-    draw whose epochs are let go chunk by chunk."""
-    n, last = 0, 0.0
-    for x in poisson_chunks(spec, node_id):
-        n += x.size
-        last = float(x[-1])
-    return _rate(n, last, node_id)
-
-
 def empirical_rate(schedule: Schedule) -> float:
     """Packets per second as n / (epoch of the n-th packet)."""
     n = len(schedule)
     return _rate(n, schedule.last_epoch if n else 0.0, schedule.node_id)
 
-
-def validate_network_schedule(schedules, bounds) -> bool:
-    """True iff every node's empirical rate is within its own cap.
-
-    Bounds are per node and independent: nodes transmit and receive
-    concurrently, so no cross-node constraint applies here.
-    """
-    caps = {}
-    for b in bounds:
-        caps[b.node_id] = b.capacity
-    for s in schedules:
-        if s.node_id not in caps:
-            raise MissingBoundError(s.node_id)
-        if len(s) and empirical_rate(s) > caps[s.node_id]:
-            return False
-    return True
-
-
-def schedule_to_text(schedule: Schedule, bound: RateBound) -> str:
-    """Line format: header `node <id> rate <C>`, one epoch per line.
-
-    Floats are written in shortest round-trip form, lossless well past 12
-    significant digits.
-    """
-    if schedule.node_id != bound.node_id:
-        raise ScheduleError("schedule and bound describe different nodes")
-    lines = [f"node {schedule.node_id} rate {fmt(bound.capacity)}"]
-    lines.extend(fmt(t) for t in schedule.epochs.tolist())
-    return "\n".join(lines) + "\n"
-
-
-def schedule_from_text(text: str) -> tuple[Schedule, RateBound]:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines:
-        raise ScheduleError("empty schedule text")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "node" or head[2] != "rate":
-        raise ScheduleError(f"bad schedule header: {lines[0]!r}")
-    node_id = head[1]
-    bound = RateBound(node_id=node_id, capacity=float(head[3]))
-    epochs = np.array([float(ln) for ln in lines[1:]], dtype=float)
-    return Schedule(node_id=node_id, epochs=epochs), bound

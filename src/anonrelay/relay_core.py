@@ -26,13 +26,7 @@ import numpy as np
 
 from . import analytic
 from ._util import BatchMeans, check_count, fmt, substream
-from .point_process import (
-    EmptyScheduleError,
-    Schedule,
-    ScheduleError,
-    _check_epochs,
-    empirical_rate,
-)
+from .point_process import Schedule, ScheduleError, _check_epochs, _rate
 
 __all__ = [
     "MatchResult",
@@ -40,6 +34,7 @@ __all__ = [
     "bounded_greedy_match",
     "priority_relay",
     "stream_relay",
+    "avg_delay_window",
     "avg_delay_relay",
     "WalkOracleResult",
     "random_walk_oracle",
@@ -568,20 +563,33 @@ def stream_relay(
             yield matcher.step(empty, {j: c if j == k else empty for j in sources}, final=True)
 
 
-def avg_delay_relay(arrivals: Schedule, departures: Schedule, mean_bound: float) -> MatchResult:
-    """Relay under a mean (not per-packet) delay constraint.
+def avg_delay_window(arrival_chunks: Iterable[np.ndarray], departure_chunks: Iterable[np.ndarray],
+                     mean_bound: float) -> tuple[float, float, float]:
+    """`(window, in_rate, out_rate)` for relaying under a mean (not
+    per-packet) delay bound.
 
-    Rates are estimated from the inputs. When the departure side is fast
-    enough, the window is unbounded and nothing is dropped; otherwise the
-    strict window is widened to the unique value whose stationary mean delay
-    equals `mean_bound`, which dominates running the strict matcher at the
-    mean bound itself.
+    Each stream is given as chunks of epochs, and its rate is counted as
+    `empirical_rate` counts a schedule; a stream with no epochs has none and
+    raises EmptyScheduleError. The window is unbounded, so nothing is
+    dropped, when the departures are fast enough; otherwise it is the one
+    whose stationary mean delay equals `mean_bound`, which dominates running
+    the strict matcher at the mean bound itself.
     """
-    if len(arrivals) == 0 or len(departures) == 0:
-        raise EmptyScheduleError("average-delay relaying needs nonempty schedules to estimate rates")
-    in_rate = empirical_rate(arrivals)
-    out_rate = empirical_rate(departures)
-    window = analytic.solve_strict_delay(mean_bound, in_rate, out_rate)
+    rates = []
+    for name, chunks in (("arrivals", arrival_chunks), ("departures", departure_chunks)):
+        n, last = 0, 0.0
+        for c in chunks:
+            if c.size:
+                n, last = n + c.size, float(c[-1])
+        rates.append(_rate(n, last, name))
+    in_rate, out_rate = rates
+    return analytic.solve_strict_delay(mean_bound, in_rate, out_rate), in_rate, out_rate
+
+
+def avg_delay_relay(arrivals: Schedule, departures: Schedule, mean_bound: float) -> MatchResult:
+    """Relay under a mean (not per-packet) delay constraint: the strict
+    matcher at `avg_delay_window` of the two schedules."""
+    window = avg_delay_window((arrivals.epochs,), (departures.epochs,), mean_bound)[0]
     return bounded_greedy_match(arrivals, departures, window)
 
 

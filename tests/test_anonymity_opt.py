@@ -30,7 +30,6 @@ from anonrelay.anonymity_opt import (
     deterministic_hull_value,
     deterministic_points,
     entropy_bits,
-    fano_error_bound,
     tradeoff_curve,
 )
 from anonrelay.network_model import (
@@ -94,19 +93,6 @@ def test_randomized_policy_anonymity_between_extremes(switching):
         rules.append((s, ((frozenset(), 0.5), (frozenset({"M2", "M4"}), 0.5))))
     mixed = anonymity_level(CovertPolicy(rules=tuple(rules)), prior)
     assert lo < mixed < 1.0
-
-
-def test_fano_bound(switching):
-    _, prior = switching
-    assert fano_error_bound(0.0, prior) == 0.0
-    alpha = 0.659
-    expected = (alpha * math.log2(24) - 1) / math.log2(24)
-    assert fano_error_bound(alpha, prior) == pytest.approx(expected)
-    # near-uniform large prior: the bound approaches alpha itself
-    many = uniform_prior([Session(paths=(("a", f"b{k}"),)) for k in range(256)])
-    assert fano_error_bound(0.7, many) == pytest.approx(0.7, abs=0.2)
-    with pytest.raises(ValueError):
-        fano_error_bound(1.2, prior)
 
 
 def test_policy_validation(switching):

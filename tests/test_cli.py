@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -187,6 +188,33 @@ def test_relay_check_on_an_empty_stream_fails(tmp_path, capsys):
     row, = json.loads((tmp_path / "relay_report.json").read_text())["checks"]
     assert (row["predicted"], row["measured"]) == (0.0, 0.0)
     assert math.isnan(row["stderr"])
+
+
+def test_avg_relay_on_an_empty_draw_exits_with_a_message(tmp_path):
+    # at seed 0 the one-packet horizon draws no arrivals, so avg mode has no
+    # input rate to solve its window from
+    with pytest.raises(SystemExit, match="^--packets 1 at --seed 0: .*raise --packets"):
+        main(["relay", "--mode", "avg", "--packets", "1", "--seed", "0",
+              "--out-dir", str(tmp_path)])
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (["relay", "--cs", "1e-308"], "--packets / --cs"),
+    (["relay", "--mode", "priority", "--cs", "1e-308", "--cs2", "1e-308"],
+     "--packets / (--cs + --cs2)"),
+    (["relay", "--mode", "priority", "--cs", "1e308", "--cs2", "1e308"],
+     "--packets / (--cs + --cs2)"),
+    (["relay", "--mode", "avg", "--cb", "1e-308"], "--packets / --cs + 100 max(--dbar, 1 / --cb)"),
+    (["region", "--cs1", "1e-308", "--cs2", "1e-308"], "--corner-events / (--cs1 + --cs2)"),
+    (["region", "--cs1", "1e308", "--cs2", "1e308"], "--corner-events / (--cs1 + --cs2)"),
+], ids=["strict", "priority", "priority-sum", "avg", "region", "region-sum"])
+def test_overflowing_horizon_exits_with_a_message(argv, flags, tmp_path):
+    # every rate is finite and positive, but the horizon it sets overflows
+    # to inf, or to 0 when the sum of two rates overflows
+    with pytest.raises(SystemExit, match="^" + re.escape(flags) + " gives a horizon of "):
+        main(argv + ["--out-dir", str(tmp_path)])
+    assert not any(tmp_path.iterdir())
 
 
 def test_tradeoff_rejects_empty_alpha_grid(tmp_path):

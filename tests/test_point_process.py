@@ -9,7 +9,6 @@ from anonrelay._util import substream
 from anonrelay.point_process import (
     EmptyScheduleError,
     GenSpec,
-    MissingBoundError,
     RateBound,
     Schedule,
     ScheduleError,
@@ -18,11 +17,8 @@ from anonrelay.point_process import (
     gen_poisson,
     poisson_chunks,
     poisson_epochs,
-    poisson_rate,
-    schedule_from_text,
-    schedule_to_text,
-    validate_network_schedule,
 )
+from anonrelay.relay_core import avg_delay_window
 
 
 def test_zero_horizon_gives_empty_schedule():
@@ -72,32 +68,6 @@ def test_interarrivals_pass_ks_against_exponential():
     assert p >= 0.001
 
 
-def test_validate_network_schedule():
-    ok = Schedule("a", [1.0, 2.0, 3.0, 4.0])
-    assert validate_network_schedule([ok], [RateBound("a", 1.0)])
-    fast = Schedule("a", [0.5 * k for k in range(1, 9)])  # 8 packets by t=4
-    assert not validate_network_schedule([fast], [RateBound("a", 1.0)])
-    with pytest.raises(MissingBoundError):
-        validate_network_schedule([ok], [RateBound("b", 1.0)])
-
-
-def test_full_duplex_bounds_are_per_node():
-    # both endpoints at their own caps simultaneously is valid
-    a = Schedule("a", [1.0, 2.0, 3.0, 4.0])
-    b = Schedule("b", [0.5, 1.0, 1.5, 2.0])
-    bounds = [RateBound("a", 1.0), RateBound("b", 2.0)]
-    assert validate_network_schedule([a, b], bounds)
-
-
-def test_text_round_trip_is_lossless():
-    s = gen_poisson(GenSpec(rate=2.0, horizon=500.0, seed=11), node_id="relay-7")
-    bound = RateBound("relay-7", 2.5)
-    s2, b2 = schedule_from_text(schedule_to_text(s, bound))
-    assert s2.node_id == s.node_id
-    assert b2 == bound
-    assert np.array_equal(s2.epochs, s.epochs)
-
-
 def test_schedule_validation():
     with pytest.raises(ScheduleError):
         Schedule("n", [1.0, 1.0])
@@ -127,11 +97,16 @@ def test_chunked_draw_equals_whole_draw(rate, horizon, chunk, monkeypatch):
     spec = GenSpec(rate=rate, horizon=horizon, seed=17)
     whole = gen_poisson(spec, node_id="n").epochs
     assert np.array_equal(_joined(poisson_chunks(spec, node_id="n")), whole)
+    # the mean-delay window counts the same streams to the same rates
+    out = GenSpec(rate=2.0 * rate, horizon=horizon, seed=17)
+    streams = poisson_chunks(spec, node_id="n"), poisson_chunks(out, node_id="out")
     if whole.size:
-        assert poisson_rate(spec, node_id="n") == empirical_rate(gen_poisson(spec, node_id="n"))
+        _, in_rate, out_rate = avg_delay_window(*streams, 1.0)
+        assert in_rate == empirical_rate(gen_poisson(spec, node_id="n"))
+        assert out_rate == empirical_rate(gen_poisson(out, node_id="out"))
     else:
         with pytest.raises(EmptyScheduleError):
-            poisson_rate(spec, node_id="n")
+            avg_delay_window(*streams, 1.0)
 
 
 def test_chunked_draw_ending_on_a_chunk_edge(monkeypatch):

@@ -80,11 +80,24 @@ def _loss_row(name, predicted, flags: BatchMeans):
     return _check_row(name, predicted, stats.drop_fraction, flags.stderr)
 
 
-def _horizon(span: float, flags: str) -> float:
-    """The span a run draws its epochs over. One that overflows to inf, or
-    to 0 when a sum of rates overflows, exits naming the flags that set it."""
+# The most epochs one Poisson draw may expect, rate × horizon: 1,000 times the
+# largest draw of the README and benchmark runs, and far below the draws a
+# rate near the smallest float sets, which no run could finish.
+MAX_DRAW_EPOCHS = 1e10
+
+
+def _horizon(span: float, flags: str, rates: dict) -> float:
+    """The span a run draws its epochs over, at each of `rates` (flag ->
+    rate). One that overflows to inf, to 0 when a sum of rates overflows,
+    or over which a draw expects more than MAX_DRAW_EPOCHS epochs, exits
+    naming the flags that set it."""
     if not 0.0 < span < math.inf:
         raise SystemExit(f"{flags} gives a horizon of {span}; it must be finite and positive")
+    for flag, rate in rates.items():
+        if rate * span > MAX_DRAW_EPOCHS:
+            raise SystemExit(f"{flags} gives a horizon of {span:.6g}, over which {flag} {rate:g} "
+                             f"expects {rate * span:.3g} epochs; a draw may expect at most "
+                             f"{MAX_DRAW_EPOCHS:.0e}")
     return span
 
 
@@ -96,7 +109,8 @@ def _streamed(sources: dict, out: GenSpec, ordering, delay: float):
 
 
 def _relay_strict(args, rows):
-    horizon = _horizon(args.packets / args.cs, "--packets / --cs")
+    horizon = _horizon(args.packets / args.cs, "--packets / --cs",
+                       {"--cs": args.cs, "--cb": args.cb})
     flags, parts = BatchMeans(args.packets, 100), []
     for step in _streamed({"in": GenSpec(args.cs, horizon, args.seed)},
                           GenSpec(args.cb, horizon, args.seed), ("in",), args.delta):
@@ -111,7 +125,8 @@ def _relay_strict(args, rows):
 
 
 def _relay_priority(args, rows):
-    horizon = _horizon(args.packets / (args.cs + args.cs2), "--packets / (--cs + --cs2)")
+    horizon = _horizon(args.packets / (args.cs + args.cs2), "--packets / (--cs + --cs2)",
+                       {"--cs": args.cs, "--cs2": args.cs2, "--cb": args.cb})
     sources = {"src1": GenSpec(args.cs, horizon, args.seed),
                "src2": GenSpec(args.cs2, horizon, args.seed)}
     out = GenSpec(args.cb, horizon, args.seed)
@@ -133,9 +148,9 @@ def _relay_priority(args, rows):
 
 
 def _relay_avg(args, rows):
-    horizon = args.packets / args.cs
+    horizon = _horizon(args.packets / args.cs, "--packets / --cs", {"--cs": args.cs})
     drained = _horizon(horizon + 100.0 * max(args.dbar, 1.0 / args.cb),
-                       "--packets / --cs + 100 max(--dbar, 1 / --cb)")
+                       "--packets / --cs + 100 max(--dbar, 1 / --cb)", {"--cb": args.cb})
     arrivals = GenSpec(args.cs, horizon, args.seed)
     departures = GenSpec(args.cb, drained, args.seed)
     # the window follows from the rates the run measures: a counting pass comes first
@@ -218,7 +233,8 @@ def cmd_relay(args) -> int:
 
 def cmd_region(args) -> int:
     # the horizon `two_source_region` draws its corners over
-    _horizon(args.corner_events / (args.cs1 + args.cs2), "--corner-events / (--cs1 + --cs2)")
+    _horizon(args.corner_events / (args.cs1 + args.cs2), "--corner-events / (--cs1 + --cs2)",
+             {"--cs1": args.cs1, "--cs2": args.cs2, "--cb": args.cb})
     region = analytic.two_source_region(
         args.cs1, args.cs2, args.cb, args.delta,
         corner_events=args.corner_events, seed=args.seed,
@@ -245,6 +261,12 @@ def cmd_region(args) -> int:
     print(f"[{'PASS' if contained else 'FAIL'}] inner region inside outer bound; "
           f"max-sum gap {gap:.3g}")
     return 0 if contained else 1
+
+
+def _counters(model) -> dict:
+    """The deterministic work counters a report carries from its model."""
+    return {k: model.metadata[k]
+            for k in ("simulated_entries", "class_evaluations", "cascade_simulations")}
 
 
 _SWITCHING_SUBSETS = (
@@ -294,6 +316,7 @@ def cmd_switching(args) -> int:
             {"check": n, "value": got, "expected": want, "pass": abs(got - want) <= 1e-9}
             for n, got, want in checks
         ],
+        "counters": _counters(model),
         "pass": ok,
     })
     for n, got, want in checks:
@@ -353,8 +376,7 @@ def cmd_tradeoff(args) -> int:
         "ba_probes": curve.ba_probes,
         "ba_unconverged": curve.ba_unconverged,
         "max_duality_gap": max_gap,
-        "counters": {k: model.metadata[k] for k in
-                     ("simulated_entries", "class_evaluations", "cascade_simulations")},
+        "counters": _counters(model),
         "pass": ok,
     })
     print(f"[{'PASS' if dominance else 'FAIL'}] randomized curve dominates the "

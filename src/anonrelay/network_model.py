@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 import numpy as np
@@ -412,17 +412,77 @@ def simulate_session(
 
 
 def _canonical_form(paths, caps, covert, rates):
-    """Paths sorted by descriptor (rate, capacity and covert flag of each
-    node), ties in given order, nodes relabelled by first occurrence: the
-    labelled structure without names. Returns the form, the path index at
-    each position and the node of each label."""
+    """The labelled structure without names: over every order of the paths
+    that keeps their descriptors (rate, capacity and covert flag of each
+    node) sorted, with nodes labelled by first occurrence, the least tuple
+    of (descriptor, labels) per position. Isomorphic path systems share one
+    form, and equal forms describe isomorphic ones. Returns the form, the
+    path index at each position and the node of each label.
+
+    Sorting with ties in given order gives one such encoding; the least one
+    is searched from it, once per distinct encoding."""
     descs = [(r, tuple(caps[v] for v in p), tuple(v in covert for v in p))
              for r, p in zip(rates, paths)]
     order = sorted(range(len(paths)), key=descs.__getitem__)
     label: dict = {}
-    form = tuple((descs[i], tuple(label.setdefault(v, len(label)) for v in paths[i]))
-                 for i in order)
-    return form, tuple(order), tuple(label)
+    start = tuple((descs[i], tuple(label.setdefault(v, len(label)) for v in paths[i]))
+                  for i in order)
+    form, pos, labels = _least_encoding(start)
+    names = tuple(label)
+    return form, tuple(order[k] for k in pos), tuple(names[v] for v in labels)
+
+
+@lru_cache(maxsize=4096)
+def _least_encoding(start):
+    """The least encoding of the path system a sorted, labelled encoding
+    describes, the position in `start` at each position and the label in
+    `start` of each label.
+
+    Each position takes, among the unplaced paths of its descriptor, those
+    whose labels under the labels given so far are least; a branch whose
+    prefix already exceeds the best encoding found is cut. Of several tied
+    paths whose unlabelled nodes lie on no other path, one is tried:
+    swapping two of them, those nodes with them, is an automorphism."""
+    descs = [desc for desc, _ in start]
+    paths = [labels for _, labels in start]
+    on: dict = {}
+    for p in paths:
+        for v in p:
+            on[v] = on.get(v, 0) + 1
+    best: list = []  # [labels per position, positions, label dict]
+
+    def encode(p, label):
+        new: dict = {}
+        return tuple(label[v] if v in label else new.setdefault(v, len(label) + len(new))
+                     for v in p)
+
+    def search(placed, label, prefix):
+        k = len(placed)
+        if k == len(paths):
+            if not best or prefix < best[0]:
+                best[:] = [prefix, placed, label]
+            return
+        cands = [(encode(paths[j], label), j)
+                 for j in range(len(paths)) if descs[j] == descs[k] and j not in placed]
+        least = min(enc for enc, _ in cands)
+        if best and prefix + [least] > best[0][:k + 1]:
+            return
+        free = False
+        for enc, j in cands:
+            if enc != least:
+                continue
+            if all(on[v] == 1 for v in paths[j] if v not in label):
+                if free:
+                    continue
+                free = True
+            grown = dict(label)
+            for v in paths[j]:
+                grown.setdefault(v, len(grown))
+            search(placed + [j], grown, prefix + [least])
+
+    search([], {}, [])
+    encs, placed, label = best
+    return tuple(zip(descs, encs)), tuple(placed), tuple(label)
 
 
 def _representative(form):
@@ -460,13 +520,13 @@ class CovertRateResult:
 def _session_form(session, topo):
     """The session's canonical form by visible rate, held by the topology with
     the classes read by its form, relay labels, node of each label, path
-    index at each position and visible optimum."""
+    index at each position and visible optimum. Isomorphic sessions have
+    one form, so they share one copy of it and of its classes."""
     form = topo._forms.get(session)
     if form is None:
         lv, lam_v = max_sum_rate_visible(session, topo)  # validates the session
         shape, order, names = _canonical_form(session.paths, topo.capacities, (), lam_v)
         relays = {v: k for k, v in enumerate(names) if v in session.interior_nodes}
-        # sessions of one form share one copy of it and its classes
         shape, classes = topo._form_classes.setdefault(shape, (shape, {}))
         form = topo._forms.setdefault(session, (shape, classes, relays, names, order, lv))
     return form
@@ -550,11 +610,12 @@ def covert_sum_rate(
     loss is the closed form (at the lifted source rates where applicable); any
     later covert relay sees already-thinned, non-Poisson input and its loss
     is measured by a seeded simulation. Sessions with covert sets that
-    differ only by node names form one relabelling class. The topology
-    evaluates each class once, on its canonical representative, and
-    simulates each cascade once, on the cascade's own; every session of a
-    class reads the held result through its labels, so no result depends
-    on which session asked first.
+    differ only by node names form one relabelling class, keyed by its
+    canonical form, the least encoding over descriptor-sorted path orders.
+    The topology evaluates each class once, on its canonical
+    representative, and simulates each cascade, keyed the same way, once
+    on the cascade's own; every session of a class reads the held result
+    through its labels, so no result depends on which session asked first.
     """
     check_count("sim_packets", sim_packets)
     shape, classes, relays, names, order, lv = _session_form(session, topo)

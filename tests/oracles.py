@@ -398,3 +398,23 @@ def fixed_set_reference(prior, topo, covert_for, d, covert):
     h_prior = -sum(p * math.log2(p) for p in prior.probs)
     h_cond = sum(p * math.log2(p / mass[c]) for p, c in zip(prior.probs, cols))
     return rate, float(-h_cond / h_prior)
+
+
+def least_form_exhaustive(paths, caps, covert, rates):
+    """The least encoding of a path system over every order of its paths:
+    each order whose descriptors (rate, capacities and covert flags along the
+    path) do not decrease is encoded with nodes labelled by first
+    occurrence, as a tuple of (descriptor, labels) per position, and the
+    least encoding is returned."""
+    descs = [(r, tuple(caps[v] for v in p), tuple(v in covert for v in p))
+             for r, p in zip(rates, paths)]
+    best = None
+    for perm in itertools.permutations(range(len(paths))):
+        if any(descs[a] > descs[b] for a, b in zip(perm, perm[1:])):
+            continue
+        label: dict = {}
+        form = tuple((descs[i], tuple(label.setdefault(v, len(label)) for v in paths[i]))
+                     for i in perm)
+        if best is None or form < best:
+            best = form
+    return best

@@ -1,12 +1,16 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import anonrelay
 from anonrelay import anonymity_opt as ao
 from anonrelay import analytic, point_process, relay_core
 from anonrelay import network_model as nm
@@ -214,6 +218,26 @@ def test_overflowing_horizon_exits_with_a_message(argv, flags, tmp_path):
     # to inf, or to 0 when the sum of two rates overflows
     with pytest.raises(SystemExit, match="^" + re.escape(flags) + " gives a horizon of "):
         main(argv + ["--out-dir", str(tmp_path)])
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (["relay", "--cs", "1e-300", "--packets", "1"], "--packets / --cs"),
+    (["relay", "--mode", "priority", "--cs", "1e-300", "--cs2", "1e-300"],
+     "--packets / (--cs + --cs2)"),
+    (["relay", "--mode", "avg", "--cs", "1e-300"], "--packets / --cs + 100 max(--dbar, 1 / --cb)"),
+    (["region", "--cs1", "1e-300", "--cs2", "1e-300"], "--corner-events / (--cs1 + --cs2)"),
+], ids=["strict", "priority", "avg", "region"])
+def test_endless_draw_exits_with_a_message(argv, flags, tmp_path):
+    # a tiny rate sets a finite horizon over which the relay's departures
+    # would expect about 1e300 epochs: the run exits before drawing any,
+    # naming the flags, with no traceback and no report
+    env = {**os.environ, "PYTHONPATH": str(Path(anonrelay.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "anonrelay.cli", *argv, "--out-dir", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert re.match(re.escape(flags) + r" gives a horizon of \S+, over which --cb \S+ expects "
+                    r"\S+ epochs; a draw may expect at most 1e\+10$", proc.stderr.strip())
     assert not any(tmp_path.iterdir())
 
 

@@ -68,21 +68,21 @@ GOLDEN = {
     }),
     "switching": (0, {
         "switching.csv":
-            "980669f0cb3bd2bd38bb80a9323d25163d79ac9e22abfcaa2bf4edd9a376e22f",
+            "f72109eee5987f2c058cc0f165e7f79322285668a6ecfae739a41eea582e80ef",
         "switching_report.json":
-            "4e244caca7be8f5875fc3da7c316a6caf9ed6b97264fc31144f04532a4e1e311",
+            "64547e4312196f4850229fe7e9c7f50266db2ed937b6d877efe9d8166ef80445",
     }),
     "tradeoff": (0, {
         "deterministic_hull.csv":
             "d8a1843a7fd144cab2e9f249941c8e46f5be3e9e1fcfab0a749bf3c3582655e7",
         "deterministic_points.csv":
-            "485c7c703304587fe0716f8e2d976b49c46225812422217b8432573af69be8cf",
+            "8ade14e017ee0eac1f1c88c316fb5819262836de11f09d577827abc532029b4c",
         "tradeoff_curve.csv":
             "2b9a4b81a1c027e712e2d23f3228c988af1ce6e00c6beb8e1bc1c94d04c726bb",
         "tradeoff_policies.txt":
             "2f22c9a50e6478d7b74cde7b0e2034f5870bd552e370eb9bd4b621b44bf4bead",
         "tradeoff_report.json":
-            "f5eedb87b78a47a777690cf4aa11800dfcde8d642ca55b68c92460133952a9f5",
+            "4b02c5c152c791972a8d8c5890f3f8af86cc2aec2bbf8a189885c17494719ca0",
     }),
     "gen_topology": (0, {
         "switching.cfg":
@@ -92,13 +92,13 @@ GOLDEN = {
         "deterministic_hull.csv":
             "d8a1843a7fd144cab2e9f249941c8e46f5be3e9e1fcfab0a749bf3c3582655e7",
         "deterministic_points.csv":
-            "485c7c703304587fe0716f8e2d976b49c46225812422217b8432573af69be8cf",
+            "8ade14e017ee0eac1f1c88c316fb5819262836de11f09d577827abc532029b4c",
         "tradeoff_curve.csv":
             "2b9a4b81a1c027e712e2d23f3228c988af1ce6e00c6beb8e1bc1c94d04c726bb",
         "tradeoff_policies.txt":
             "2f22c9a50e6478d7b74cde7b0e2034f5870bd552e370eb9bd4b621b44bf4bead",
         "tradeoff_report.json":
-            "c2bd34664a47cba55f254c1ee0b8f4661371b58b4c01951d5fc77617ba37fd98",
+            "01c600e84e4b2c164cd75bd99b0840a146e9680ae7f49551f19446a62e2a5dbf",
     }),
 }
 

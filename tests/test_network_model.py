@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import distortion_cells_reference, fixed_set_reference
+from oracles import distortion_cells_reference, fixed_set_reference, least_form_exhaustive
 
 from anonrelay import analytic, network_model as nm
 from anonrelay import anonymity_opt as ao
@@ -320,6 +320,19 @@ def test_cascade_cache_deterministic_and_shared():
     assert r3.eps == r1.eps
 
 
+def _cascade_positions(session, covert, topo):
+    """The session's cascade form under `covert` and the session path at each
+    of its positions, placed by `_canonical_form` as `covert_sum_rate` places
+    them: through the session's form, its class, and the class's cascade."""
+    shape, _, relays, _, order, _ = nm._session_form(session, topo)
+    rep, caps, _, lam_v = nm._representative(shape)
+    form, pos, _ = nm._canonical_form(rep.paths, caps, {relays[v] for v in covert}, lam_v)
+    rep, caps, covert, lam_v = nm._representative(form)
+    rates = nm._boosted_rates(rep.paths, caps, lam_v, covert)
+    cascade, cascade_pos, _ = nm._canonical_form(rep.paths, caps, covert, rates)
+    return cascade, [order[pos[j]] for j in cascade_pos]
+
+
 def test_cascade_statistics_do_not_leak_across_topologies():
     # session 16 (M1->M4, M3->M2) simulated on one topology must not supply
     # the cascade losses of session 0 (M1->M2, M3->M4) on another: session 0
@@ -334,9 +347,8 @@ def test_cascade_statistics_do_not_leak_across_topologies():
     assert len({desc for desc, _ in key[0]}) == 1  # one descriptor: positions keep class order
     rep, caps, rep_covert, rates = nm._representative(key[0])
     run = nm._run_session_sim(rep, caps, rep_covert, rates, *key[1:])
-    # canonical positions sort the paths by visible rate, ties in session order
-    _, lam_v = max_sum_rate_visible(s, fresh)
-    index = sorted(range(len(s.paths)), key=lambda i: lam_v[i])
+    cascade, index = _cascade_positions(s, covert, fresh)
+    assert cascade == key[0]
     simulated = {k: e for k, e in res.eps.items() if e.source == "simulated"}
     assert len(simulated) == 4
     for (i, node), e in simulated.items():
@@ -405,6 +417,54 @@ def test_canonical_key_separates_sharing_patterns():
     key_a, _, _ = nm._canonical_form(shared.paths, caps, covert, [2.0] * 4)
     key_b, _, _ = nm._canonical_form(mixed.paths, caps, covert, [2.0] * 4)
     assert key_a != key_b
+
+
+@st.composite
+def path_systems(draw):
+    """Up to six distinct paths over a few shared nodes, with two capacities
+    and two rates, so that many paths tie on their descriptors."""
+    nodes = [f"v{k}" for k in range(draw(st.integers(2, 7)))]
+    path = st.lists(st.sampled_from(nodes), min_size=2, max_size=4, unique=True).map(tuple)
+    paths = draw(st.lists(path, min_size=1, max_size=6, unique=True))
+    caps = {v: draw(st.sampled_from([1.0, 2.0])) for v in nodes}
+    covert = draw(st.frozensets(st.sampled_from(nodes)))
+    rates = draw(st.lists(st.sampled_from([0.5, 1.0]), min_size=len(paths),
+                          max_size=len(paths)))
+    return paths, caps, covert, rates
+
+
+def _encoding(paths, caps, covert, rates, order, names):
+    """The encoding of a path system in the given order under the given labels."""
+    label = {v: k for k, v in enumerate(names)}
+    return tuple(((rates[i], tuple(caps[v] for v in paths[i]),
+                   tuple(v in covert for v in paths[i])), tuple(label[v] for v in paths[i]))
+                 for i in order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(path_systems(), st.randoms(use_true_random=False))
+def test_canonical_form_is_the_least_encoding(system, rnd):
+    paths, caps, covert, rates = system
+    form, order, names = nm._canonical_form(paths, caps, covert, rates)
+    assert form == least_form_exhaustive(paths, caps, covert, rates)
+    assert sorted(order) == list(range(len(paths)))
+    assert set(names) == {v for p in paths for v in p} and len(names) == len(set(names))
+    assert _encoding(paths, caps, covert, rates, order, names) == form
+    # renamed nodes and shuffled paths: the same form, read through their own
+    # order and labels
+    nodes = sorted(caps)
+    rename = dict(zip(nodes, rnd.sample(nodes, len(nodes))))
+    shuffle = rnd.sample(range(len(paths)), len(paths))
+    paths2 = [tuple(rename[v] for v in paths[i]) for i in shuffle]
+    caps2 = {rename[v]: c for v, c in caps.items()}
+    covert2 = {rename[v] for v in covert}
+    rates2 = [rates[i] for i in shuffle]
+    form2, order2, names2 = nm._canonical_form(paths2, caps2, covert2, rates2)
+    assert form2 == form
+    assert _encoding(paths2, caps2, covert2, rates2, order2, names2) == form
+    # the representative a form describes has that form
+    rep, rep_caps, rep_covert, rep_rates = nm._representative(form)
+    assert nm._canonical_form(rep.paths, rep_caps, rep_covert, rep_rates)[0] == form
 
 
 def six_by_six():
@@ -522,6 +582,19 @@ def test_six_by_six_model_evaluates_each_group_once(monkeypatch):
     assert calls["covert_sum_rate"] == groups <= 96
 
 
+def test_six_by_six_model_works_once_per_isomorphism_class():
+    # the 720 sessions fall into 3 shapes up to node names; read in full, the
+    # model evaluates 30 covert classes and simulates 12 cascades, one per
+    # isomorphism class, where forms that kept ties in session order gave 6,
+    # 50 and 21
+    topo, prior = six_by_six()
+    model = build_distortion_model(prior, topo, 1.0, sim_packets=2_000, seed=3)
+    model.d
+    assert len(model.groups) == 3
+    assert model.metadata["class_evaluations"] == len(topo._classes) == 30
+    assert model.metadata["cascade_simulations"] == len(topo._cascades) == 12
+
+
 def test_source_sharing_separates_classes():
     # one source feeding both paths has no spare capacity to boost with;
     # two sources do, so the shared relay A sees twice the input
@@ -566,20 +639,31 @@ def test_empty_cascade_stream_loses_nothing():
 
 
 def test_cascade_hop_too_short_to_batch_has_no_error_bar():
-    # eight packets leave the second stage too few arrivals for two batches:
-    # its measured loss has no error bar, and neither has the rate built on it
+    # a second-stage hop that saw fewer than four packets has no two batches:
+    # its measured loss has no error bar, at a total loss too, and neither has
+    # the rate built on it; a hop that saw nothing loses nothing, exactly.
+    # Runs of 8 and 4 packets over ten seeds reach each of these states.
     topo, prior = switching_topology(2.0)
-    r = covert_sum_rate(prior.sessions[0], {"M1", "M2"}, topo, 1.0, sim_packets=8, seed=0)
-    hop = r.eps[(0, "M2")]
-    assert (hop.source, hop.value) == ("simulated", 1.0 / 3.0)
-    assert math.isnan(hop.stderr) and math.isnan(r.stderr)
-    # the other path's stream through M2 is empty: it loses nothing, exactly
-    assert r.eps[(1, "M2")] == nm.EpsEstimate(value=0.0, stderr=0.0, source="simulated")
-    # nor when such a hop drops every packet it saw
-    r = covert_sum_rate(prior.sessions[0], {"M1", "M2", "M3", "M4"}, topo, 0.1,
-                        sim_packets=4, seed=1)
-    hop = r.eps[(0, "M2")]
-    assert hop.value == 1.0 and math.isnan(hop.stderr) and math.isnan(r.stderr)
+    s = prior.sessions[0]
+    hops = []
+    for covert, delay, packets in (({"M1", "M2"}, 1.0, 8), ({"M1", "M2", "M3", "M4"}, 0.1, 4)):
+        cascade, index = _cascade_positions(s, covert, topo)
+        for seed in range(10):
+            r = covert_sum_rate(s, covert, topo, delay, sim_packets=packets, seed=seed)
+            held = topo._cascades[(cascade, delay, r.horizon, seed)]
+            for (i, node), e in r.eps.items():
+                if e.source == "simulated":
+                    hop = held[index.index(i)][s.paths[i].index(node)]
+                    state = ("empty" if hop.n_in == 0 else "batched" if hop.n_in >= 4
+                             else "total loss" if hop.n_dropped == hop.n_in else "short")
+                    hops.append((state, hop, e, r.stderr))
+    assert {state for state, *_ in hops} >= {"empty", "short", "total loss"}
+    for state, hop, e, stderr in hops:
+        if state == "empty":
+            assert e == nm.EpsEstimate(value=0.0, stderr=0.0, source="simulated")
+        elif state != "batched":
+            assert e.value == hop.n_dropped / hop.n_in
+            assert math.isnan(e.stderr) and math.isnan(stderr)
 
 
 @pytest.mark.parametrize("bad", [0, -5, 2.5, "100", None])

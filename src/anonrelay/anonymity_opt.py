@@ -22,7 +22,9 @@ from .network_model import (
     Session,
     SessionPrior,
     Topology,
+    _class_of,
     _session_form,
+    _sim_horizon,
     covert_sum_rate,
     observe,
     observe_single,
@@ -312,14 +314,25 @@ class DistortionModel:
             loss = float(self._losses[si, oi])
         return loss
 
+    def _horizon(self, group) -> float:
+        """The simulation horizon of a group's relabelling class, which with
+        the model's seed and delay is the family its cascades belong to."""
+        rows, cols = group
+        si = int(rows[0])
+        key, _, _ = _class_of(self.sessions[si], self.covert_for[(si, int(cols[0]))],
+                              self.topo, self.delay, self.sim_packets, self.seed)
+        return _sim_horizon(key)
+
     @cached_property
     def d(self) -> np.ndarray:
-        """The whole loss table, every cell evaluated."""
+        """The whole loss table, every cell evaluated. Groups not yet read
+        are evaluated in family order, so the cascades of one family run
+        together and share the topology's one-family memo."""
         table = self._losses
-        for by_labels in self.groups.values():
-            for rows, cols in by_labels.values():
-                if math.isnan(table[rows[0], cols[0]]):
-                    self._evaluate(rows, cols)
+        pending = [(rows, cols) for by_labels in self.groups.values()
+                   for rows, cols in by_labels.values() if math.isnan(table[rows[0], cols[0]])]
+        for rows, cols in sorted(pending, key=self._horizon):
+            self._evaluate(rows, cols)
         return table
 
     def _columns(self, covert) -> list[int]:
@@ -349,7 +362,9 @@ class DistortionModel:
     def deterministic_points(self) -> tuple[DetPoint, ...]:
         """(anonymity, expected sum rate) of every covert set fixed for all
         sessions: each subset of the relays interior to some session,
-        smallest first."""
+        smallest first. Its reads cover every cell, so `d` evaluates them
+        first, in family order."""
+        self.d
         return tuple(DetPoint(covert=b, alpha=self.anonymity(b), sum_rate=self.covert_rate(b))
                      for b in _subsets(_fixed_relays(self.sessions)))
 

@@ -65,6 +65,11 @@ class Topology:
     (session, topology) LP once), their canonical forms, and the covert rates
     of each relabelling class and loss statistics of each cascade, each
     computed once on a canonical representative, a function of its key alone.
+
+    Cascade simulations of one family, the same (seed, horizon, delay), share
+    their source draws and covert relays' joint matches through a memo the
+    topology holds for one family at a time: asking for another family
+    replaces it whole, so it never holds more than one family's streams.
     """
 
     bounds: tuple[RateBound, ...]
@@ -95,7 +100,11 @@ class Topology:
 
     @cached_property
     def _form_classes(self) -> dict:
-        return {}  # form -> (form, {(covert labels, params): (class rates, relabelling)})
+        return {}  # form -> (form, {(covert labels, params): (class key, relabelling)})
+
+    @cached_property
+    def _family_slot(self) -> list:
+        return [(None, {})]  # one slot: (family, its _run_session_sim memo), replaced whole
 
     @cached_property
     def _classes(self) -> dict:
@@ -300,7 +309,7 @@ def _boosted_rates(paths, caps, lam_v, covert) -> list[float]:
     return rates
 
 
-def _run_session_sim(session, caps, covert, src_rates, delay, horizon, seed, schedules=True):
+def _run_session_sim(session, caps, covert, src_rates, delay, horizon, seed, memo=None):
     """Push seeded Poisson source streams through the session hop by hop.
 
     Visible relays forward every received epoch (dummy packets from covert
@@ -308,18 +317,32 @@ def _run_session_sim(session, caps, covert, src_rates, delay, horizon, seed, sch
     merged incoming data streams into their own independent schedule. Dummy
     epochs emitted by a covert relay are handed to a seeded choice of its
     downstream next hops and ride visible chains until a covert relay or a
-    destination swallows them. Without `schedules`, the nodes' transmitted
-    schedules are not kept, which the cascade store, reading only the loss
-    statistics, does not need.
+    destination swallows them.
+
+    Without a `memo` the run keeps every node's transmitted schedule and
+    shares nothing. With one it keeps no schedule and routes no chaff, which
+    the cascade store, reading only the loss statistics, does not need, and
+    it shares its source draws and joint matches with every run given the
+    same memo. Those runs must be of one family, the same (seed, horizon,
+    delay). Each entry is keyed by provenance: a source by ("src", i, rate),
+    a visible hop's output by ("hop", its input's key), a covert relay's
+    match by (node, capacity, sorted (tag, input key) pairs) and each of its
+    outputs by (match key, tag). In one family a key fixes the epochs it
+    names, so shared runs measure bit for bit what unshared runs do.
     """
     paths = session.paths
+    schedules = memo is None
+    if schedules:
+        memo = {}  # in a single run every key is new, so nothing is shared
+    keys = [("src", i, rate) for i, rate in enumerate(src_rates)]
     streams: list[np.ndarray] = []
-    for i, rate in enumerate(src_rates):
-        if rate <= 0.0:
-            streams.append(np.empty(0))
-        else:
-            rng = substream(seed, "src", i)
-            streams.append(poisson_epochs(rate, horizon, rng))
+    for key in keys:
+        drawn = memo.get(key)
+        if drawn is None:
+            _, i, rate = key
+            drawn = memo.setdefault(key, poisson_epochs(rate, horizon, substream(seed, "src", i))
+                                    if rate > 0.0 else np.empty(0))
+        streams.append(drawn)
 
     next_hop = {}
     for i, p in enumerate(paths):
@@ -340,37 +363,39 @@ def _run_session_sim(session, caps, covert, src_rates, delay, horizon, seed, sch
     dests = {p[-1] for p in paths}
     for node in session.relay_order:
         feeding = [i for i, p in enumerate(paths) if node in p[1:-1]]
-        fwd_dummies = np.sort(np.concatenate(dummy_inbox.pop(node, [np.empty(0)])))
+        forwarded = dummy_inbox.pop(node, [])
         if node in covert:
-            dep = poisson_epochs(caps[node], horizon, substream(seed, "relay", node))
-            keyed = {}
-            tag_of = {}
-            for i in feeding:
-                prev = paths[i][paths[i].index(node) - 1]
-                key = f"{prev}|{i:06d}"
-                keyed[key] = streams[i]
-                tag_of[key] = i
-            results = relay_core._joint_match(keyed, dep, delay)
-            stats = {}
-            for key, res in results.items():
-                i = tag_of[key]
-                streams[i] = res.departures[res.slots]
-                flags = BatchMeans(res.arrivals.size).add_ones(res.arrivals.size, res.carried)
-                stats[i] = RelayPathStats.from_flags(flags)
-            relay_stats[node] = stats
+            tag_of = {f"{paths[i][paths[i].index(node) - 1]}|{i:06d}": i for i in feeding}
+            match = (node, caps[node], tuple(sorted((tag, keys[i]) for tag, i in tag_of.items())))
+            held = memo.get(match)
+            if held is None:
+                dep = poisson_epochs(caps[node], horizon, substream(seed, "relay", node))
+                results = relay_core._joint_match({tag: streams[i] for tag, i in tag_of.items()},
+                                                  dep, delay)
+                held = memo.setdefault(match, {
+                    tag: (res.departures[res.slots], RelayPathStats.from_flags(
+                        BatchMeans(res.arrivals.size).add_ones(res.arrivals.size, res.carried)))
+                    for tag, res in results.items()
+                })
+            stats = relay_stats[node] = {}
+            for tag, (out, st) in held.items():
+                i = tag_of[tag]
+                streams[i], keys[i], stats[i] = out, (match, tag), st
             if schedules:
                 node_schedules[node] = dep
-            # dummies (and any forwarded dummies die here: a relay can read
-            # the routing layer, so chaff is never matched onward)
-            chaff = results[min(results)].dummy_departures if results else dep
+                # dummies (and any forwarded dummies die here: a relay can read
+                # the routing layer, so chaff is never matched onward)
+                chaff = results[min(results)].dummy_departures if results else dep
         else:
-            outs = []
             for i in feeding:
                 streams[i] = streams[i] + PROC_DELAY
-                outs.append(streams[i])
-            chaff = fwd_dummies + PROC_DELAY
+                keys[i] = ("hop", keys[i])
             if schedules:
-                node_schedules[node] = np.sort(np.concatenate(outs + [chaff]))
+                chaff = np.sort(np.concatenate(forwarded or [np.empty(0)])) + PROC_DELAY
+                node_schedules[node] = np.sort(np.concatenate(
+                    [streams[i] for i in feeding] + [chaff]))
+        if not schedules:
+            continue  # a stats-only run routes no chaff
         hops = [h for h in sorted({next_hop[(i, node)] for i in feeding}) if h not in dests]
         if hops and chaff.size:
             pick = substream(seed, "chaff", node).integers(0, len(hops), chaff.size)
@@ -532,6 +557,43 @@ def _session_form(session, topo):
     return form
 
 
+def _class_of(session, covert, topo, delay, sim_packets, seed):
+    """The key of the relabelling class of `covert` in `session`, the
+    position in the class's representative of each position of the
+    session's form and the form's label of each representative label, held
+    with the session's form."""
+    shape, classes, relays, *_ = _session_form(session, topo)
+    cell = (frozenset(relays[v] for v in covert if v in relays), delay, sim_packets, seed)
+    held = classes.get(cell)
+    if held is None:
+        rep, caps, _, lam_v = _representative(shape)
+        form, pos, label = _canonical_form(rep.paths, caps, cell[0], lam_v)
+        held = classes.setdefault(cell, ((form,) + cell[1:], pos, label))
+    return held
+
+
+def _sim_horizon(key) -> float:
+    """Seconds each cascade simulation of a relabelling class runs: the
+    class's `sim_packets` at the total boosted source rate of its
+    representative. With the seed and delay of the key it names the
+    family of runs that share draws and matches."""
+    form, _, sim_packets, _ = key
+    session, caps, covert, lam_v = _representative(form)
+    total_rate = sum(_boosted_rates(session.paths, caps, lam_v, covert))
+    return sim_packets / total_rate if total_rate > 0 else 1.0
+
+
+def _family_memo(topo, family) -> dict:
+    """The topology's memo of cascade draws and matches for `family`, a
+    (seed, horizon, delay). The slot holds one family: another family
+    replaces it whole, so a caller reads a memo of its own family even if
+    concurrent callers switch the slot between reads."""
+    held = topo._family_slot[0]
+    if held[0] != family:
+        held = topo._family_slot[0] = (family, {})
+    return held[1]
+
+
 def _class_rates(key, topo) -> CovertRateResult:
     """Covert rates of one relabelling class, on its canonical representative."""
     form, delay, sim_packets, seed = key
@@ -543,8 +605,7 @@ def _class_rates(key, topo) -> CovertRateResult:
     stats_of = None  # path index -> {hop: RelayPathStats} where simulated
     horizon = math.nan
     if any(len(c) > 1 for c in covert_on_path):
-        total_rate = sum(rates)
-        horizon = sim_packets / total_rate if total_rate > 0 else 1.0
+        horizon = _sim_horizon(key)
         cascade, order, _ = _canonical_form(paths, caps, covert, rates)
         ckey = (cascade, delay, horizon, seed)
         held = topo._cascades.get(ckey)
@@ -553,7 +614,7 @@ def _class_rates(key, topo) -> CovertRateResult:
             # depends on the key alone, not on which class asked first
             rep, rep_caps, rep_covert, rep_rates = _representative(cascade)
             run = _run_session_sim(rep, rep_caps, rep_covert, rep_rates, *ckey[1:],
-                                   schedules=False)
+                                   memo=_family_memo(topo, (seed, horizon, delay)))
             held = topo._cascades.setdefault(ckey, tuple(
                 {h: run.relay_stats[v][k] for h, v in enumerate(p[1:-1], 1) if v in rep_covert}
                 for k, p in enumerate(rep.paths)
@@ -616,20 +677,19 @@ def covert_sum_rate(
     representative, and simulates each cascade, keyed the same way, once
     on the cascade's own; every session of a class reads the held result
     through its labels, so no result depends on which session asked first.
+    Cascade simulations of one family, the same (seed, horizon, delay),
+    share each source draw and covert relay match through the topology's
+    memo, which holds one family at a time; a caller evaluating many
+    classes shares most by asking family by family, as
+    `DistortionModel.d` does. What is shared is keyed by provenance, so
+    results never depend on the order of calls.
     """
     check_count("sim_packets", sim_packets)
-    shape, classes, relays, names, order, lv = _session_form(session, topo)
-    cell = (frozenset(relays[v] for v in covert if v in relays), delay, sim_packets, seed)
-    held = classes.get(cell)
-    if held is None:
-        rep, caps, _, lam_v = _representative(shape)
-        form, pos, label = _canonical_form(rep.paths, caps, cell[0], lam_v)
-        key = (form,) + cell[1:]
-        rates = topo._classes.get(key)
-        if rates is None:
-            rates = topo._classes.setdefault(key, _class_rates(key, topo))
-        held = classes.setdefault(cell, (rates, pos, label))
-    rates, pos, label = held
+    key, pos, label = _class_of(session, covert, topo, delay, sim_packets, seed)
+    rates = topo._classes.get(key)
+    if rates is None:
+        rates = topo._classes.setdefault(key, _class_rates(key, topo))
+    *_, names, order, lv = _session_form(session, topo)
     path_rates = [0.0] * len(pos)
     for k, j in enumerate(pos):
         path_rates[order[j]] = rates.path_rates[k]

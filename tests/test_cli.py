@@ -22,6 +22,14 @@ def read_all(directory: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
+def counting(calls: dict, name: str, fn):
+    """`fn`, counting its calls in `calls[name]`."""
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapped
+
+
 def test_gen_topology_round_trips(tmp_path):
     out = tmp_path / "net.cfg"
     assert main(["gen-topology", "--capacity", "1.5", "--out", str(out)]) == 0
@@ -83,18 +91,28 @@ def test_switching_reads_one_cell_per_session_and_subset(tmp_path, monkeypatch):
     # the 8 classes and 2 cascades that summing them session by session
     # evaluates
     calls = {"rates": 0, "classes": 0, "cascades": 0}
-
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(ao, "covert_sum_rate", counting("rates", ao.covert_sum_rate))
-    monkeypatch.setattr(nm, "_class_rates", counting("classes", nm._class_rates))
-    monkeypatch.setattr(nm, "_run_session_sim", counting("cascades", nm._run_session_sim))
+    monkeypatch.setattr(ao, "covert_sum_rate", counting(calls, "rates", ao.covert_sum_rate))
+    monkeypatch.setattr(nm, "_class_rates", counting(calls, "classes", nm._class_rates))
+    monkeypatch.setattr(nm, "_run_session_sim", counting(calls, "cascades", nm._run_session_sim))
     assert main(["switching", "--sim-packets", "20000", "--out-dir", str(tmp_path)]) == 0
     assert calls == {"rates": 8, "classes": 8, "cascades": 2}
+
+
+@pytest.mark.parametrize("packets", ["2000", "30000"])
+def test_tradeoff_cascades_share_draws_and_matches(tmp_path, monkeypatch, packets):
+    # the README model simulates 9 cascades in 2 families (horizons).
+    # Unshared they run 26 joint matches and make 57 Poisson draws; sharing
+    # within each family leaves 17 distinct matches, each drawing its
+    # departures, and 7 distinct source draws. The counts follow from the
+    # network's structure, whatever the packet count.
+    calls = {"cascades": 0, "matches": 0, "draws": 0}
+    monkeypatch.setattr(nm, "_run_session_sim", counting(calls, "cascades", nm._run_session_sim))
+    monkeypatch.setattr(relay_core, "_joint_match",
+                        counting(calls, "matches", relay_core._joint_match))
+    monkeypatch.setattr(nm, "poisson_epochs", counting(calls, "draws", nm.poisson_epochs))
+    assert main(["tradeoff", "--capacity", "2", "--delta", "1", "--alpha-points", "5",
+                 "--sim-packets", packets, "--out-dir", str(tmp_path)]) == 0
+    assert calls == {"cascades": 9, "matches": 17, "draws": 24}
 
 
 def test_tradeoff_files_and_dominance(tmp_path, monkeypatch):

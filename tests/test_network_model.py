@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import sys
@@ -287,6 +288,30 @@ def test_simulate_cascade_records_second_stage_loss():
             assert 0.0 < st_.drop_fraction < 1.0
 
 
+def _sim_digest(sim) -> str:
+    h = hashlib.sha256(repr((sim.delivered_counts, sim.path_rates, sim.relay_stats)).encode())
+    for node in sorted(sim.node_schedules):
+        h.update(node.encode() + sim.node_schedules[node].tobytes())
+    return h.hexdigest()
+
+
+def test_simulated_schedules_are_pinned():
+    # chaff merged at a visible relay from two covert ones (M2 and M4 hear
+    # M1 and M3), and chaff riding two visible relays into a covert one,
+    # which discards it (n1 -> n2 -> n3 -> n4): every count, statistic and
+    # schedule byte stays what it was when covert relays sorted their inbox
+    topo, prior = switching_topology(2.0)
+    mixed = prior.sessions[2]
+    assert len({p[2] for p in mixed.paths[:2]}) == 2  # M1 feeds both M2 and M4
+    sim = simulate_session(mixed, {"M1", "M3"}, topo, 1.0, horizon=2_000.0, seed=9)
+    assert _sim_digest(sim) == "96171c6155076b1c408cb27a31bebdc95f14ae8c7057cf127b37dd6d7d82dbdc"
+    line, nodes = line_topology([2.0] * 6)
+    sim = simulate_session(Session(paths=(nodes,)), {"n1", "n4"}, line, 1.0,
+                           horizon=2_000.0, seed=9)
+    assert sim.node_schedules["n3"].size > sim.delivered_counts[0]  # n3 forwards chaff
+    assert _sim_digest(sim) == "9c7d4d91f99dfb1f285fb1b1168c59f08af6cabbb885e20a9803df3ad46be29f"
+
+
 def test_visible_relay_forwards_dummy_epochs():
     # covert first stage produces dummies; the visible second stage must
     # retransmit them all alongside the data
@@ -373,19 +398,23 @@ def test_cascade_statistics_held_by_topology():
 
 
 def test_cascade_statistics_shared_by_concurrent_callers():
+    # six threads over one topology, three in each of two families (two
+    # packet counts, so two horizons) at once: each family reads what a
+    # topology of its own gives
     covert = frozenset({"M1", "M2", "M3", "M4"})
+    families = (5_000, 4_000)
     topo, prior = switching_topology(2.0)
-    ref_topo, _ = switching_topology(2.0)
-    want = [covert_sum_rate(s, covert, ref_topo, 1.0, sim_packets=5_000, seed=2).eps
-            for s in prior.sessions]
+    refs = {n: switching_topology(2.0)[0] for n in families}
+    want = {(n, j): covert_sum_rate(s, covert, refs[n], 1.0, sim_packets=n, seed=2).eps
+            for n in families for j, s in enumerate(prior.sessions)}
     got: dict = {}
 
     def work(w):
+        n = families[w % 2]
         for k in range(len(prior.sessions)):
             j = (k * 5 + w) % len(prior.sessions)
-            r = covert_sum_rate(prior.sessions[j], covert, topo, 1.0,
-                                sim_packets=5_000, seed=2)
-            got.setdefault(j, []).append(r.eps)
+            r = covert_sum_rate(prior.sessions[j], covert, topo, 1.0, sim_packets=n, seed=2)
+            got.setdefault((n, j), []).append(r.eps)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -398,11 +427,49 @@ def test_cascade_statistics_shared_by_concurrent_callers():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert set(topo._cascades) == set(ref_topo._cascades)
-    assert len(got) == len(prior.sessions)
-    for j, results in got.items():
-        assert len(results) == 6
-        assert all(eps == want[j] for eps in results)
+    assert set(topo._cascades) == set(refs[5_000]._cascades) | set(refs[4_000]._cascades)
+    assert len(got) == len(want)
+    for key, results in got.items():
+        assert len(results) == 3
+        assert all(eps == want[key] for eps in results)
+
+
+def _unshared_cascade(key):
+    """What the cascade store holds for `key`, from a run of the key's
+    representative that shares nothing."""
+    rep, caps, covert, rates = nm._representative(key[0])
+    run = nm._run_session_sim(rep, caps, covert, rates, *key[1:])
+    return tuple({h: run.relay_stats[v][k] for h, v in enumerate(p[1:-1], 1) if v in covert}
+                 for k, p in enumerate(rep.paths))
+
+
+@pytest.mark.parametrize("network", ["switching", "six_by_six"])
+def test_held_cascades_equal_unshared_runs(network):
+    # a model's cascades share draws and matches within each family; every
+    # held cascade is field for field (repr: NaN error bars too) what a run
+    # of its own gives
+    topo, prior = switching_topology(2.0) if network == "switching" else six_by_six()
+    build_distortion_model(prior, topo, 1.0, sim_packets=20_000, seed=4).d
+    assert len({key[2] for key in topo._cascades}) == 2  # two families, by horizon
+    for key, held in topo._cascades.items():
+        assert repr(held) == repr(_unshared_cascade(key)), key
+
+
+def test_alternating_families_match_fresh_topologies():
+    # one topology asked in alternation across eight families (two packet
+    # counts, two seeds, two delays) gives what a fresh topology per call does
+    _, prior = switching_topology(2.0)
+    topo = switching_topology(2.0)[0]
+    s0, s16 = prior.sessions[0], prior.sessions[16]  # M1->M2, M3->M4; M1->M4, M3->M2
+    asks = [(s0, {"M1", "M2"}), (s16, {"M1", "M2", "M3", "M4"}), (s0, {"M1", "M3", "M4"})]
+    for session, covert in asks:
+        for delay, seed, packets in itertools.product((1.0, 0.5), (1, 2), (3_000, 4_000)):
+            got = covert_sum_rate(session, covert, topo, delay, sim_packets=packets, seed=seed)
+            want = covert_sum_rate(session, covert, switching_topology(2.0)[0], delay,
+                                   sim_packets=packets, seed=seed)
+            assert got.mode == "simulated"
+            assert repr((got.sum_rate, got.stderr, got.path_rates, got.eps)) == repr(
+                (want.sum_rate, want.stderr, want.path_rates, want.eps))
 
 
 def test_canonical_key_separates_sharing_patterns():

@@ -23,6 +23,7 @@ from .network_model import (
     SessionPrior,
     Topology,
     _class_of,
+    _release_family_memo,
     _session_form,
     _sim_horizon,
     covert_sum_rate,
@@ -327,12 +328,15 @@ class DistortionModel:
     def d(self) -> np.ndarray:
         """The whole loss table, every cell evaluated. Groups not yet read
         are evaluated in family order, so the cascades of one family run
-        together and share the topology's one-family memo."""
+        together and share the topology's one-family memo, which is released
+        once every group is evaluated: no read of the model asks for another
+        cascade."""
         table = self._losses
         pending = [(rows, cols) for by_labels in self.groups.values()
                    for rows, cols in by_labels.values() if math.isnan(table[rows[0], cols[0]])]
         for rows, cols in sorted(pending, key=self._horizon):
             self._evaluate(rows, cols)
+        _release_family_memo(self.topo)
         return table
 
     def _columns(self, covert) -> list[int]:

@@ -61,15 +61,18 @@ class Topology:
     """Directed graph with a per-node transmission capacity.
 
     A topology also holds what is measured or solved for the sessions
-    evaluated in it: their visible optima (`max_sum_rate_visible` solves each
-    (session, topology) LP once), their canonical forms, and the covert rates
-    of each relabelling class and loss statistics of each cascade, each
-    computed once on a canonical representative, a function of its key alone.
+    evaluated in it: their visible optima and canonical forms, and the covert
+    rates of each relabelling class and loss statistics of each cascade. The
+    visible optimum of each session shape (its canonical form by capacities
+    alone), each class's rates and each cascade's statistics are computed
+    once, on a canonical representative, a function of its key alone.
 
     Cascade simulations of one family, the same (seed, horizon, delay), share
-    their source draws and covert relays' joint matches through a memo the
-    topology holds for one family at a time: asking for another family
-    replaces it whole, so it never holds more than one family's streams.
+    their source draws and covert relays' departure draws and joint matches
+    through a memo the topology holds for one family at a time: asking for
+    another family replaces it whole, so it never holds more than one
+    family's streams, and reading a distortion model's whole table empties
+    it.
     """
 
     bounds: tuple[RateBound, ...]
@@ -95,12 +98,19 @@ class Topology:
         return {}  # (session, exact) -> max_sum_rate_visible result
 
     @cached_property
+    def _shape_optima(self) -> dict:
+        return {}  # (rate-free form, exact) -> visible optimum of its representative
+
+    @cached_property
     def _forms(self) -> dict:
         return {}  # session -> _session_form result
 
     @cached_property
     def _form_classes(self) -> dict:
-        return {}  # form -> (form, {(covert labels, params): (class key, relabelling)})
+        # rate-free form -> (rated form, {(covert labels, params): (class key,
+        # relabelling)}, representative position at each rated position,
+        # representative node of each rated label, visible optimum)
+        return {}
 
     @cached_property
     def _family_slot(self) -> list:
@@ -257,20 +267,49 @@ def max_sum_rate_visible(session: Session, topo: Topology, exact: bool = False):
     each node carrying at most its capacity across all paths through it.
     Returns (optimum, per-path rates).
 
-    Visible optima are solved once per (session, topology) and held by the
-    topology; the session is validated in the topology on that first solve,
+    The program depends on the session only through its shape, its
+    canonical form by capacities alone, so the topology solves it once per
+    shape on the shape's representative and relabels the optimal rates to
+    each session through the form's path order: isomorphic sessions get one
+    optimal vertex, whatever their path order. Each session's result is
+    held by the topology; the session is validated in the topology first,
     and both are frozen, so later calls return the held result.
     """
     key = (session, exact)
     held = topo._visible_optima.get(key)
     if held is None:
-        session.validate_in(topo)
+        form, order, _ = _rate_free_form(session, topo)  # validates the session
+        value, rates = _shape_optimum(form, topo, exact)
+        lam_v = [0.0] * len(order)
+        for k, i in enumerate(order):
+            lam_v[i] = rates[k]
+        held = topo._visible_optima.setdefault(key, (value, tuple(lam_v)))
+    return held
+
+
+def _rate_free_form(session, topo):
+    """The session's shape: its canonical form with every path at one rate,
+    so capacities alone describe it, with the path index at each position
+    and the node of each label. The session is validated in the topology
+    first."""
+    session.validate_in(topo)
+    return _canonical_form(session.paths, topo.capacities, (), [0.0] * len(session.paths))
+
+
+def _shape_optimum(form, topo, exact):
+    """The visible optimum of a rate-free form's representative, path k's
+    rate at position k, solved once per (form, exactness) and held by the
+    topology."""
+    key = (form, exact)
+    held = topo._shape_optima.get(key)
+    if held is None:
+        session, caps, _, _ = _representative(form)
         paths = session.paths
         nodes = sorted({v for p in paths for v in p})
         rows = [[1.0 if node in p else 0.0 for p in paths] for node in nodes]
-        caps = [topo.capacity(node) for node in nodes]
-        value, rates = solve_packing_lp(rows, caps, [1.0] * len(paths), exact=exact)
-        held = topo._visible_optima[key] = (value, tuple(rates))
+        value, rates = solve_packing_lp(rows, [caps[node] for node in nodes],
+                                        [1.0] * len(paths), exact=exact)
+        held = topo._shape_optima.setdefault(key, (value, tuple(rates)))
     return held
 
 
@@ -322,11 +361,12 @@ def _run_session_sim(session, caps, covert, src_rates, delay, horizon, seed, mem
     Without a `memo` the run keeps every node's transmitted schedule and
     shares nothing. With one it keeps no schedule and routes no chaff, which
     the cascade store, reading only the loss statistics, does not need, and
-    it shares its source draws and joint matches with every run given the
-    same memo. Those runs must be of one family, the same (seed, horizon,
-    delay). Each entry is keyed by provenance: a source by ("src", i, rate),
-    a visible hop's output by ("hop", its input's key), a covert relay's
-    match by (node, capacity, sorted (tag, input key) pairs) and each of its
+    it shares its source draws, relay departure draws and joint matches with
+    every run given the same memo. Those runs must be of one family, the
+    same (seed, horizon, delay). Each entry is keyed by provenance: a source
+    by ("src", i, rate), a visible hop's output by ("hop", its input's key),
+    a covert relay's departures by ("dep", node, capacity), its match by
+    (node, capacity, sorted (tag, input key) pairs) and each of the match's
     outputs by (match key, tag). In one family a key fixes the epochs it
     names, so shared runs measure bit for bit what unshared runs do.
     """
@@ -369,7 +409,11 @@ def _run_session_sim(session, caps, covert, src_rates, delay, horizon, seed, mem
             match = (node, caps[node], tuple(sorted((tag, keys[i]) for tag, i in tag_of.items())))
             held = memo.get(match)
             if held is None:
-                dep = poisson_epochs(caps[node], horizon, substream(seed, "relay", node))
+                dep_key = ("dep", node, caps[node])
+                dep = memo.get(dep_key)
+                if dep is None:
+                    dep = memo.setdefault(dep_key, poisson_epochs(
+                        caps[node], horizon, substream(seed, "relay", node)))
                 results = relay_core._joint_match({tag: streams[i] for tag, i in tag_of.items()},
                                                   dep, delay)
                 held = memo.setdefault(match, {
@@ -546,14 +590,25 @@ def _session_form(session, topo):
     """The session's canonical form by visible rate, held by the topology with
     the classes read by its form, relay labels, node of each label, path
     index at each position and visible optimum. Isomorphic sessions have
-    one form, so they share one copy of it and of its classes."""
+    one form, so they share one copy of it and of its classes.
+
+    The rated form is found once per shape, on the shape's representative
+    at its visible optimum, and composed with each session's own path order
+    and node names, so a session costs one search by capacities alone."""
     form = topo._forms.get(session)
     if form is None:
-        lv, lam_v = max_sum_rate_visible(session, topo)  # validates the session
-        shape, order, names = _canonical_form(session.paths, topo.capacities, (), lam_v)
+        free, order, names = _rate_free_form(session, topo)  # validates the session
+        held = topo._form_classes.get(free)
+        if held is None:
+            lv, rates = _shape_optimum(free, topo, False)
+            rep, caps, _, _ = _representative(free)
+            shape, pos, labels = _canonical_form(rep.paths, caps, (), rates)
+            held = topo._form_classes.setdefault(free, (shape, {}, pos, labels, lv))
+        shape, classes, pos, labels, lv = held
+        names = tuple(names[v] for v in labels)
         relays = {v: k for k, v in enumerate(names) if v in session.interior_nodes}
-        shape, classes = topo._form_classes.setdefault(shape, (shape, {}))
-        form = topo._forms.setdefault(session, (shape, classes, relays, names, order, lv))
+        form = topo._forms.setdefault(
+            session, (shape, classes, relays, names, tuple(order[j] for j in pos), lv))
     return form
 
 
@@ -592,6 +647,13 @@ def _family_memo(topo, family) -> dict:
     if held[0] != family:
         held = topo._family_slot[0] = (family, {})
     return held[1]
+
+
+def _release_family_memo(topo) -> None:
+    """Empty the topology's family slot. A caller holding the memo keeps
+    its own reference; a later cascade draws afresh, by the same keys the
+    same epochs."""
+    topo._family_slot[0] = (None, {})
 
 
 def _class_rates(key, topo) -> CovertRateResult:

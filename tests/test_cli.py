@@ -102,17 +102,26 @@ def test_switching_reads_one_cell_per_session_and_subset(tmp_path, monkeypatch):
 def test_tradeoff_cascades_share_draws_and_matches(tmp_path, monkeypatch, packets):
     # the README model simulates 9 cascades in 2 families (horizons).
     # Unshared they run 26 joint matches and make 57 Poisson draws; sharing
-    # within each family leaves 17 distinct matches, each drawing its
-    # departures, and 7 distinct source draws. The counts follow from the
-    # network's structure, whatever the packet count.
-    calls = {"cascades": 0, "matches": 0, "draws": 0}
+    # within each family leaves 17 distinct matches and 16 draws, each of
+    # them distinct: 7 of sources and 9 of relay departures. The counts
+    # follow from the network's structure, whatever the packet count.
+    calls = {"cascades": 0, "matches": 0}
     monkeypatch.setattr(nm, "_run_session_sim", counting(calls, "cascades", nm._run_session_sim))
     monkeypatch.setattr(relay_core, "_joint_match",
                         counting(calls, "matches", relay_core._joint_match))
-    monkeypatch.setattr(nm, "poisson_epochs", counting(calls, "draws", nm.poisson_epochs))
+    draws = []
+    poisson_epochs = nm.poisson_epochs
+
+    def drawing(rate, horizon, rng):
+        x = poisson_epochs(rate, horizon, rng)
+        draws.append((rate, horizon, x.size, x[:4].tobytes()))
+        return x
+
+    monkeypatch.setattr(nm, "poisson_epochs", drawing)
     assert main(["tradeoff", "--capacity", "2", "--delta", "1", "--alpha-points", "5",
                  "--sim-packets", packets, "--out-dir", str(tmp_path)]) == 0
-    assert calls == {"cascades": 9, "matches": 17, "draws": 24}
+    assert calls == {"cascades": 9, "matches": 17}
+    assert len(draws) == len(set(draws)) == 16
 
 
 def test_tradeoff_files_and_dominance(tmp_path, monkeypatch):

@@ -29,6 +29,7 @@ from anonrelay.network_model import (
     simulate_session,
     switching_topology,
 )
+from anonrelay.lp import solve_packing_lp
 
 
 def line_topology(caps):
@@ -650,16 +651,67 @@ def test_six_by_six_model_evaluates_each_group_once(monkeypatch):
 
 
 def test_six_by_six_model_works_once_per_isomorphism_class():
-    # the 720 sessions fall into 3 shapes up to node names; read in full, the
-    # model evaluates 30 covert classes and simulates 12 cascades, one per
-    # isomorphism class, where forms that kept ties in session order gave 6,
-    # 50 and 21
+    # the 720 sessions fall into 2 shapes up to node names, each with one
+    # optimal visible vertex; read in full, the model evaluates 20 covert
+    # classes and simulates 9 cascades, one per isomorphism class, where a
+    # vertex per session gave 3 rated forms, 30 and 12, and forms that kept
+    # ties in session order gave 6, 50 and 21
     topo, prior = six_by_six()
     model = build_distortion_model(prior, topo, 1.0, sim_packets=2_000, seed=3)
     model.d
-    assert len(model.groups) == 3
-    assert model.metadata["class_evaluations"] == len(topo._classes) == 30
-    assert model.metadata["cascade_simulations"] == len(topo._cascades) == 12
+    assert len(model.groups) == 2
+    assert model.metadata["class_evaluations"] == len(topo._classes) == 20
+    assert model.metadata["cascade_simulations"] == len(topo._cascades) == 9
+
+
+@pytest.mark.parametrize("network", ["switching", "six_by_six"])
+def test_visible_optimum_is_one_vertex_per_shape(monkeypatch, network):
+    # every session reads its shape's optimum, solved once per shape and
+    # mode and relabelled: the optimum of its own program (to 1e-12, and
+    # exactly in exact mode) at feasible rates, and isomorphic sessions get
+    # isomorphic rated forms, so there are as many rated forms as shapes by
+    # capacities alone
+    solves = _count_solves(monkeypatch)
+    topo, prior = switching_topology(2.0) if network == "switching" else six_by_six()
+    caps = topo.capacities
+    for s in prior.sessions:
+        nodes = sorted({v for p in s.paths for v in p})
+        rows = [[1.0 if v in p else 0.0 for p in s.paths] for v in nodes]
+        ones = [1.0] * len(s.paths)
+        for exact in (False, True):
+            value, rates = max_sum_rate_visible(s, topo, exact=exact)
+            want, _ = solve_packing_lp(rows, [caps[v] for v in nodes], ones, exact=exact)
+            assert value == (want if exact else pytest.approx(want, abs=1e-12))
+            assert sum(rates) == pytest.approx(value, abs=1e-12) and min(rates) >= 0.0
+            for v, row in zip(nodes, rows):
+                assert np.dot(row, rates) <= caps[v] + 1e-12
+    assert sorted(solves) == [False, False, True, True]
+    free = {nm._canonical_form(s.paths, caps, (), ones)[0] for s in prior.sessions}
+    rated = {nm._session_form(s, topo)[0] for s in prior.sessions}
+    assert len(rated) == len(free) == 2
+
+
+def test_model_releases_the_family_memo():
+    # reading the whole table empties the topology's one-family memo; a
+    # cascade asked for afterwards, of the model's family, draws afresh and
+    # reads what a fresh topology gives
+    covert = frozenset({"M1", "M2", "M3", "M4"})
+    topo, prior = switching_topology(2.0)
+    shared = prior.sessions[0]  # S1, S2 share both relays
+    mixed = next(s for s in prior.sessions if len({p[2] for p in s.paths[:2]}) == 2)
+    model = build_distortion_model(SessionPrior(entries=((shared, 1.0),)), topo, 1.0,
+                                   sim_packets=20_000, seed=4)
+    model.d
+    assert model.metadata["cascade_simulations"] > 0
+    assert topo._family_slot == [(None, {})]
+    held = set(topo._cascades)
+    got = covert_sum_rate(mixed, covert, topo, 1.0, sim_packets=20_000, seed=4)
+    (new,) = set(topo._cascades) - held
+    assert new[1:] in {key[1:] for key in held}  # (delay, horizon, seed): one family
+    want = covert_sum_rate(mixed, covert, switching_topology(2.0)[0], 1.0,
+                           sim_packets=20_000, seed=4)
+    assert repr((got.sum_rate, got.stderr, got.path_rates, got.eps)) == repr(
+        (want.sum_rate, want.stderr, want.path_rates, want.eps))
 
 
 def test_source_sharing_separates_classes():

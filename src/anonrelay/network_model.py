@@ -124,12 +124,6 @@ class Topology:
     def _cascades(self) -> dict:
         return {}  # canonical cascade key -> per canonical path {hop: RelayPathStats}
 
-    def capacity(self, node: str) -> float:
-        try:
-            return self.capacities[node]
-        except KeyError:
-            raise NetworkConfigError(f"unknown node {node!r}") from None
-
     def is_valid_path(self, path: Path) -> bool:
         if len(path) < 2:
             return False

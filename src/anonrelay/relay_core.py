@@ -9,11 +9,22 @@ arrivals consumed, and the arrivals not yet settled, from one chunk to the
 next, so its scratch is O(_CHUNK) whatever the horizon. The whole-schedule
 matchers feed it one chunk; `stream_relay` feeds it chunks of epochs as they
 are drawn, through the same successive and equal-priority logic. It returns,
-per departure, the index of the arrival it carries. A `MatchResult` keeps,
-beside the epochs, only the carried pairs, `carried` arrival indices and
-departure `slots`, and derives pairs, drops, dummies and delays from them on
-demand, so an equal-priority step over S streams does O(departures)
-bookkeeping, not O(S x departures).
+per departure, the index of the arrival it carries. Its window bounds, per
+departure t the arrivals before t - delay and those at or before t, are
+counted by merging, not by a binary search per departure: `_ranks` merges
+the sorted departures, then the sorted cuts t - delay clamped to 0, with
+the arrivals that fall between the first and the last of them, each in one
+stable sort of uint64 keys. A key is an epoch's float64 bits shifted left
+by 1, which keeps its order because epochs are finite and nonnegative
+(-0.0 keys as 0.0); the freed low bit is a tag that settles ties, arrivals
+before equal departures and cuts before equal arrivals. Where more than
+_MERGE_MAX_RATIO arrivals fall there per departure, as at an overloaded
+relay, binary searches cost less and are used instead, so a pass ranks
+O(_CHUNK) values whatever the backlog. A `MatchResult` keeps, beside the
+epochs, only the carried pairs, `carried` arrival indices and departure
+`slots`, and derives pairs, drops, dummies and delays from them on demand,
+so an equal-priority step over S streams does O(departures) bookkeeping,
+not O(S x departures).
 """
 from __future__ import annotations
 
@@ -205,6 +216,53 @@ def _checked_epoch_array(x) -> np.ndarray:
 _CHUNK = 1 << 16  # departures per kernel pass: the kernel's scratch is O(_CHUNK)
 
 
+# Arrivals per needle, between the first needle and the last, above which
+# binary searches beat the merge; they break even at about 9 to 10.
+_MERGE_MAX_RATIO = 8
+
+
+def _ranks(arr: np.ndarray, needles: np.ndarray, right: bool, out: np.ndarray) -> None:
+    """Write into `out`, per needle k, k plus the count of arrivals in `arr`
+    at or before it if `right`, else before it: `np.searchsorted` on that
+    side, plus k. Both arrays are sorted and nonempty.
+
+    The arrivals before the first needle's rank count for every needle and
+    those from the last needle's rank on count for none, so two scalar
+    searches leave only the arrivals between to rank. Those are merged with
+    the needles, unless there are more than _MERGE_MAX_RATIO of them per
+    needle, where a binary search per needle costs less.
+
+    Every value must be finite and nonnegative; -0.0 counts as 0.0. The bits
+    of such a float64, shifted left by 1, are an order-preserving uint64 key:
+    the shift drops the sign bit, so -0.0 and 0.0 share a key. The freed low
+    bit tags one run, so that no needle ties an arrival and each tie falls on
+    the side asked for. The stable sort (a timsort for uint64) finds the two
+    presorted runs and merges them in one linear pass; needles that tie each
+    other have equal keys, so their order is moot. Needle k then sits at its
+    rank plus k in the merged keys.
+    """
+    side = "right" if right else "left"
+    first, last = np.searchsorted(arr, needles[[0, -1]], side=side).tolist()
+    arr = arr[first:last]
+    n, m = arr.size, needles.size
+    if n > _MERGE_MAX_RATIO * m:
+        np.add(np.searchsorted(arr, needles, side=side), np.arange(first, first + m), out=out)
+        return
+    keys = np.empty(n + m, dtype=np.uint64)
+    np.left_shift(arr.view(np.uint64), 1, out=keys[:n])
+    np.left_shift(needles.view(np.uint64), 1, out=keys[n:])
+    # A needle tagged 1 follows the arrivals it equals (side="right"); an
+    # arrival tagged 1 follows the needles it equals (side="left").
+    tagged = keys[n:] if right else keys[:n]
+    tagged |= 1
+    keys.sort(kind="stable")
+    is_needle = np.bitwise_and(keys, 1, out=np.empty(keys.size, dtype=bool), casting="unsafe")
+    if not right:
+        np.logical_not(is_needle, out=is_needle)
+    # from a bool array: several times faster than from an int one
+    np.add(np.flatnonzero(is_needle), first, out=out)
+
+
 def _scan(arr: np.ndarray, dep: np.ndarray, delay: float, offset: int, out: np.ndarray) -> int:
     """One pass of the greedy kernel over a chunk of departures.
 
@@ -214,13 +272,17 @@ def _scan(arr: np.ndarray, dep: np.ndarray, delay: float, offset: int, out: np.n
     or DUMMY, and returns `offset` plus the arrivals of `arr` consumed by
     the end of the chunk.
 
-    In `arr`'s own indices, with lo_k arrivals before t_k - delay and hi_k
-    at or before t_k, the arrivals consumed by the end of departure k obey
-    the clamp recursion i_k = min(max(i_{k-1}, lo_k) + 1, hi_k), i_{-1} = 0,
-    and departure k carries arrival max(i_{k-1}, lo_k) exactly when i_k
-    exceeds it. The i_k never decrease, so a lo_k below 0, the arrivals
-    consumed before the chunk, changes nothing. With y_k = i_k - k - 1 this
-    is y_k = clamp(y_{k-1}, lo_k - k, hi_k - k - 1), and departure k carries
+    In `arr`'s own indices, let lo_k count the arrivals before t_k - delay
+    and hi_k those at or before t_k. `_ranks` counts both, merging the
+    sorted departures, then the sorted cuts t_k - delay clamped to 0 (no
+    arrival precedes 0, and the merge keys need nonnegative values), with
+    the arrivals of `arr` between the first and the last of them. The
+    arrivals consumed by the end of departure k obey the clamp recursion
+    i_k = min(max(i_{k-1}, lo_k) + 1, hi_k), i_{-1} = 0, and departure k
+    carries arrival max(i_{k-1}, lo_k) exactly when i_k exceeds it. The i_k
+    never decrease, so a lo_k below 0, the arrivals consumed before the
+    chunk, changes nothing. With y_k = i_k - k - 1 this is
+    y_k = clamp(y_{k-1}, lo_k - k, hi_k - k - 1), and departure k carries
     arrival max(y_{k-1}, lo_k - k) + k exactly when that maximum is at most
     hi_k - k - 1. Clamps compose into clamps, so it is solved in blocks of
     departures: one pass composes every block's map, a loop chains the
@@ -242,15 +304,20 @@ def _scan(arr: np.ndarray, dep: np.ndarray, delay: float, offset: int, out: np.n
     k_row = np.arange(block, dtype=np.int64)
     floor = np.zeros((nblocks, block), dtype=np.int64)  # lo_k - k
     ceil = np.zeros((nblocks, block), dtype=np.int64)  # hi_k - k - 1
-    ceil.reshape(-1)[:m] = np.searchsorted(arr, dep, side="right")
-    if not math.isinf(delay):  # an unbounded window has lo_k = 0
-        cut = floor.reshape(-1)[:m]
-        np.subtract(dep, delay, out=cut.view(np.float64))  # t_k - delay, in floor's memory
-        cut[:] = np.searchsorted(arr, cut.view(np.float64), side="left")
-    floor -= k_block
-    floor -= k_row
-    ceil -= k_block
-    ceil -= k_row + 1
+    # Each bound is written plus k, as `_ranks` gives it; the two k come off
+    # together below.
+    _ranks(arr, dep, True, ceil.reshape(-1)[:m])
+    cut = floor.reshape(-1)[:m]
+    if math.isinf(delay):  # an unbounded window has lo_k = 0
+        cut[:] = np.arange(m)
+    else:  # t_k - delay, in floor's memory
+        t = cut.view(np.float64)
+        np.maximum(np.subtract(dep, delay, out=t), 0.0, out=t)
+        _ranks(arr, t, False, cut)
+    floor -= 2 * k_block
+    floor -= 2 * k_row
+    ceil -= 2 * k_block
+    ceil -= 2 * k_row + 1
 
     # clamp(clamp(y, a1, b1), a2, b2) = clamp(y, max(a1, a2), min(max(b1, a2), b2))
     f, c = floor[:, 0].copy(), ceil[:, 0].copy()
@@ -329,7 +396,7 @@ class _Greedy:
         for a in range(0, dep.size, size):
             t = dep[a:a + size]
             # Only arrivals from the first unconsumed one up to the chunk's
-            # last departure can be carried, so both searches cover that range.
+            # last departure can be carried, so the pass sees only those.
             arr = self.arrivals.after(self.done)
             arr = arr[:np.searchsorted(arr, t[-1], side="right")]
             self.done = first + _scan(arr, t, self.delay, self.done - first, index[a:a + t.size])

@@ -35,7 +35,7 @@ def test_gen_topology_round_trips(tmp_path):
     assert main(["gen-topology", "--capacity", "1.5", "--out", str(out)]) == 0
     topo, prior = nm.parse_network_config(out.read_text())
     assert len(prior.entries) == 24
-    assert topo.capacity("M1") == 1.5
+    assert topo.capacities["M1"] == 1.5
 
 
 def test_relay_strict_passes(tmp_path):

@@ -41,6 +41,9 @@ def dyadic(max_size=60):
 
 delays = st.one_of(st.just(0.0), st.integers(1, 40).map(lambda q: q / 4.0), st.just(math.inf))
 
+# 2**53 + 4 and 2**53 + 6 less 1 both round to 2**53 + 4: two window cuts tie.
+BIG = 2.0 ** 53
+
 
 def assert_same(result, ref):
     pairs, drops, dummies = ref
@@ -60,7 +63,52 @@ EMPTY = np.empty(0)
 @example(EMPTY, EMPTY, 0.0)
 @example(_grid([0, 1, 2]), _grid([40, 41, 42]), 1.0)  # every window expired
 @example(_grid([40, 41]), _grid([0, 1, 2]), math.inf)  # departures all early
+# The merge keys are float64 bits shifted left by 1, tagged in the low bit:
+@example(np.array([-0.0, 1.0]), np.array([-0.0, 1.0]), 0.0)  # -0.0 keys as 0.0
+@example(np.array([-0.0]), np.array([0.0, 1.0]), 0.0)
+@example(np.array([5e-324, 1e-300, 1.0, 1e300]),              # keys across binades
+         np.array([1e-300, 1.0, 2.0, 1e300]), 1.0)
+@example(_grid([0, 1, 2, 3]), _grid([1, 8]), 1.0)      # cuts below and above 0
+@example(_grid([0, 1]), _grid([4, 5]), 1.0)            # a cut at 0 ties an arrival
+@example(BIG + np.array([2.0, 4, 8]), BIG + np.array([2.0, 4, 6, 8]), 1.0)  # equal cuts
 def test_kernel_matches_loop(arr, dep, delay):
+    assert_same(bounded_greedy_match(arr, dep, delay), greedy_match_reference(arr, dep, delay))
+
+
+# Epochs on the quarter grid, where ties are common, or at the edges of the
+# merge keys: -0.0, the least subnormal, far binades, past 2**53.
+epochs = st.one_of(st.integers(0, 40).map(lambda q: q / 4.0),
+                   st.sampled_from([-0.0, 5e-324, 1e-300, 1e300, BIG, BIG + 4]),
+                   st.floats(0.0, 1e300))
+
+
+# Both ways of ranking: the merge, and the binary searches taken past
+# _MERGE_MAX_RATIO arrivals per needle (ratio 0 takes them always).
+@pytest.mark.parametrize("ratio", [relay_core._MERGE_MAX_RATIO, 0])
+@given(st.lists(epochs, max_size=40), st.lists(epochs, min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_ranks_equal_searchsorted(ratio, arr, needles):
+    arr = np.sort(np.asarray(arr, dtype=float))  # ties kept, as merged streams can tie
+    needles = np.sort(np.asarray(needles, dtype=float))  # ties kept, as cuts can tie
+    out = np.empty(needles.size, dtype=np.int64)
+    saved, relay_core._MERGE_MAX_RATIO = relay_core._MERGE_MAX_RATIO, ratio
+    try:
+        for right, side in ((True, "right"), (False, "left")):
+            relay_core._ranks(arr, needles, right, out)
+            assert np.array_equal(out - np.arange(needles.size),
+                                  np.searchsorted(arr, needles, side=side)), side
+    finally:
+        relay_core._MERGE_MAX_RATIO = saved
+
+
+# An overloaded relay, 16 arrivals per departure, ranks by binary searches;
+# passes of 50 departures put the chunk edges in the backlog.
+@pytest.mark.parametrize("delay", [0.75, math.inf])
+def test_kernel_matches_loop_when_overloaded(delay, monkeypatch):
+    rng = np.random.default_rng(7)
+    arr = np.cumsum(rng.exponential(1 / 16, 8000))
+    dep = np.cumsum(rng.exponential(1.0, 400))
+    monkeypatch.setattr(relay_core, "_CHUNK", 50)
     assert_same(bounded_greedy_match(arr, dep, delay), greedy_match_reference(arr, dep, delay))
 
 
@@ -143,9 +191,21 @@ def test_priority_relay_rejects_bad_delay(delay, order):
 # in units of one input-sized int64 array (8n bytes).
 @pytest.mark.parametrize("delay", [1.0, math.inf])
 def test_kernel_scratch_is_bounded(delay):
+    _assert_kernel_scratch_is_bounded(delay, 1.0)
+
+
+# Arrivals at twice the departure rate under no delay bound leave a backlog
+# that grows to n / 2 arrivals by the end; a pass must not rank all of it.
+# At 16 times, a pass ranks by binary searches.
+@pytest.mark.parametrize("rate", [2.0, 16.0])
+def test_kernel_scratch_is_bounded_when_overloaded(rate):
+    _assert_kernel_scratch_is_bounded(math.inf, rate)
+
+
+def _assert_kernel_scratch_is_bounded(delay, rate):
     n = 1_000_000
     rng = np.random.default_rng(5)
-    arr = np.cumsum(rng.exponential(1.0, n))
+    arr = np.cumsum(rng.exponential(1.0 / rate, n))
     dep = np.cumsum(rng.exponential(1.0, n))
     tracemalloc.start()
     try:

@@ -103,7 +103,9 @@ def _horizon(span: float, flags: str, rates: dict) -> float:
 
 def _streamed(sources: dict, out: GenSpec, ordering, delay: float):
     """Steps of relaying chunked Poisson draws, so a run holds a few chunks
-    of epochs whatever its horizon."""
+    of epochs whatever its horizon, unless `delay` is infinite and arrivals
+    outpace departures: then none expires, and the backlog waiting in the
+    matcher, and the run's memory, grow with the horizon."""
     arrivals = {k: poisson_chunks(spec, node_id=k) for k, spec in sources.items()}
     return relay_core.stream_relay(arrivals, poisson_chunks(out, node_id="out"), ordering, delay)
 

@@ -1,6 +1,6 @@
 """Sessions on a directed topology: the eavesdropper's observation map,
 visible-case maximum sum rates, covert-relay rate losses, and end-to-end
-schedule-level simulation.
+simulation of the delivered counts and covert relays' loss statistics.
 
 A session is a set of active source-to-destination paths. Relays on those
 paths are either visible (forward everything after a negligible processing
@@ -309,13 +309,13 @@ def _shape_optimum(form, topo, exact):
 
 @dataclass(frozen=True, eq=False)
 class SessionSimResult:
-    """Schedule-level simulation outcome for one (session, covert set) pair."""
+    """Simulation outcome for one (session, covert set) pair: what each path
+    delivered and each covert relay's loss statistics per path."""
 
     paths: tuple[Path, ...]
     delivered_counts: tuple[int, ...]
     path_rates: tuple[float, ...]
     relay_stats: dict  # node -> {path index -> RelayPathStats}
-    node_schedules: dict  # node -> epoch array actually transmitted
     horizon: float
     seed: int
 
@@ -342,32 +342,27 @@ def _boosted_rates(paths, caps, lam_v, covert) -> list[float]:
     return rates
 
 
-def _run_session_sim(session, caps, covert, src_rates, delay, horizon, seed, memo=None):
+def _run_session_sim(session, caps, covert, src_rates, delay, horizon, seed, memo):
     """Push seeded Poisson source streams through the session hop by hop.
 
-    Visible relays forward every received epoch (dummy packets from covert
-    relays included) shifted by PROC_DELAY; covert relays match the
-    merged incoming data streams into their own independent schedule. Dummy
-    epochs emitted by a covert relay are handed to a seeded choice of its
-    downstream next hops and ride visible chains until a covert relay or a
-    destination swallows them.
+    Visible relays forward every received data epoch shifted by PROC_DELAY;
+    covert relays match the merged incoming data streams into their own
+    independent schedule. The run keeps each covert relay's loss statistics
+    and each path's delivered count, no schedule: the eavesdropper's view
+    is computed symbolically by `observe`, so nothing reads the epochs a
+    node transmits, and a covert relay's dummies carry no data onward.
 
-    Without a `memo` the run keeps every node's transmitted schedule and
-    shares nothing. With one it keeps no schedule and routes no chaff, which
-    the cascade store, reading only the loss statistics, does not need, and
-    it shares its source draws, relay departure draws and joint matches with
-    every run given the same memo. Those runs must be of one family, the
-    same (seed, horizon, delay). Each entry is keyed by provenance: a source
-    by ("src", i, rate), a visible hop's output by ("hop", its input's key),
-    a covert relay's departures by ("dep", node, capacity), its match by
-    (node, capacity, sorted (tag, input key) pairs) and each of the match's
-    outputs by (match key, tag). In one family a key fixes the epochs it
-    names, so shared runs measure bit for bit what unshared runs do.
+    Runs given the same `memo` share their source draws, relay departure
+    draws and joint matches; `simulate_session` passes a fresh one. Those
+    runs must be of one family, the same (seed, horizon, delay). Each entry
+    is keyed by provenance: a source by ("src", i, rate), a visible hop's
+    output by ("hop", its input's key), a covert relay's departures by
+    ("dep", node, capacity), its match by (node, capacity, sorted (tag,
+    input key) pairs) and each of the match's outputs by (match key, tag).
+    In one family a key fixes the epochs it names, so shared runs measure
+    bit for bit what unshared runs do.
     """
     paths = session.paths
-    schedules = memo is None
-    if schedules:
-        memo = {}  # in a single run every key is new, so nothing is shared
     keys = [("src", i, rate) for i, rate in enumerate(src_rates)]
     streams: list[np.ndarray] = []
     for key in keys:
@@ -378,26 +373,9 @@ def _run_session_sim(session, caps, covert, src_rates, delay, horizon, seed, mem
                                     if rate > 0.0 else np.empty(0))
         streams.append(drawn)
 
-    next_hop = {}
-    for i, p in enumerate(paths):
-        for k, v in enumerate(p[1:-1], start=1):
-            next_hop[(i, v)] = p[k + 1]
-
-    node_schedules: dict[str, np.ndarray] = {}
-    if schedules:
-        by_src: dict[str, list[np.ndarray]] = {}
-        for p, s in zip(paths, streams):
-            by_src.setdefault(p[0], []).append(s)
-        for src, arrs in by_src.items():
-            node_schedules[src] = arrs[0] if len(arrs) == 1 else np.sort(np.concatenate(arrs))
-
-    dummy_inbox: dict[str, list[np.ndarray]] = {}
     relay_stats: dict[str, dict[int, RelayPathStats]] = {}
-
-    dests = {p[-1] for p in paths}
     for node in session.relay_order:
         feeding = [i for i, p in enumerate(paths) if node in p[1:-1]]
-        forwarded = dummy_inbox.pop(node, [])
         if node in covert:
             tag_of = {f"{paths[i][paths[i].index(node) - 1]}|{i:06d}": i for i in feeding}
             match = (node, caps[node], tuple(sorted((tag, keys[i]) for tag, i in tag_of.items())))
@@ -419,37 +397,14 @@ def _run_session_sim(session, caps, covert, src_rates, delay, horizon, seed, mem
             for tag, (out, st) in held.items():
                 i = tag_of[tag]
                 streams[i], keys[i], stats[i] = out, (match, tag), st
-            if schedules:
-                node_schedules[node] = dep
-                # dummies (and any forwarded dummies die here: a relay can read
-                # the routing layer, so chaff is never matched onward)
-                chaff = results[min(results)].dummy_departures if results else dep
         else:
             for i in feeding:
                 streams[i] = streams[i] + PROC_DELAY
                 keys[i] = ("hop", keys[i])
-            if schedules:
-                chaff = np.sort(np.concatenate(forwarded or [np.empty(0)])) + PROC_DELAY
-                node_schedules[node] = np.sort(np.concatenate(
-                    [streams[i] for i in feeding] + [chaff]))
-        if not schedules:
-            continue  # a stats-only run routes no chaff
-        hops = [h for h in sorted({next_hop[(i, node)] for i in feeding}) if h not in dests]
-        if hops and chaff.size:
-            pick = substream(seed, "chaff", node).integers(0, len(hops), chaff.size)
-            for j, h in enumerate(hops):
-                dummy_inbox.setdefault(h, []).append(chaff[pick == j])
 
     delivered = tuple(int(s.size) for s in streams)
-    return SessionSimResult(
-        paths=paths,
-        delivered_counts=delivered,
-        path_rates=tuple(d / horizon for d in delivered),
-        relay_stats=relay_stats,
-        node_schedules=node_schedules,
-        horizon=horizon,
-        seed=seed,
-    )
+    return SessionSimResult(paths, delivered, tuple(d / horizon for d in delivered), relay_stats,
+                            horizon, seed)
 
 
 def simulate_session(
@@ -466,12 +421,12 @@ def simulate_session(
     full capacity where the first hop is covert. Returns
     measured per-path delivered rates plus per-relay loss statistics; the
     cascade losses measured here are the numerical ground truth where no
-    closed form exists.
+    closed form exists. The run shares nothing: its memo is its own.
     """
     covert = frozenset(covert) & session.interior_nodes
     _, lam_v = max_sum_rate_visible(session, topo)  # validates the session
     rates = _boosted_rates(session.paths, topo.capacities, lam_v, covert)
-    return _run_session_sim(session, topo.capacities, covert, rates, delay, horizon, seed)
+    return _run_session_sim(session, topo.capacities, covert, rates, delay, horizon, seed, {})
 
 
 def _canonical_form(paths, caps, covert, rates):

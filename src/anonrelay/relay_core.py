@@ -10,11 +10,11 @@ next, so its scratch is O(_CHUNK) whatever the horizon. The whole-schedule
 matchers feed it one chunk; `stream_relay` feeds it chunks of epochs as they
 are drawn, through the same successive and equal-priority logic. It returns,
 per departure, the index of the arrival it carries. Its window bounds, per
-departure t the arrivals before t - delay and those at or before t, are
-counted by merging, not by a binary search per departure: `_ranks` merges
-the sorted departures, then the sorted cuts t - delay clamped to 0, with
-the arrivals that fall between the first and the last of them, each in one
-stable sort of uint64 keys. A key is an epoch's float64 bits shifted left
+departure t the arrivals before the exact t - delay and those at or before
+t, are counted by merging, not by a binary search per departure: `_ranks`
+merges the sorted departures, then the cuts (the least double at or above
+t - delay, clamped to 0), with the arrivals that fall between the first and
+the last of them, each in one stable sort of uint64 keys. A key is an epoch's float64 bits shifted left
 by 1, which keeps its order because epochs are finite and nonnegative
 (-0.0 keys as 0.0); the freed low bit is a tag that settles ties, arrivals
 before equal departures and cuts before equal arrivals. Where more than
@@ -272,12 +272,13 @@ def _scan(arr: np.ndarray, dep: np.ndarray, delay: float, offset: int, out: np.n
     or DUMMY, and returns `offset` plus the arrivals of `arr` consumed by
     the end of the chunk.
 
-    In `arr`'s own indices, let lo_k count the arrivals before t_k - delay
-    and hi_k those at or before t_k. `_ranks` counts both, merging the
-    sorted departures, then the sorted cuts t_k - delay clamped to 0 (no
-    arrival precedes 0, and the merge keys need nonnegative values), with
-    the arrivals of `arr` between the first and the last of them. The
-    arrivals consumed by the end of departure k obey the clamp recursion
+    In `arr`'s own indices, let lo_k count the arrivals before t_k - delay,
+    taken exactly, and hi_k those at or before t_k. `_ranks` counts both,
+    merging the sorted departures, then the sorted cuts, each the least
+    double at or above t_k - delay, clamped to 0 (no arrival precedes 0,
+    and the merge keys need nonnegative values), with the arrivals of `arr`
+    between the first and the last of them. The arrivals consumed by the
+    end of departure k obey the clamp recursion
     i_k = min(max(i_{k-1}, lo_k) + 1, hi_k), i_{-1} = 0, and departure k
     carries arrival max(i_{k-1}, lo_k) exactly when i_k exceeds it. The i_k
     never decrease, so a lo_k below 0, the arrivals consumed before the
@@ -310,9 +311,14 @@ def _scan(arr: np.ndarray, dep: np.ndarray, delay: float, offset: int, out: np.n
     cut = floor.reshape(-1)[:m]
     if math.isinf(delay):  # an unbounded window has lo_k = 0
         cut[:] = np.arange(m)
-    else:  # t_k - delay, in floor's memory
+    else:  # the least double at or above t_k - delay, in floor's memory
         t = cut.view(np.float64)
-        np.maximum(np.subtract(dep, delay, out=t), 0.0, out=t)
+        np.subtract(dep, delay, out=t)
+        # Where t_k >= delay, t_k - t is exact (Fast2Sum), so a rounded-down
+        # cut shows as t_k - t > delay and is lifted one step; where t_k <
+        # delay, the cut is negative either way and clamps to 0.
+        np.nextafter(t, math.inf, out=t, where=np.subtract(dep, t) > delay)
+        np.maximum(t, 0.0, out=t)
         _ranks(arr, t, False, cut)
     floor -= 2 * k_block
     floor -= 2 * k_row

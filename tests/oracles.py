@@ -48,6 +48,13 @@ def min_drops_exhaustive(arrivals, departures, delay) -> int:
     return result
 
 
+def expired(a, t, delay) -> bool:
+    """Whether an arrival at `a` is older than `delay` at departure `t`,
+    exactly: the sign of t - delay - a, which `math.fsum` rounds correctly,
+    not a comparison with t - delay rounded."""
+    return math.fsum((t, -delay, -a)) > 0.0
+
+
 def greedy_match_reference(arrivals, departures, delay):
     """The greedy delay-window matcher as one loop per departure.
 
@@ -67,10 +74,9 @@ def greedy_match_reference(arrivals, departures, delay):
     i = 0
     n = len(arr)
     for t in dep:
-        cut = t - delay
         while i < n:
             a = arr[i]
-            if a < cut:
+            if expired(a, t, delay):
                 add_drop(a)
                 i += 1
             else:
@@ -110,10 +116,9 @@ def joint_match_reference(streams: dict, departures, delay):
     i = 0
     n = len(tl)
     for t in dep:
-        cut = t - delay
         while i < n:
             a = tl[i]
-            if a < cut:
+            if expired(a, t, delay):
                 drops[gl[i]].append(a)
                 i += 1
             else:

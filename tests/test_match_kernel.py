@@ -41,7 +41,9 @@ def dyadic(max_size=60):
 
 delays = st.one_of(st.just(0.0), st.integers(1, 40).map(lambda q: q / 4.0), st.just(math.inf))
 
-# 2**53 + 4 and 2**53 + 6 less 1 both round to 2**53 + 4: two window cuts tie.
+# Past 2**53 doubles are 2 apart, so t - 1 is no double: rounded to nearest,
+# 2**53 + 6 less 1 is 2**53 + 4, while the exact window keeps only arrivals
+# at or after 2**53 + 5, so the cut is 2**53 + 6.
 BIG = 2.0 ** 53
 
 
@@ -70,9 +72,19 @@ EMPTY = np.empty(0)
          np.array([1e-300, 1.0, 2.0, 1e300]), 1.0)
 @example(_grid([0, 1, 2, 3]), _grid([1, 8]), 1.0)      # cuts below and above 0
 @example(_grid([0, 1]), _grid([4, 5]), 1.0)            # a cut at 0 ties an arrival
-@example(BIG + np.array([2.0, 4, 8]), BIG + np.array([2.0, 4, 6, 8]), 1.0)  # equal cuts
+@example(BIG + np.array([2.0, 4, 8]), BIG + np.array([2.0, 4, 6, 8]), 1.0)  # cuts past 2**53
+@example(np.array([BIG + 4]), np.array([BIG + 6]), 1.0)  # the cut rounds up, not down
 def test_kernel_matches_loop(arr, dep, delay):
     assert_same(bounded_greedy_match(arr, dep, delay), greedy_match_reference(arr, dep, delay))
+
+
+def test_window_cut_is_exact_past_2_53():
+    # 2**53 + 4 is 2 old at 2**53 + 6: its window of 1 has expired, though
+    # 2**53 + 6 - 1 rounds to it
+    res = bounded_greedy_match([BIG + 4], [BIG + 6], 1.0)
+    assert res.n_matched == 0
+    assert np.array_equal(res.dropped_arrivals, [BIG + 4])
+    assert np.array_equal(res.dummy_departures, [BIG + 6])
 
 
 # Epochs on the quarter grid, where ties are common, or at the edges of the

@@ -290,42 +290,24 @@ def test_simulate_cascade_records_second_stage_loss():
 
 
 def _sim_digest(sim) -> str:
-    h = hashlib.sha256(repr((sim.delivered_counts, sim.path_rates, sim.relay_stats)).encode())
-    for node in sorted(sim.node_schedules):
-        h.update(node.encode() + sim.node_schedules[node].tobytes())
-    return h.hexdigest()
+    return hashlib.sha256(
+        repr((sim.delivered_counts, sim.path_rates, sim.relay_stats)).encode()).hexdigest()
 
 
-def test_simulated_schedules_are_pinned():
-    # chaff merged at a visible relay from two covert ones (M2 and M4 hear
-    # M1 and M3), and chaff riding two visible relays into a covert one,
-    # which discards it (n1 -> n2 -> n3 -> n4): every count, statistic and
-    # schedule byte stays what it was when covert relays sorted their inbox
+def test_simulated_stats_are_pinned():
+    # a covert relay feeding two others (M1 feeds both M2 and M4), and two
+    # covert relays with visible ones between (n1 -> n2 -> n3 -> n4): every
+    # count and statistic stays what the run that also kept every schedule
+    # and routed chaff measured
     topo, prior = switching_topology(2.0)
     mixed = prior.sessions[2]
     assert len({p[2] for p in mixed.paths[:2]}) == 2  # M1 feeds both M2 and M4
     sim = simulate_session(mixed, {"M1", "M3"}, topo, 1.0, horizon=2_000.0, seed=9)
-    assert _sim_digest(sim) == "96171c6155076b1c408cb27a31bebdc95f14ae8c7057cf127b37dd6d7d82dbdc"
+    assert _sim_digest(sim) == "b9af32e39490a8a7899e7d336395b73e844ff631a694a1393948fa75a2372cdf"
     line, nodes = line_topology([2.0] * 6)
     sim = simulate_session(Session(paths=(nodes,)), {"n1", "n4"}, line, 1.0,
                            horizon=2_000.0, seed=9)
-    assert sim.node_schedules["n3"].size > sim.delivered_counts[0]  # n3 forwards chaff
-    assert _sim_digest(sim) == "9c7d4d91f99dfb1f285fb1b1168c59f08af6cabbb885e20a9803df3ad46be29f"
-
-
-def test_visible_relay_forwards_dummy_epochs():
-    # covert first stage produces dummies; the visible second stage must
-    # retransmit them all alongside the data
-    topo, prior = switching_topology(2.0)
-    s = prior.sessions[0]  # S1,S2 -> M1 -> M2; S3,S4 -> M3 -> M4
-    sim = simulate_session(s, {"M1"}, topo, 1.0, horizon=5_000.0, seed=8)
-    data_through_m2 = sum(
-        sim.delivered_counts[i] for i, p in enumerate(s.paths) if "M2" in p
-    )
-    assert sim.node_schedules["M2"].size >= data_through_m2
-    # everything M1 transmitted, matched data and dummies alike, continues
-    # through the visible M2
-    assert sim.node_schedules["M2"].size == sim.node_schedules["M1"].size
+    assert _sim_digest(sim) == "02043e101bc4f3d0d9deb5a1e70967e3bac35a58534d3a15eb7306411f0570bd"
 
 
 def test_cascade_cache_deterministic_and_shared():
@@ -372,7 +354,7 @@ def test_cascade_statistics_do_not_leak_across_topologies():
     (key,) = fresh._cascades
     assert len({desc for desc, _ in key[0]}) == 1  # one descriptor: positions keep class order
     rep, caps, rep_covert, rates = nm._representative(key[0])
-    run = nm._run_session_sim(rep, caps, rep_covert, rates, *key[1:])
+    run = nm._run_session_sim(rep, caps, rep_covert, rates, *key[1:], {})
     cascade, index = _cascade_positions(s, covert, fresh)
     assert cascade == key[0]
     simulated = {k: e for k, e in res.eps.items() if e.source == "simulated"}
@@ -439,7 +421,7 @@ def _unshared_cascade(key):
     """What the cascade store holds for `key`, from a run of the key's
     representative that shares nothing."""
     rep, caps, covert, rates = nm._representative(key[0])
-    run = nm._run_session_sim(rep, caps, covert, rates, *key[1:])
+    run = nm._run_session_sim(rep, caps, covert, rates, *key[1:], {})
     return tuple({h: run.relay_stats[v][k] for h, v in enumerate(p[1:-1], 1) if v in covert}
                  for k, p in enumerate(rep.paths))
 

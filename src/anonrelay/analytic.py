@@ -191,15 +191,14 @@ def _priority_corner_rate(rate_hi, rate_lo, relay_rate, delay, events, seed, tag
     successive matcher, so the run holds a few chunks of epochs whatever
     `events` is."""
     from . import relay_core
-    from .point_process import GenSpec, poisson_chunks
+    from .point_process import GenSpec
 
     horizon = events / (rate_hi + rate_lo)
     hi, lo = f"{tag}-hi", f"{tag}-lo"
-    arrivals = {k: poisson_chunks(GenSpec(rate, horizon, seed), node_id=k)
-                for k, rate in ((hi, rate_hi), (lo, rate_lo))}
-    out = poisson_chunks(GenSpec(relay_rate, horizon, seed), node_id=f"{tag}-out")
-    steps = relay_core.stream_relay(arrivals, out, (hi, lo), delay)
-    return sum(step[lo].n_matched for step in steps) / horizon
+    sources = {hi: GenSpec(rate_hi, horizon, seed), lo: GenSpec(rate_lo, horizon, seed)}
+    steps = relay_core._streamed(sources, GenSpec(relay_rate, horizon, seed), [(hi, lo)], delay,
+                                 out_id=f"{tag}-out")
+    return sum(step[lo].n_matched for _, step in steps) / horizon
 
 
 def two_source_region(

@@ -101,21 +101,13 @@ def _horizon(span: float, flags: str, rates: dict) -> float:
     return span
 
 
-def _streamed(sources: dict, out: GenSpec, ordering, delay: float):
-    """Steps of relaying chunked Poisson draws, so a run holds a few chunks
-    of epochs whatever its horizon, unless `delay` is infinite and arrivals
-    outpace departures: then none expires, and the backlog waiting in the
-    matcher, and the run's memory, grow with the horizon."""
-    arrivals = {k: poisson_chunks(spec, node_id=k) for k, spec in sources.items()}
-    return relay_core.stream_relay(arrivals, poisson_chunks(out, node_id="out"), ordering, delay)
-
-
 def _relay_strict(args, rows):
     horizon = _horizon(args.packets / args.cs, "--packets / --cs",
                        {"--cs": args.cs, "--cb": args.cb})
     flags, parts = BatchMeans(args.packets, 100), []
-    for step in _streamed({"in": GenSpec(args.cs, horizon, args.seed)},
-                          GenSpec(args.cb, horizon, args.seed), ("in",), args.delta):
+    for _, step in relay_core._streamed({"in": GenSpec(args.cs, horizon, args.seed)},
+                                        GenSpec(args.cb, horizon, args.seed), [("in",)],
+                                        args.delta):
         flags.add_ones(step["in"].arrivals.size, step["in"].carried)
         if args.dump_match:  # the dump is the whole match, so it keeps every step
             parts.append(step["in"])
@@ -134,16 +126,18 @@ def _relay_priority(args, rows):
     out = GenSpec(args.cb, horizon, args.seed)
     # each source's error bar batches the arrivals it expects, rate × horizon
     top, low_matched = BatchMeans(round(args.cs * horizon), 100), 0
-    for step in _streamed(sources, out, ("src1", "src2"), args.delta):
-        top.add_ones(step["src1"].arrivals.size, step["src1"].carried)
-        low_matched += step["src2"].n_matched
+    equal = {k: BatchMeans(round(s.rate * horizon), 100) for k, s in sources.items()}
+    # one read of the draws feeds the successive (0) and equal-priority (1) matchers
+    for j, step in relay_core._streamed(sources, out, [("src1", "src2"), None], args.delta):
+        if j == 0:
+            top.add_ones(step["src1"].arrivals.size, step["src1"].carried)
+            low_matched += step["src2"].n_matched
+        else:
+            for k, flags in equal.items():
+                flags.add_ones(step[k].arrivals.size, step[k].carried)
     rows.append(_loss_row("priority-top-loss",
                           analytic.loss_fraction(args.cs, args.cb, args.delta), top))
     rows.append(_check_row("priority-low-rate", math.nan, low_matched / horizon, math.nan))
-    equal = {k: BatchMeans(round(s.rate * horizon), 100) for k, s in sources.items()}
-    for step in _streamed(sources, out, None, args.delta):
-        for k, flags in equal.items():
-            flags.add_ones(step[k].arrivals.size, step[k].carried)
     loss = analytic.loss_fraction(args.cs + args.cs2, args.cb, args.delta)
     for k, flags in equal.items():
         rows.append(_loss_row(f"equal-priority-loss-{k}", loss, flags))
@@ -167,7 +161,7 @@ def _relay_avg(args, rows):
     # the delays' batches are runs of the matched packets the closed form predicts
     flags = BatchMeans(args.packets, 100)
     delays = BatchMeans(round(args.packets * (1.0 - loss)), 100)
-    for step in _streamed({"in": arrivals}, departures, ("in",), window):
+    for _, step in relay_core._streamed({"in": arrivals}, departures, [("in",)], window):
         flags.add_ones(step["in"].arrivals.size, step["in"].carried)
         if not math.isinf(window):  # an infinite window reads only the drop count
             delays.add(step["in"].delays)

@@ -149,14 +149,19 @@ def _draw(rng: np.random.Generator, scale: float, n: int, prev: float) -> np.nda
     return x
 
 
+def _block(expected: float, most: float = math.inf) -> int:
+    """Epochs to draw where `expected` are expected before the horizon:
+    n + 6 sqrt(n) + 16, enough almost surely, but at most `most`."""
+    return int(min(expected + 6.0 * math.sqrt(expected) + 16.0, most))
+
+
 def poisson_epochs(rate: float, horizon: float, rng: np.random.Generator) -> np.ndarray:
     """Homogeneous Poisson arrival epochs on [0, horizon]: one block sized
     to hold them almost surely, extended in rare cases, and cut at the
     horizon."""
     if horizon <= 0.0:
         return np.empty(0)
-    expected = rate * horizon
-    block = int(expected + 6.0 * math.sqrt(expected) + 16.0)
+    block = _block(rate * horizon)
     x = _draw(rng, 1.0 / rate, block, 0.0)
     while x[-1] <= horizon:
         x = np.concatenate([x, _draw(rng, 1.0 / rate, max(block // 8, 64), x[-1])])
@@ -165,12 +170,17 @@ def poisson_epochs(rate: float, horizon: float, rng: np.random.Generator) -> np.
 
 def _epoch_chunks(rate: float, horizon: float, rng: np.random.Generator) -> Iterator[np.ndarray]:
     """The epochs of `poisson_epochs(rate, horizon, rng)`, bit for bit, drawn
-    and yielded in chunks of at most _CHUNK."""
+    and yielded in chunks of at most _CHUNK.
+
+    Each draw is sized as `poisson_epochs` sizes its block, to the epochs
+    still expected before the horizon plus a margin, but at most _CHUNK, so
+    a stream draws its kept epochs and about one margin more, not a chunk
+    more. `_draw` gives the same epochs however a draw is split."""
     if horizon <= 0.0:
         return
     prev = 0.0
     while True:
-        x = _draw(rng, 1.0 / rate, _CHUNK, prev)
+        x = _draw(rng, 1.0 / rate, _block(rate * (horizon - prev), _CHUNK), prev)
         if x[-1] > horizon:
             x = x[:np.searchsorted(x, horizon, side="right")]
             if x.size:

@@ -8,8 +8,9 @@ One block-scan kernel, `_scan`, serves every matcher. It is resumable:
 arrivals consumed, and the arrivals not yet settled, from one chunk to the
 next, so its scratch is O(_CHUNK) whatever the horizon. The whole-schedule
 matchers feed it one chunk; `stream_relay` feeds it chunks of epochs as they
-are drawn, through the same successive and equal-priority logic. It returns,
-per departure, the index of the arrival it carries. Its window bounds, per
+are drawn, through the same successive and equal-priority logic, and its read
+loop, `_relays`, can feed one read to several matchers. It returns, per
+departure, the index of the arrival it carries. Its window bounds, per
 departure t the arrivals before the exact t - delay and those at or before
 t, are counted by merging, not by a binary search per departure: `_ranks`
 merges the sorted departures, then the cuts (the least double at or above
@@ -37,7 +38,8 @@ import numpy as np
 
 from . import analytic
 from ._util import BatchMeans, check_count, fmt, substream
-from .point_process import Schedule, ScheduleError, _check_epochs, _rate
+from .point_process import (GenSpec, Schedule, ScheduleError, _check_epochs, _rate,
+                            poisson_chunks)
 
 __all__ = [
     "MatchResult",
@@ -291,11 +293,28 @@ def _scan(arr: np.ndarray, dep: np.ndarray, delay: float, offset: int, out: np.n
     Blocks of about sqrt(chunk / 8) departures balance the passes, which
     cost one numpy call per position in a block, against the loop, which
     costs one Python step per block.
+
+    An unbounded window (`delay` infinite) has no cut: lo_k = 0, and since
+    y_{k-1} = i_{k-1} - k >= -k the floor never binds. The recursion is then
+    the running minimum y_k = min(y_{k-1}, hi_k - k - 1) from y_{-1} = 0,
+    one `np.minimum.accumulate`, and departure k carries exactly when
+    y_k = y_{k-1}.
     """
     m = dep.size
     if arr.size == 0:
         out[:] = DUMMY
         return offset
+    if math.isinf(delay):
+        y = np.empty(m + 1, dtype=np.int64)  # y[k + 1] holds y_k
+        _ranks(arr, dep, True, y[1:])
+        k = np.arange(m, dtype=np.int64)
+        y[1:] -= 2 * k + 1  # hi_k - k - 1
+        y[0] = 0  # y_{-1}
+        np.minimum.accumulate(y, out=y)
+        # departure k carries exactly when the minimum holds: y_k = y_{k-1}
+        np.add(y[:-1], k + offset, out=out)
+        out[y[1:] != y[:-1]] = DUMMY
+        return offset + m + int(y[-1])
     # Departure k = b * block + r sits at [b, r], so column r holds departure
     # r of every block; the zero padding after departure m - 1 ends the last
     # block and is never read back.
@@ -309,17 +328,14 @@ def _scan(arr: np.ndarray, dep: np.ndarray, delay: float, offset: int, out: np.n
     # together below.
     _ranks(arr, dep, True, ceil.reshape(-1)[:m])
     cut = floor.reshape(-1)[:m]
-    if math.isinf(delay):  # an unbounded window has lo_k = 0
-        cut[:] = np.arange(m)
-    else:  # the least double at or above t_k - delay, in floor's memory
-        t = cut.view(np.float64)
-        np.subtract(dep, delay, out=t)
-        # Where t_k >= delay, t_k - t is exact (Fast2Sum), so a rounded-down
-        # cut shows as t_k - t > delay and is lifted one step; where t_k <
-        # delay, the cut is negative either way and clamps to 0.
-        np.nextafter(t, math.inf, out=t, where=np.subtract(dep, t) > delay)
-        np.maximum(t, 0.0, out=t)
-        _ranks(arr, t, False, cut)
+    t = cut.view(np.float64)  # the least double at or above t_k - delay, in floor's memory
+    np.subtract(dep, delay, out=t)
+    # Where t_k >= delay, t_k - t is exact (Fast2Sum), so a rounded-down cut
+    # shows as t_k - t > delay and is lifted one step; where t_k < delay,
+    # the cut is negative either way and clamps to 0.
+    np.nextafter(t, math.inf, out=t, where=np.subtract(dep, t) > delay)
+    np.maximum(t, 0.0, out=t)
+    _ranks(arr, t, False, cut)
     floor -= 2 * k_block
     floor -= 2 * k_row
     ceil -= 2 * k_block
@@ -593,6 +609,47 @@ def _checked_chunks(chunks: Iterable) -> Iterator[np.ndarray]:
             yield c
 
 
+def _relays(
+    arrival_chunks: Mapping[str, Iterable[np.ndarray]],
+    departure_chunks: Iterable[np.ndarray],
+    orderings: Sequence[Optional[Sequence[str]]],
+    delay: float,
+) -> Iterator[tuple[int, dict[str, MatchResult]]]:
+    """Relay the same streams under each of `orderings`, reading and
+    checking every chunk once: yields `(j, step)`, each step of the matcher
+    of `orderings[j]` in turn, so a caller that lets each step go holds one
+    step at a time. The matchers read the chunks, never write them, so they
+    share each one."""
+    matchers = [_matcher(arrival_chunks, o, delay) for o in orderings]
+    sources = {k: _checked_chunks(v) for k, v in arrival_chunks.items()}
+    reached = dict.fromkeys(sources, -math.inf)  # last epoch read per stream
+    empty = np.empty(0)
+
+    def steps(dep, new, final):
+        for j, matcher in enumerate(matchers):
+            yield j, matcher.step(dep, new, final)
+
+    for dep in _checked_chunks(departure_chunks):
+        new = {}
+        for k, src in sources.items():  # read every arrival up to the last departure
+            read = []
+            while reached[k] < dep[-1]:
+                c = next(src, None)
+                if c is None:
+                    reached[k] = math.inf
+                    break
+                read.append(c)
+                reached[k] = c[-1]
+            new[k] = np.concatenate(read) if len(read) > 1 else (read[0] if read else empty)
+        yield from steps(dep, new, final=False)
+    # Departures are over: whatever is waiting, and every arrival still to
+    # come, is dropped.
+    yield from steps(empty, dict.fromkeys(sources, empty), final=True)
+    for k, src in sources.items():
+        for c in src:
+            yield from steps(empty, {j: c if j == k else empty for j in sources}, final=True)
+
+
 def stream_relay(
     arrival_chunks: Mapping[str, Iterable[np.ndarray]],
     departure_chunks: Iterable[np.ndarray],
@@ -609,31 +666,22 @@ def stream_relay(
     settled: matched, or dropped for good. One step is made per departure
     chunk, then more as the arrivals left over once departures run out are
     read and dropped. Joined in order, the steps give the whole-schedule
-    results index for index.
+    results index for index. This is `_relays` with one matcher.
     """
-    matcher = _matcher(arrival_chunks, ordering, delay)
-    sources = {k: _checked_chunks(v) for k, v in arrival_chunks.items()}
-    reached = dict.fromkeys(sources, -math.inf)  # last epoch read per stream
-    empty = np.empty(0)
-    for dep in _checked_chunks(departure_chunks):
-        new = {}
-        for k, src in sources.items():  # read every arrival up to the last departure
-            read = []
-            while reached[k] < dep[-1]:
-                c = next(src, None)
-                if c is None:
-                    reached[k] = math.inf
-                    break
-                read.append(c)
-                reached[k] = c[-1]
-            new[k] = np.concatenate(read) if len(read) > 1 else (read[0] if read else empty)
-        yield matcher.step(dep, new, final=False)
-    # Departures are over: whatever is waiting, and every arrival still to
-    # come, is dropped.
-    yield matcher.step(empty, dict.fromkeys(sources, empty), final=True)
-    for k, src in sources.items():
-        for c in src:
-            yield matcher.step(empty, {j: c if j == k else empty for j in sources}, final=True)
+    for _, step in _relays(arrival_chunks, departure_chunks, (ordering,), delay):
+        yield step
+
+
+def _streamed(sources: Mapping[str, GenSpec], out: GenSpec,
+              orderings: Sequence[Optional[Sequence[str]]], delay: float, out_id: str = "out"):
+    """`_relays` of seeded Poisson draws: each source's `poisson_chunks`
+    under its own id as node id, and the departures' under `out_id`, each
+    drawn once however many `orderings` match them. A run holds a few chunks
+    of epochs whatever its horizon, unless `delay` is infinite and arrivals
+    outpace departures: then none expires, and the backlog waiting in the
+    matcher, and the run's memory, grow with the horizon."""
+    arrivals = {k: poisson_chunks(spec, node_id=k) for k, spec in sources.items()}
+    return _relays(arrivals, poisson_chunks(out, node_id=out_id), orderings, delay)
 
 
 def avg_delay_window(arrival_chunks: Iterable[np.ndarray], departure_chunks: Iterable[np.ndarray],

@@ -505,6 +505,61 @@ RELAY_MODES = {
 }
 
 
+def _seeded_streams(monkeypatch) -> dict:
+    """Per seeded generator the run makes: [node id, epochs it streamed,
+    exponentials it asked `_draw` for]."""
+    streams = {}
+    substream, epoch_chunks, draw = (point_process.substream, point_process._epoch_chunks,
+                                     point_process._draw)
+
+    def named(seed, *keys):
+        rng = substream(seed, *keys)
+        streams[rng] = [keys[-1], 0, 0]
+        return rng
+
+    def kept(rate, horizon, rng):
+        for c in epoch_chunks(rate, horizon, rng):
+            streams[rng][1] += c.size
+            yield c
+
+    def drawn(rng, scale, n, prev):
+        streams[rng][2] += n
+        return draw(rng, scale, n, prev)
+
+    monkeypatch.setattr(point_process, "substream", named)
+    monkeypatch.setattr(point_process, "_epoch_chunks", kept)
+    monkeypatch.setattr(point_process, "_draw", drawn)
+    return streams
+
+
+def test_priority_relay_draws_each_stream_once(tmp_path, monkeypatch):
+    # the successive and the equal-priority matchers share one read of the draws
+    streams = _seeded_streams(monkeypatch)
+    assert main(["relay", *RELAY_MODES["priority"], "--packets", "20000",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert sorted(name for name, _, _ in streams.values()) == ["out", "src1", "src2"]
+
+
+# A streamed draw is sized to the epochs still expected before the horizon,
+# plus the margin 6 sqrt(n) + 16, so a stream draws its kept epochs and about
+# one margin more, not the rest of a chunk. The last draw keeps its expected
+# count give or take sqrt(n), so six more standard deviations bound the excess.
+@pytest.mark.parametrize("chunk", [1000, None])
+@pytest.mark.parametrize("argv", [["relay", *flags, "--packets", "20000"]
+                                  for flags in RELAY_MODES.values()]
+                         + [["region", "--corner-events", "20000"]])
+def test_streamed_draws_stop_near_the_horizon(argv, chunk, tmp_path, monkeypatch):
+    if chunk:
+        monkeypatch.setattr(point_process, "_CHUNK", chunk)
+        monkeypatch.setattr(relay_core, "_CHUNK", chunk)
+    streams = _seeded_streams(monkeypatch)
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+    assert streams
+    for name, kept, drawn in streams.values():
+        margin = 6.0 * math.sqrt(kept) + 16.0
+        assert kept <= drawn <= kept + 2.0 * margin, (name, kept, drawn)
+
+
 def _traced_peak(argv) -> int:
     tracemalloc.start()
     try:
@@ -526,9 +581,10 @@ def test_relay_memory_does_not_grow_with_the_horizon(mode, tmp_path, capsys):
 
 
 # Whole schedules would add about 70 MB between these sizes; the streamed
-# corners hold a few chunks. Both sizes fill the 2^16-epoch chunks: below
-# about 500k events the chunks are partly empty and the peak still rises,
-# by 4 MB from 100k to 1M, to the flat 8.5 MB it keeps from 500k to 2M.
+# corners hold a few chunks. Every corner stream of both sizes spans more
+# than one 2^16-epoch chunk; below that a stream is one draw sized to its
+# horizon. The traced peak is 5.3 MB at 100k events, 8.3 MB at 250k and a
+# flat 9.0 MB from 500k to 2M.
 def test_region_memory_does_not_grow_with_the_corner_events(tmp_path):
     peaks = [_traced_peak(["region", "--corner-events", str(n),
                            "--out-dir", str(tmp_path / str(n))])

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from oracles import greedy_match_reference, joint_match_reference
 
-from anonrelay import relay_core
-from anonrelay.point_process import GenSpec, Schedule, ScheduleError, gen_poisson
+from anonrelay import point_process, relay_core
+from anonrelay.point_process import (GenSpec, Schedule, ScheduleError, gen_poisson,
+                                     poisson_chunks)
 from anonrelay.relay_core import (
     DUMMY,
     OTHER,
@@ -311,6 +312,35 @@ def test_streamed_steps_join_to_the_whole_match(ordering, a, b, dep, delay, cut_
         steps = list(stream_relay(chunks, _pieces(dep, cut_dep), ordering, delay))
     for k in streams:
         assert_equal_results(_concat_results([s[k] for s in steps], delay), whole[k])
+
+
+# One read feeds the successive and the equal-priority matcher. Arrivals run
+# on for chunks past the last departure, so steps follow once departures run
+# out, at the default chunk size as at 1,000 epochs.
+@pytest.mark.parametrize("chunk", [1000, None])
+def test_one_read_gives_each_matcher_the_steps_it_gets_alone(chunk, monkeypatch):
+    if chunk:
+        monkeypatch.setattr(point_process, "_CHUNK", chunk)
+        monkeypatch.setattr(relay_core, "_CHUNK", chunk)
+
+    def chunks():
+        arrivals = {k: poisson_chunks(GenSpec(rate, 140_000.0, 3), node_id=k)
+                    for k, rate in (("a", 1.0), ("b", 0.5))}
+        return arrivals, poisson_chunks(GenSpec(1.0, 10_000.0, 3), node_id="out")
+
+    orderings = [("a", "b"), None]
+    got = list(relay_core._relays(*chunks(), orderings, 1.0))
+    assert [j for j, _ in got] == [0, 1] * (len(got) // 2)
+    for j, ordering in enumerate(orderings):
+        alone = list(stream_relay(*chunks(), ordering, 1.0))
+        shared = [step for i, step in got if i == j]
+        assert len(shared) == len(alone)
+        for s, t in zip(shared, alone):
+            assert s.keys() == t.keys() == {"a", "b"}
+            for k in s:
+                assert_equal_results(s[k], t[k])
+        after = [s for s in shared if not s["a"].departures.size]
+        assert len(after) >= 3 and sum(s[k].arrivals.size for s in after for k in s) > 100_000
 
 
 def test_stream_rejects_bad_chunks_and_orderings():

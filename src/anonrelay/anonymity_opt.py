@@ -225,6 +225,8 @@ def best_deterministic(model: DistortionModel, alpha_target: float) -> DetPoint:
     """Highest expected sum rate over fixed covert subsets meeting the
     anonymity target, read off `model`. Subsets are enumerated smallest
     first, so ties go to the cheapest set of covert relays."""
+    if math.isnan(alpha_target):
+        raise ValueError(f"alpha_target must be a number, got {alpha_target}")
     if alpha_target > 1.0:
         raise AnonymityInfeasibleError(alpha_target, 1.0, frozenset())
     points = model.deterministic_points()
@@ -251,10 +253,11 @@ class DistortionModel:
     `anonymity` read deterministic strategies off the model, and
     `deterministic_points` reads every one.
 
-    Cells fall into groups: one per session form and set of covert relay
-    labels, the cells whose covert sum rate is one relabelling class's.
-    The first read of any cell of a group evaluates the whole group, at
-    most once per model: one covert rate, and each cell's loss is its
+    `classes` holds the cells of each relabelling class, whose covert sum
+    rates are one. A read evaluates each class of the cells it reads once
+    per model, in family order so that one family's cascades share the
+    topology's memo, which it then empties: no read leaves a family memo
+    on the topology. A class costs one covert rate; each cell's loss is its
     session's visible optimum minus it. `covert_rate` reads one cell per
     session, `d` reads them all. Over the cells evaluated so far, `metadata`
     counts those whose covert rate reads a cascade simulation
@@ -268,7 +271,7 @@ class DistortionModel:
     probs: np.ndarray
     observations: tuple
     covert_for: dict  # (session index, observation index) -> frozenset
-    groups: dict  # session form -> {covert labels: (session indices, observation indices)}
+    classes: dict  # class key -> (session indices, observation indices)
     lambda_v: tuple[float, ...]
     rate_zero: float
     delay: float
@@ -286,58 +289,37 @@ class DistortionModel:
         return column
 
     @cached_property
-    def _losses(self) -> np.ndarray:
+    def _table(self) -> np.ndarray:
         """The loss table as read so far: NaN marks a cell not yet evaluated."""
         table = np.full((len(self.sessions), len(self.observations)), np.inf)
         table[tuple(zip(*self.covert_for))] = np.nan
         return table
 
-    def _evaluate(self, rows: np.ndarray, cols: np.ndarray) -> None:
-        """Evaluate one group of cells through the covert rate of its first cell."""
-        topo, counts = self.topo, self.metadata
-        held = len(topo._classes), len(topo._cascades)
-        si = int(rows[0])
-        res = covert_sum_rate(self.sessions[si], self.covert_for[(si, int(cols[0]))], topo,
-                              self.delay, sim_packets=self.sim_packets, seed=self.seed)
-        counts["simulated_entries"] += rows.size if res.mode == "simulated" else 0
-        counts["class_evaluations"] += len(topo._classes) - held[0]
-        counts["cascade_simulations"] += len(topo._cascades) - held[1]
-        loss = np.asarray(self.lambda_v)[rows] - res.sum_rate
-        self._losses[rows, cols] = np.where(np.abs(loss) < 1e-12, 0.0, loss)
-
-    def _loss(self, si: int, oi: int) -> float:
-        """Loss of one cell, its group evaluated on the first read."""
-        loss = float(self._losses[si, oi])
-        if math.isnan(loss):
-            shape, _, labels, *_ = _session_form(self.sessions[si], self.topo)
-            covert = frozenset(labels[v] for v in self.covert_for[(si, oi)])
-            self._evaluate(*self.groups[shape][covert])
-            loss = float(self._losses[si, oi])
-        return loss
-
-    def _horizon(self, group) -> float:
-        """The simulation horizon of a group's relabelling class, which with
-        the model's seed and delay is the family its cascades belong to."""
-        rows, cols = group
-        si = int(rows[0])
-        key, _, _ = _class_of(self.sessions[si], self.covert_for[(si, int(cols[0]))],
-                              self.topo, self.delay, self.sim_packets, self.seed)
-        return _sim_horizon(key)
+    def _fill(self, keys) -> np.ndarray:
+        """The loss table with the classes of `keys` evaluated: those not yet
+        evaluated, in family order, each through the covert rate of its
+        first cell. The topology's family memo is then emptied."""
+        table, topo, counts = self._table, self.topo, self.metadata
+        for key in sorted(keys, key=_sim_horizon):
+            rows, cols = self.classes[key]
+            si, oi = int(rows[0]), int(cols[0])
+            if not math.isnan(table[si, oi]):
+                continue
+            held = len(topo._classes), len(topo._cascades)
+            res = covert_sum_rate(self.sessions[si], self.covert_for[(si, oi)], topo, self.delay,
+                                  sim_packets=self.sim_packets, seed=self.seed)
+            counts["simulated_entries"] += rows.size if res.mode == "simulated" else 0
+            counts["class_evaluations"] += len(topo._classes) - held[0]
+            counts["cascade_simulations"] += len(topo._cascades) - held[1]
+            loss = np.asarray(self.lambda_v)[rows] - res.sum_rate
+            table[rows, cols] = np.where(np.abs(loss) < 1e-12, 0.0, loss)
+        _release_family_memo(topo)
+        return table
 
     @cached_property
     def d(self) -> np.ndarray:
-        """The whole loss table, every cell evaluated. Groups not yet read
-        are evaluated in family order, so the cascades of one family run
-        together and share the topology's one-family memo, which is released
-        once every group is evaluated: no read of the model asks for another
-        cascade."""
-        table = self._losses
-        pending = [(rows, cols) for by_labels in self.groups.values()
-                   for rows, cols in by_labels.values() if math.isnan(table[rows[0], cols[0]])]
-        for rows, cols in sorted(pending, key=self._horizon):
-            self._evaluate(rows, cols)
-        _release_family_memo(self.topo)
-        return table
+        """The whole loss table, every class evaluated."""
+        return self._fill(self.classes)
 
     def _columns(self, covert) -> list[int]:
         covert = frozenset(covert)
@@ -347,9 +329,13 @@ class DistortionModel:
         """Expected sum rate with `covert` covert in every session, rate_zero
         minus sum_s p_s * d[s, col], added up as sum_s p_s * (lambda_v[s] -
         d[s, col]) so that each term is the session's covert sum rate."""
-        losses = [self._loss(si, oi) for si, oi in enumerate(self._columns(covert))]
-        return sum(p * (lv - loss)
-                   for p, lv, loss in zip(self.probs.tolist(), self.lambda_v, losses))
+        cols = self._columns(covert)
+        cells = range(len(cols)), cols
+        self._fill({_class_of(self.sessions[si], self.covert_for[(si, cols[si])], self.topo,
+                              self.delay, self.sim_packets, self.seed)[0]
+                    for si in np.isnan(self._table[cells]).nonzero()[0].tolist()})
+        return sum(p * (lv - loss) for p, lv, loss in
+                   zip(self.probs.tolist(), self.lambda_v, self._table[cells].tolist()))
 
     def anonymity(self, covert) -> float:
         """`anonymity_level` of a fixed covert set: a column is one
@@ -381,10 +367,10 @@ def build_distortion_model(
     seed: int = 0,
 ) -> DistortionModel:
     """Enumerate every (session, covert subset) cell: the model's columns,
-    the covert set behind each cell, each cell's group and each session's
-    visible optimum. No loss is evaluated here; the model evaluates a group
-    of cells on the first read of any of them, so `metadata` counts nothing
-    until something reads the model.
+    the covert set behind each cell, the cells of each relabelling class and
+    each session's visible optimum. No loss is evaluated here; the model
+    evaluates a class on the first read of any of its cells, so `metadata`
+    counts nothing until something reads the model.
 
     Each session contributes one finite column entry per subset of its own
     interior relays. Subsets come smallest first, so each subset's
@@ -401,13 +387,14 @@ def build_distortion_model(
     lambda_v = []
     obs_index: dict = {}
     covert_for: dict = {}
-    groups: dict = {}
+    classes: dict = {}
+    cells_of: dict = {}  # shape -> {covert labels: the cells of their class}
     subsets: dict = {}  # relays -> their subsets, one copy for every session with them
     for si, session in enumerate(sessions):
         relays = tuple(sorted(session.interior_nodes))
-        shape, _, labels, _, _, lv = _session_form(session, topo)
+        shape, labels, _, _, lv = _session_form(session, topo)
         lambda_v.append(lv)
-        by_labels = groups.setdefault(shape, {})
+        by_labels = cells_of.setdefault(shape, {})
         if relays not in subsets:
             subsets[relays] = [(tuple(sorted(b)), b) for b in _subsets(relays)]
         obs_of: dict = {}
@@ -424,14 +411,18 @@ def build_distortion_model(
             seen[obs] = b
             cell = (si, obs_index.setdefault(obs, len(obs_index)))
             covert_for[cell] = b
-            by_labels.setdefault(frozenset(labels[v] for v in combo), []).append(cell)
-    for by_labels in groups.values():
-        for covert, cells in by_labels.items():
-            by_labels[covert] = tuple(np.array(cells, dtype=np.int32).T)
+            labelled = frozenset(labels[v] for v in combo)
+            cells = by_labels.get(labelled)
+            if cells is None:
+                key, _, _ = _class_of(session, b, topo, delay, sim_packets, seed)
+                cells = by_labels[labelled] = classes.setdefault(key, [])
+            cells.append(cell)
+    for key, cells in classes.items():
+        classes[key] = tuple(np.array(cells, dtype=np.int32).T)
     probs = np.asarray(prior.probs)
     return DistortionModel(
         sessions=sessions, probs=probs, observations=tuple(obs_index), covert_for=covert_for,
-        groups=groups, lambda_v=tuple(lambda_v), rate_zero=float(np.dot(probs, lambda_v)),
+        classes=classes, lambda_v=tuple(lambda_v), rate_zero=float(np.dot(probs, lambda_v)),
         delay=delay, topo=topo, sim_packets=sim_packets, seed=seed,
         metadata=dict.fromkeys(("simulated_entries", "class_evaluations",
                                 "cascade_simulations"), 0),
@@ -748,6 +739,8 @@ def deterministic_hull(points: Sequence[tuple[float, float]]) -> list[tuple[floa
 def deterministic_hull_value(points: Sequence[tuple[float, float]], alpha: float) -> float:
     """Best rate reachable at anonymity >= alpha by mixing deterministic
     strategies across sessions: the hull interpolated at alpha."""
+    if math.isnan(alpha):
+        raise ValueError(f"alpha must be a number, got {alpha}")
     hull = deterministic_hull(points)
     if alpha > hull[-1][1] + 1e-12:
         raise ValueError(f"no deterministic point reaches anonymity {alpha}")

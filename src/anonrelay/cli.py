@@ -74,7 +74,7 @@ def _rows_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _loss_row(name, predicted, flags: BatchMeans):
+def _drop_row(name, predicted, flags: BatchMeans):
     # a stream that drew no arrivals measured nothing, so it has no error bar
     stats = relay_core.RelayPathStats.from_flags(flags)
     return _check_row(name, predicted, stats.drop_fraction, flags.stderr)
@@ -86,7 +86,7 @@ def _loss_row(name, predicted, flags: BatchMeans):
 MAX_DRAW_EPOCHS = 1e10
 
 
-def _horizon(span: float, flags: str, rates: dict) -> float:
+def _run_horizon(span: float, flags: str, rates: dict) -> float:
     """The span a run draws its epochs over, at each of `rates` (flag ->
     rate). One that overflows to inf, to 0 when a sum of rates overflows,
     or over which a draw expects more than MAX_DRAW_EPOCHS epochs, exits
@@ -102,8 +102,8 @@ def _horizon(span: float, flags: str, rates: dict) -> float:
 
 
 def _relay_strict(args, rows):
-    horizon = _horizon(args.packets / args.cs, "--packets / --cs",
-                       {"--cs": args.cs, "--cb": args.cb})
+    horizon = _run_horizon(args.packets / args.cs, "--packets / --cs",
+                           {"--cs": args.cs, "--cb": args.cb})
     flags, parts = BatchMeans(args.packets, 100), []
     for _, step in relay_core._streamed({"in": GenSpec(args.cs, horizon, args.seed)},
                                         GenSpec(args.cb, horizon, args.seed), [("in",)],
@@ -111,7 +111,7 @@ def _relay_strict(args, rows):
         flags.add_ones(step["in"].arrivals.size, step["in"].carried)
         if args.dump_match:  # the dump is the whole match, so it keeps every step
             parts.append(step["in"])
-    rows.append(_loss_row("strict-loss-fraction",
+    rows.append(_drop_row("strict-loss-fraction",
                           analytic.loss_fraction(args.cs, args.cb, args.delta), flags))
     if args.dump_match:
         res = relay_core._concat_results(parts, args.delta)
@@ -119,8 +119,8 @@ def _relay_strict(args, rows):
 
 
 def _relay_priority(args, rows):
-    horizon = _horizon(args.packets / (args.cs + args.cs2), "--packets / (--cs + --cs2)",
-                       {"--cs": args.cs, "--cs2": args.cs2, "--cb": args.cb})
+    horizon = _run_horizon(args.packets / (args.cs + args.cs2), "--packets / (--cs + --cs2)",
+                           {"--cs": args.cs, "--cs2": args.cs2, "--cb": args.cb})
     sources = {"src1": GenSpec(args.cs, horizon, args.seed),
                "src2": GenSpec(args.cs2, horizon, args.seed)}
     out = GenSpec(args.cb, horizon, args.seed)
@@ -135,18 +135,18 @@ def _relay_priority(args, rows):
         else:
             for k, flags in equal.items():
                 flags.add_ones(step[k].arrivals.size, step[k].carried)
-    rows.append(_loss_row("priority-top-loss",
+    rows.append(_drop_row("priority-top-loss",
                           analytic.loss_fraction(args.cs, args.cb, args.delta), top))
     rows.append(_check_row("priority-low-rate", math.nan, low_matched / horizon, math.nan))
     loss = analytic.loss_fraction(args.cs + args.cs2, args.cb, args.delta)
     for k, flags in equal.items():
-        rows.append(_loss_row(f"equal-priority-loss-{k}", loss, flags))
+        rows.append(_drop_row(f"equal-priority-loss-{k}", loss, flags))
 
 
 def _relay_avg(args, rows):
-    horizon = _horizon(args.packets / args.cs, "--packets / --cs", {"--cs": args.cs})
-    drained = _horizon(horizon + 100.0 * max(args.dbar, 1.0 / args.cb),
-                       "--packets / --cs + 100 max(--dbar, 1 / --cb)", {"--cb": args.cb})
+    horizon = _run_horizon(args.packets / args.cs, "--packets / --cs", {"--cs": args.cs})
+    drained = _run_horizon(horizon + 100.0 * max(args.dbar, 1.0 / args.cb),
+                           "--packets / --cs + 100 max(--dbar, 1 / --cb)", {"--cb": args.cb})
     arrivals = GenSpec(args.cs, horizon, args.seed)
     departures = GenSpec(args.cb, drained, args.seed)
     # the window follows from the rates the run measures: a counting pass comes first
@@ -169,7 +169,7 @@ def _relay_avg(args, rows):
         rows.append(_check_row("avg-mode-zero-drops", 0.0, flags.total, 0.0))
     else:
         rows.append(_check_row("avg-mode-mean-delay", args.dbar, delays.mean, delays.stderr))
-        rows.append(_loss_row("avg-mode-loss-fraction", loss, flags))
+        rows.append(_drop_row("avg-mode-loss-fraction", loss, flags))
 
 
 _LEAST = {"packets": 1, "corner_events": 1, "sim_packets": 1, "alpha_points": 2, "seed": 0}
@@ -229,8 +229,8 @@ def cmd_relay(args) -> int:
 
 def cmd_region(args) -> int:
     # the horizon `two_source_region` draws its corners over
-    _horizon(args.corner_events / (args.cs1 + args.cs2), "--corner-events / (--cs1 + --cs2)",
-             {"--cs1": args.cs1, "--cs2": args.cs2, "--cb": args.cb})
+    _run_horizon(args.corner_events / (args.cs1 + args.cs2), "--corner-events / (--cs1 + --cs2)",
+                 {"--cs1": args.cs1, "--cs2": args.cs2, "--cb": args.cb})
     region = analytic.two_source_region(
         args.cs1, args.cs2, args.cb, args.delta,
         corner_events=args.corner_events, seed=args.seed,

@@ -61,18 +61,18 @@ class Topology:
     """Directed graph with a per-node transmission capacity.
 
     A topology also holds what is measured or solved for the sessions
-    evaluated in it: their visible optima and canonical forms, and the covert
-    rates of each relabelling class and loss statistics of each cascade. The
-    visible optimum of each session shape (its canonical form by capacities
-    alone), each class's rates and each cascade's statistics are computed
-    once, on a canonical representative, a function of its key alone.
+    evaluated in it, one key per level: each session's shape (its canonical
+    form by capacities alone) and visible optimum, the class key of each
+    covert label set of a shape, each class's covert rates and each
+    cascade's loss statistics, computed once on a canonical representative,
+    a function of its key alone.
 
     Cascade simulations of one family, the same (seed, horizon, delay), share
     their source draws and covert relays' departure draws and joint matches
     through a memo the topology holds for one family at a time: asking for
     another family replaces it whole, so it never holds more than one
-    family's streams, and reading a distortion model's whole table empties
-    it.
+    family's streams, and a distortion model read that evaluates cells
+    empties it.
     """
 
     bounds: tuple[RateBound, ...]
@@ -99,18 +99,15 @@ class Topology:
 
     @cached_property
     def _shape_optima(self) -> dict:
-        return {}  # (rate-free form, exact) -> visible optimum of its representative
+        return {}  # (shape, exact) -> visible optimum of its representative
 
     @cached_property
     def _forms(self) -> dict:
         return {}  # session -> _session_form result
 
     @cached_property
-    def _form_classes(self) -> dict:
-        # rate-free form -> (rated form, {(covert labels, params): (class key,
-        # relabelling)}, representative position at each rated position,
-        # representative node of each rated label, visible optimum)
-        return {}
+    def _class_keys(self) -> dict:
+        return {}  # (shape, covert labels, delay, sim_packets, seed) -> _class_of result
 
     @cached_property
     def _family_slot(self) -> list:
@@ -272,8 +269,8 @@ def max_sum_rate_visible(session: Session, topo: Topology, exact: bool = False):
     key = (session, exact)
     held = topo._visible_optima.get(key)
     if held is None:
-        form, order, _ = _rate_free_form(session, topo)  # validates the session
-        value, rates = _shape_optimum(form, topo, exact)
+        shape, _, _, order, _ = _session_form(session, topo)  # validates the session
+        value, rates = _shape_optimum(shape, topo, exact)
         lam_v = [0.0] * len(order)
         for k, i in enumerate(order):
             lam_v[i] = rates[k]
@@ -281,18 +278,9 @@ def max_sum_rate_visible(session: Session, topo: Topology, exact: bool = False):
     return held
 
 
-def _rate_free_form(session, topo):
-    """The session's shape: its canonical form with every path at one rate,
-    so capacities alone describe it, with the path index at each position
-    and the node of each label. The session is validated in the topology
-    first."""
-    session.validate_in(topo)
-    return _canonical_form(session.paths, topo.capacities, (), [0.0] * len(session.paths))
-
-
 def _shape_optimum(form, topo, exact):
-    """The visible optimum of a rate-free form's representative, path k's
-    rate at position k, solved once per (form, exactness) and held by the
+    """The visible optimum of a shape's representative, path k's rate at
+    position k, solved once per (shape, exactness) and held by the
     topology."""
     key = (form, exact)
     held = topo._shape_optima.get(key)
@@ -536,43 +524,36 @@ class CovertRateResult:
 
 
 def _session_form(session, topo):
-    """The session's canonical form by visible rate, held by the topology with
-    the classes read by its form, relay labels, node of each label, path
-    index at each position and visible optimum. Isomorphic sessions have
-    one form, so they share one copy of it and of its classes.
-
-    The rated form is found once per shape, on the shape's representative
-    at its visible optimum, and composed with each session's own path order
-    and node names, so a session costs one search by capacities alone."""
+    """The session's shape, its canonical form with every path at one rate
+    so that capacities alone describe it, held by the topology with the
+    label of each relay, the node of each label, the path index at each
+    position and the visible optimum. Isomorphic sessions have one shape,
+    so they share one copy of it, of its optimum and of its class keys. The
+    session is validated in the topology first."""
     form = topo._forms.get(session)
     if form is None:
-        free, order, names = _rate_free_form(session, topo)  # validates the session
-        held = topo._form_classes.get(free)
-        if held is None:
-            lv, rates = _shape_optimum(free, topo, False)
-            rep, caps, _, _ = _representative(free)
-            shape, pos, labels = _canonical_form(rep.paths, caps, (), rates)
-            held = topo._form_classes.setdefault(free, (shape, {}, pos, labels, lv))
-        shape, classes, pos, labels, lv = held
-        names = tuple(names[v] for v in labels)
+        session.validate_in(topo)
+        shape, order, names = _canonical_form(session.paths, topo.capacities, (),
+                                              [0.0] * len(session.paths))
         relays = {v: k for k, v in enumerate(names) if v in session.interior_nodes}
         form = topo._forms.setdefault(
-            session, (shape, classes, relays, names, tuple(order[j] for j in pos), lv))
+            session, (shape, relays, names, order, _shape_optimum(shape, topo, False)[0]))
     return form
 
 
 def _class_of(session, covert, topo, delay, sim_packets, seed):
-    """The key of the relabelling class of `covert` in `session`, the
-    position in the class's representative of each position of the
-    session's form and the form's label of each representative label, held
-    with the session's form."""
-    shape, classes, relays, *_ = _session_form(session, topo)
-    cell = (frozenset(relays[v] for v in covert if v in relays), delay, sim_packets, seed)
-    held = classes.get(cell)
+    """The key of the relabelling class of `covert` in `session` (the
+    canonical form of its shape's representative at the visible optimum,
+    covert labels flagged), the shape position at each class position and
+    the shape label of each class label, held by the topology."""
+    shape, relays, *_ = _session_form(session, topo)
+    cell = (shape, frozenset(relays[v] for v in covert if v in relays), delay, sim_packets, seed)
+    held = topo._class_keys.get(cell)
     if held is None:
-        rep, caps, _, lam_v = _representative(shape)
-        form, pos, label = _canonical_form(rep.paths, caps, cell[0], lam_v)
-        held = classes.setdefault(cell, ((form,) + cell[1:], pos, label))
+        rep, caps, _, _ = _representative(shape)
+        form, pos, label = _canonical_form(rep.paths, caps, cell[1],
+                                           _shape_optimum(shape, topo, False)[1])
+        held = topo._class_keys.setdefault(cell, ((form,) + cell[2:], pos, label))
     return held
 
 

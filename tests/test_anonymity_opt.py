@@ -150,6 +150,11 @@ def test_best_deterministic_rejects_targets_above_one(switching_model):
         best_deterministic(switching_model, 1.5)
 
 
+def test_best_deterministic_rejects_a_nan_target(switching_model):
+    with pytest.raises(ValueError, match="alpha_target must be a number, got nan"):
+        best_deterministic(switching_model, math.nan)
+
+
 def test_expected_covert_rate_all_visible(switching, switching_model):
     topo, prior = switching
     assert expected_covert_rate(prior, frozenset(), topo, 1.0, 30_000, 1) \
@@ -159,9 +164,9 @@ def test_expected_covert_rate_all_visible(switching, switching_model):
 
 def test_model_evaluates_cells_on_first_read(monkeypatch):
     # the four covert sets `switching` reports read one cell per session
-    # each; those 96 cells fall into 8 of the model's 32 groups (2 session
-    # forms x 16 covert label sets), one covert rate each, in the 8 classes
-    # and 2 cascades that summing them session by session evaluates
+    # each; those 96 cells fall into 8 of the model's 20 relabelling
+    # classes, one covert rate each, the 8 classes and 2 cascades that
+    # summing them session by session evaluates
     from anonrelay.cli import _SWITCHING_SUBSETS
 
     calls = []
@@ -175,25 +180,24 @@ def test_model_evaluates_cells_on_first_read(monkeypatch):
     topo, prior = switching_topology(2.0)
     model = build_distortion_model(prior, topo, 1.0, sim_packets=20_000, seed=2)
     assert calls == []
-    groups = sum(len(by_labels) for by_labels in model.groups.values())
     rates = [model.covert_rate(b) for b in _SWITCHING_SUBSETS]
-    assert len(calls) == 8 < groups == 2 * 16
+    assert len(calls) == 8 < len(model.classes) == 20
     assert (len(topo._classes), len(topo._cascades)) == (8, 2)
     summed = switching_topology(2.0)[0]
     assert rates == [pytest.approx(expected_covert_rate(prior, frozenset(b), summed, 1.0,
                                                         20_000, 2), abs=1e-12)
                      for b in _SWITCHING_SUBSETS]
     assert (len(summed._classes), len(summed._cascades)) == (8, 2)
-    # reading the whole table evaluates only the groups not yet read
+    # reading the whole table evaluates only the classes not yet read
     d = model.d
-    assert len(calls) == groups
+    assert len(calls) == 20
     full = build_distortion_model(prior, switching_topology(2.0)[0], 1.0,
                                   sim_packets=20_000, seed=2)
     assert np.array_equal(d, full.d)
     assert model.metadata == full.metadata
-    assert len(calls) == 2 * groups
+    assert len(calls) == 40
     assert [model.covert_rate(b) for b in _SWITCHING_SUBSETS] == rates
-    assert len(calls) == 2 * groups
+    assert len(calls) == 40
 
 
 def test_distortion_model_structure(switching, switching_model):
@@ -406,6 +410,11 @@ def test_hull_single_point_and_segment():
     assert deterministic_hull_value([(4.0, 0.2), (2.0, 1.0)], 0.6) == pytest.approx(3.0)
     # anonymity below every point costs nothing extra
     assert deterministic_hull_value([(4.0, 0.2), (2.0, 1.0)], 0.1) == pytest.approx(4.0)
+
+
+def test_hull_value_rejects_a_nan_alpha():
+    with pytest.raises(ValueError, match="alpha must be a number, got nan"):
+        deterministic_hull_value([(4.0, 0.2), (2.0, 1.0)], math.nan)
 
 
 def test_hull_excludes_dominated_points():

@@ -86,10 +86,9 @@ def test_switching_reports_exact_alphas(tmp_path):
 
 
 def test_switching_reads_one_cell_per_session_and_subset(tmp_path, monkeypatch):
-    # four covert sets, one cell per session each: 96 cells in 8 groups of
-    # the model (session form, covert labels), one covert rate per group, in
-    # the 8 classes and 2 cascades that summing them session by session
-    # evaluates
+    # four covert sets, one cell per session each: 96 cells in 8 of the
+    # model's relabelling classes, one covert rate per class, the 8 classes
+    # and 2 cascades that summing them session by session evaluates
     calls = {"rates": 0, "classes": 0, "cascades": 0}
     monkeypatch.setattr(ao, "covert_sum_rate", counting(calls, "rates", ao.covert_sum_rate))
     monkeypatch.setattr(nm, "_class_rates", counting(calls, "classes", nm._class_rates))
@@ -138,10 +137,10 @@ def test_tradeoff_files_and_dominance(tmp_path, monkeypatch):
         "--out-dir", str(tmp_path),
     ])
     assert code == 0
-    # one covert rate per group of model cells (2 session forms x 16 covert
-    # label sets), not per cell (24 sessions x 16 covert subsets); the
-    # deterministic points are read off the model
-    assert len(calls) == 2 * 16
+    # one covert rate per relabelling class of model cells (20), not per
+    # cell (24 sessions x 16 covert subsets); the deterministic points are
+    # read off the model
+    assert len(calls) == 20
     doc = json.loads((tmp_path / "tradeoff_report.json").read_text())
     assert doc["randomized_dominates_hull"]
     assert doc["rate_at_alpha0"] == pytest.approx(4.0, abs=1e-9)

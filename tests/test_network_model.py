@@ -331,9 +331,10 @@ def test_cascade_cache_deterministic_and_shared():
 def _cascade_positions(session, covert, topo):
     """The session's cascade form under `covert` and the session path at each
     of its positions, placed by `_canonical_form` as `covert_sum_rate` places
-    them: through the session's form, its class, and the class's cascade."""
-    shape, _, relays, _, order, _ = nm._session_form(session, topo)
-    rep, caps, _, lam_v = nm._representative(shape)
+    them: through the session's shape, its class, and the class's cascade."""
+    shape, relays, _, order, _ = nm._session_form(session, topo)
+    rep, caps, _, _ = nm._representative(shape)
+    lam_v = nm._shape_optimum(shape, topo, False)[1]
     form, pos, _ = nm._canonical_form(rep.paths, caps, {relays[v] for v in covert}, lam_v)
     rep, caps, covert, lam_v = nm._representative(form)
     rates = nm._boosted_rates(rep.paths, caps, lam_v, covert)
@@ -553,9 +554,9 @@ def test_sessions_of_one_class_read_identical_results():
         by_form.setdefault(nm._session_form(s, topo)[0], []).append(s)
     assert len(by_form) < len(prior.sessions)
     for a, *others in by_form.values():
-        names_a = nm._session_form(a, topo)[3]
+        names_a = nm._session_form(a, topo)[2]
         for b in others:
-            names_b = nm._session_form(b, topo)[3]
+            names_b = nm._session_form(b, topo)[2]
             rename = dict(zip(names_a, names_b))  # a's node -> b's node of one label
             paths = {p: tuple(rename[v] for v in p) for p in a.paths}
             index = {i: b.paths.index(paths[p]) for i, p in enumerate(a.paths)}
@@ -609,9 +610,9 @@ def test_model_equals_the_per_cell_reference(network):
         assert (p.sum_rate, p.alpha) == fixed_set_reference(prior, topo, covert_for, d, p.covert)
 
 
-def test_six_by_six_model_evaluates_each_group_once(monkeypatch):
+def test_six_by_six_model_evaluates_each_class_once(monkeypatch):
     # 720 sessions of 16 cells each: one observation step per cell at build,
-    # and at most one covert rate per (session form, covert labels) group
+    # and one covert rate per relabelling class
     calls = {"observe_single": 0, "covert_sum_rate": 0}
 
     def counting(name):
@@ -628,20 +629,19 @@ def test_six_by_six_model_evaluates_each_group_once(monkeypatch):
     model = build_distortion_model(prior, topo, 1.0, sim_packets=2_000, seed=3)
     assert calls == {"observe_single": 720 * 16, "covert_sum_rate": 0}
     model.d
-    groups = sum(len(by_labels) for by_labels in model.groups.values())
-    assert calls["covert_sum_rate"] == groups <= 96
+    assert calls["covert_sum_rate"] == len(model.classes) == 20
 
 
 def test_six_by_six_model_works_once_per_isomorphism_class():
     # the 720 sessions fall into 2 shapes up to node names, each with one
     # optimal visible vertex; read in full, the model evaluates 20 covert
     # classes and simulates 9 cascades, one per isomorphism class, where a
-    # vertex per session gave 3 rated forms, 30 and 12, and forms that kept
-    # ties in session order gave 6, 50 and 21
+    # vertex per session gave 3 shapes by rate, 30 classes and 12 cascades,
+    # and forms that kept ties in session order gave 6, 50 and 21
     topo, prior = six_by_six()
     model = build_distortion_model(prior, topo, 1.0, sim_packets=2_000, seed=3)
     model.d
-    assert len(model.groups) == 2
+    assert len(model.classes) == len(topo._classes) == 20
     assert model.metadata["class_evaluations"] == len(topo._classes) == 20
     assert model.metadata["cascade_simulations"] == len(topo._cascades) == 9
 
@@ -650,9 +650,8 @@ def test_six_by_six_model_works_once_per_isomorphism_class():
 def test_visible_optimum_is_one_vertex_per_shape(monkeypatch, network):
     # every session reads its shape's optimum, solved once per shape and
     # mode and relabelled: the optimum of its own program (to 1e-12, and
-    # exactly in exact mode) at feasible rates, and isomorphic sessions get
-    # isomorphic rated forms, so there are as many rated forms as shapes by
-    # capacities alone
+    # exactly in exact mode) at feasible rates; each session's shape is its
+    # canonical form by capacities alone
     solves = _count_solves(monkeypatch)
     topo, prior = switching_topology(2.0) if network == "switching" else six_by_six()
     caps = topo.capacities
@@ -668,15 +667,27 @@ def test_visible_optimum_is_one_vertex_per_shape(monkeypatch, network):
             for v, row in zip(nodes, rows):
                 assert np.dot(row, rates) <= caps[v] + 1e-12
     assert sorted(solves) == [False, False, True, True]
-    free = {nm._canonical_form(s.paths, caps, (), ones)[0] for s in prior.sessions}
-    rated = {nm._session_form(s, topo)[0] for s in prior.sessions}
-    assert len(rated) == len(free) == 2
+    free = {}
+    for s in prior.sessions:
+        free[s] = nm._canonical_form(s.paths, caps, (), [0.0] * len(s.paths))[0]
+        assert nm._session_form(s, topo)[0] == free[s]
+    assert len(set(free.values())) == 2
 
 
 def test_model_releases_the_family_memo():
-    # reading the whole table empties the topology's one-family memo; a
-    # cascade asked for afterwards, of the model's family, draws afresh and
-    # reads what a fresh topology gives
+    # a partial read that simulates cascades, the four covert sets
+    # `switching` reports, and a read of the whole table each empty the
+    # topology's one-family memo; a cascade asked for afterwards, of the
+    # model's family, draws afresh and reads what a fresh topology gives
+    from anonrelay.cli import _SWITCHING_SUBSETS
+
+    topo, prior = switching_topology(2.0)
+    partial = build_distortion_model(prior, topo, 1.0, sim_packets=20_000, seed=4)
+    for b in _SWITCHING_SUBSETS:
+        partial.covert_rate(b)
+    assert partial.metadata["cascade_simulations"] > 0
+    assert topo._family_slot == [(None, {})]
+
     covert = frozenset({"M1", "M2", "M3", "M4"})
     topo, prior = switching_topology(2.0)
     shared = prior.sessions[0]  # S1, S2 share both relays

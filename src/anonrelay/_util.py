@@ -83,6 +83,12 @@ def check_count(name: str, n, least: int = 1) -> None:
         raise ValueError(f"{name} must be {what}, got {n!r}")
 
 
+def check_delay(delay) -> None:
+    """Reject a delay bound unless it is nonnegative; inf is one, NaN is not."""
+    if not delay >= 0.0:
+        raise ValueError(f"delay must be nonnegative, got {delay!r}")
+
+
 def fmt(x: float) -> str:
     """Shortest decimal string that round-trips the float exactly."""
     return repr(float(x))

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._util import check_count, convex_hull, fmt
+from ._util import check_count, check_delay, convex_hull, fmt
 from .network_model import (
     Session,
     SessionPrior,
@@ -37,7 +37,6 @@ __all__ = [
     "CovertPolicy",
     "AnonymityInfeasibleError",
     "BAConvergenceError",
-    "ObservationCollisionError",
     "best_deterministic",
     "deterministic_points",
     "DetPoint",
@@ -84,13 +83,6 @@ class BAConvergenceError(RuntimeError):
         self.q = q
         self.mutual_info_bits = mutual_info_bits
         self.gap = gap
-
-
-class ObservationCollisionError(RuntimeError):
-    """Two covert subsets of one session produced the same observation.
-
-    The subset must be recoverable from (session, observation); a collision
-    means the observation map is broken."""
 
 
 def entropy_bits(prior) -> float:
@@ -251,7 +243,9 @@ class DistortionModel:
     matrix the distortion-rate computation minimises over. A covert set
     fixed for every session picks one cell per row, so `covert_rate` and
     `anonymity` read deterministic strategies off the model, and
-    `deterministic_points` reads every one.
+    `deterministic_points` reads every one. `observations` holds each
+    column's observation, a frozenset of fragments (node tuples), in the
+    order the cells first reach it; each is built once, from a bitmask.
 
     `classes` holds the cells of each relabelling class, whose covert sum
     rates are one. A read evaluates each class of the cells it reads once
@@ -359,6 +353,14 @@ class DistortionModel:
                      for b in _subsets(_fixed_relays(self.sessions)))
 
 
+def _bits(mask: int):
+    """The positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def build_distortion_model(
     prior: SessionPrior,
     topo: Topology,
@@ -373,55 +375,104 @@ def build_distortion_model(
     counts nothing until something reads the model.
 
     Each session contributes one finite column entry per subset of its own
-    interior relays. Subsets come smallest first, so each subset's
-    observation is the one without its largest relay cut once more. The
-    subset must be recoverable from the observation, so a collision raises
-    `ObservationCollisionError`. A session with more than _MAX_RELAYS
-    interior relays raises ValueError before any solve.
+    interior relays, smallest first. An observation is the union of its
+    paths' pieces, and a path's pieces depend only on the path with its
+    destination stripped and on the covert relays on it. Each such pair is
+    cut once, one `observe_single` step from the pair without its last
+    covert relay, and its pieces are held as a mask with one bit per
+    fragment (a node tuple). A cell's observation is the OR of its paths'
+    masks, and sessions with one set of stripped paths share every
+    observation, so each set is observed once. Each column's frozenset is
+    built once, at the end.
+
+    Distinct subsets of one session give distinct observations. A path's
+    pieces are its stretches that each start at its source or at a covert
+    relay, so a covert relay heads every fragment holding it, while a
+    visible relay lies past the head of its fragment on any path it is
+    interior to. An interior relay is thus covert exactly when no fragment
+    holds it past its first position: the observation names the covert set.
+
+    `delay` must be nonnegative (inf allowed) and `seed` a nonnegative
+    integer. A session with more than _MAX_RELAYS interior relays raises
+    ValueError before any solve.
     """
     check_count("sim_packets", sim_packets)
+    check_count("seed", seed, least=0)
+    check_delay(delay)
     sessions = prior.sessions
     widest = max(len(s.interior_nodes) for s in sessions)
     if widest > _MAX_RELAYS:
         raise ValueError(f"session has {widest} interior relays, enumeration cap is {_MAX_RELAYS}")
     lambda_v = []
-    obs_index: dict = {}
+    obs_index: dict = {}  # observation mask -> column
     covert_for: dict = {}
     classes: dict = {}
-    cells_of: dict = {}  # shape -> {covert labels: the cells of their class}
-    subsets: dict = {}  # relays -> their subsets, one copy for every session with them
+    cells_of: dict = {}  # shape -> {covert label mask: the cells of their class}
+    subsets: dict = {}  # relays -> (relay bits, subset) of each subset, smallest first
+    fragments: list = []  # the fragment of each bit
+    bit_of: dict = {}
+    cuts: dict = {}  # (stripped path, covert position bits) -> mask of its pieces
+    observed: dict = {}  # stripped paths -> observation mask of each subset, by relay bits
+
+    def cut(path, stripped, on):  # the piece mask of `stripped` cut at the positions `on`
+        mask = cuts.get((stripped, on))
+        if mask is None:
+            if on:
+                last = on.bit_length() - 1
+                held = (fragments[i] for i in _bits(cut(path, stripped, on ^ 1 << last)))
+                pieces = observe_single(held, stripped[last])
+            else:
+                pieces = observe_single((path,))
+            mask = 0
+            for piece in pieces:
+                if piece not in bit_of:
+                    bit_of[piece] = len(fragments)
+                    fragments.append(piece)
+                mask |= 1 << bit_of[piece]
+            cuts[(stripped, on)] = mask
+        return mask
+
     for si, session in enumerate(sessions):
         relays = tuple(sorted(session.interior_nodes))
         shape, labels, _, _, lv = _session_form(session, topo)
         lambda_v.append(lv)
         by_labels = cells_of.setdefault(shape, {})
         if relays not in subsets:
-            subsets[relays] = [(tuple(sorted(b)), b) for b in _subsets(relays)]
-        obs_of: dict = {}
-        seen: dict = {}
-        for combo, b in subsets[relays]:
-            obs = (observe_single(obs_of[combo[:-1]], combo[-1]) if combo
-                   else observe_single(session.paths))
-            if obs in seen:
-                raise ObservationCollisionError(
-                    f"covert sets {sorted(seen[obs])} and {sorted(b)} give one "
-                    f"observation for the same session"
-                )
-            obs_of[combo] = obs
-            seen[obs] = b
-            cell = (si, obs_index.setdefault(obs, len(obs_index)))
+            subsets[relays] = [(sum(1 << relays.index(v) for v in b), b)
+                               for b in _subsets(relays)]
+        # per subset, by relay bits: its observation mask and its covert label mask
+        stripped_paths = frozenset(p[:-1] for p in session.paths)
+        obs = observed.get(stripped_paths)
+        if obs is None:
+            index = {v: k for k, v in enumerate(relays)}
+            obs = [0] * (1 << len(relays))
+            for path in session.paths:
+                stripped = path[:-1]
+                on = {0: 0}  # relay bits of the path's relays -> their position bits
+                for j, v in enumerate(stripped):
+                    if v in index:
+                        on.update({c | 1 << index[v]: p | 1 << j for c, p in on.items()})
+                masks = {c: cut(path, stripped, p) for c, p in on.items()}
+                relay_bits = max(on)
+                obs = [m | masks[c & relay_bits] for c, m in enumerate(obs)]
+            observed[stripped_paths] = obs
+        labelled = [0]
+        for v in relays:
+            labelled += [m | 1 << labels[v] for m in labelled]
+        for c, b in subsets[relays]:
+            cell = (si, obs_index.setdefault(obs[c], len(obs_index)))
             covert_for[cell] = b
-            labelled = frozenset(labels[v] for v in combo)
-            cells = by_labels.get(labelled)
+            cells = by_labels.get(labelled[c])
             if cells is None:
                 key, _, _ = _class_of(session, b, topo, delay, sim_packets, seed)
-                cells = by_labels[labelled] = classes.setdefault(key, [])
+                cells = by_labels[labelled[c]] = classes.setdefault(key, [])
             cells.append(cell)
     for key, cells in classes.items():
         classes[key] = tuple(np.array(cells, dtype=np.int32).T)
+    observations = tuple(frozenset(fragments[i] for i in _bits(m)) for m in obs_index)
     probs = np.asarray(prior.probs)
     return DistortionModel(
-        sessions=sessions, probs=probs, observations=tuple(obs_index), covert_for=covert_for,
+        sessions=sessions, probs=probs, observations=observations, covert_for=covert_for,
         classes=classes, lambda_v=tuple(lambda_v), rate_zero=float(np.dot(probs, lambda_v)),
         delay=delay, topo=topo, sim_packets=sim_packets, seed=seed,
         metadata=dict.fromkeys(("simulated_entries", "class_evaluations",

@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import relay_core
-from ._util import BatchMeans, check_count, fmt, substream
+from ._util import BatchMeans, check_count, check_delay, fmt, substream
 from .analytic import loss_fraction
 from .lp import solve_packing_lp
 from .point_process import RateBound, poisson_epochs
@@ -674,9 +674,12 @@ def covert_sum_rate(
     memo, which holds one family at a time; a caller evaluating many
     classes shares most by asking family by family, as
     `DistortionModel.d` does. What is shared is keyed by provenance, so
-    results never depend on the order of calls.
+    results never depend on the order of calls. `delay` must be
+    nonnegative (inf allowed) and `seed` a nonnegative integer.
     """
     check_count("sim_packets", sim_packets)
+    check_count("seed", seed, least=0)
+    check_delay(delay)
     key, pos, label = _class_of(session, covert, topo, delay, sim_packets, seed)
     rates = topo._classes.get(key)
     if rates is None:

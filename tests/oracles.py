@@ -8,8 +8,9 @@ a batched grid search polished by direct constrained minimisation over the
 conditional simplex, the deterministic time-sharing hull from a scan
 over every pair of points, the expected rate of a fixed covert set from
 a per-session sum of `covert_sum_rate`, with no distortion model between,
-and the distortion model's cells, observations and losses built cell by
-cell, each observed from scratch and read through its own covert rate.
+the distortion model's cells, observations and losses built cell by
+cell, each observed from scratch and read through its own covert rate,
+and an observation spelled out as each path's runs between covert relays.
 """
 from __future__ import annotations
 
@@ -356,14 +357,25 @@ def expected_covert_rate(prior, covert, topo, delay, sim_packets, seed) -> float
     return total
 
 
-def distortion_cells_reference(prior, topo, delay, sim_packets, seed):
-    """The distortion model one cell at a time: every (session, covert
-    subset) cell, subsets smallest first, is observed with `observe` and its
-    loss read from its own `covert_sum_rate` call, the visible optimum minus
-    the covert sum rate, below 1e-12 in size read as 0. The counters tally
-    per cell what the topology gained from that cell's call.
+def observe_by_segments(session, covert):
+    """The eavesdropper's view spelled out: each path with its destination
+    dropped, split into the runs that start at its source or at a covert
+    relay."""
+    out = set()
+    for path in session.paths:
+        run: list = []
+        for v in path[:-1]:
+            if v in covert and run:
+                out.add(tuple(run))
+                run = []
+            run.append(v)
+        out.add(tuple(run))
+    return frozenset(out)
 
-    Returns (observations, covert_for, d, metadata) as a model holds them."""
+
+def observation_cells_reference(prior):
+    """Every (session, covert subset) cell, subsets smallest first, observed
+    with `observe`: (observations, covert_for) as a model holds them."""
     obs_index: dict = {}
     covert_for: dict = {}
     for si, session in enumerate(prior.sessions):
@@ -372,7 +384,19 @@ def distortion_cells_reference(prior, topo, delay, sim_packets, seed):
             for combo in itertools.combinations(relays, size):
                 b = frozenset(combo)
                 covert_for[(si, obs_index.setdefault(observe(session, b), len(obs_index)))] = b
-    d = np.full((len(prior.sessions), len(obs_index)), np.inf)
+    return tuple(obs_index), covert_for
+
+
+def distortion_cells_reference(prior, topo, delay, sim_packets, seed):
+    """The distortion model one cell at a time: every cell of
+    `observation_cells_reference` has its loss read from its own
+    `covert_sum_rate` call, the visible optimum minus the covert sum rate,
+    below 1e-12 in size read as 0. The counters tally per cell what the
+    topology gained from that cell's call.
+
+    Returns (observations, covert_for, d, metadata) as a model holds them."""
+    observations, covert_for = observation_cells_reference(prior)
+    d = np.full((len(prior.sessions), len(observations)), np.inf)
     metadata = dict.fromkeys(("simulated_entries", "class_evaluations",
                               "cascade_simulations"), 0)
     for (si, oi), b in covert_for.items():
@@ -384,7 +408,7 @@ def distortion_cells_reference(prior, topo, delay, sim_packets, seed):
         metadata["cascade_simulations"] += len(topo._cascades) - cascades
         loss = max_sum_rate_visible(session, topo)[0] - res.sum_rate
         d[si, oi] = 0.0 if abs(loss) < 1e-12 else loss
-    return tuple(obs_index), covert_for, d, metadata
+    return observations, covert_for, d, metadata
 
 
 def fixed_set_reference(prior, topo, covert_for, d, covert):

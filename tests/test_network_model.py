@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import distortion_cells_reference, fixed_set_reference, least_form_exhaustive
+from oracles import (
+    distortion_cells_reference,
+    fixed_set_reference,
+    least_form_exhaustive,
+    observation_cells_reference,
+    observe_by_segments,
+)
 
 from anonrelay import analytic, network_model as nm
 from anonrelay import anonymity_opt as ao
@@ -610,9 +616,93 @@ def test_model_equals_the_per_cell_reference(network):
         assert (p.sum_rate, p.alpha) == fixed_set_reference(prior, topo, covert_for, d, p.covert)
 
 
+def _network_of(sessions, caps=None):
+    """A topology of exactly the sessions' nodes and path edges, capacity
+    2 unless `caps` names one, and the uniform prior over the sessions."""
+    nodes = sorted({v for s in sessions for p in s.paths for v in p})
+    caps = caps or {}
+    edges = frozenset(e for s in sessions for p in s.paths for e in zip(p, p[1:]))
+    topo = Topology(bounds=tuple(RateBound(v, caps.get(v, 2.0)) for v in nodes), edges=edges)
+    return topo, SessionPrior(entries=tuple((s, 1.0 / len(sessions)) for s in sessions))
+
+
+def _assert_model_observes_cell_by_cell(prior, topo):
+    # the model's columns and cells, in order, against `observe` cell by
+    # cell, each observation against the paths' runs between covert relays,
+    # and each class against the cells whose class key names it, in order
+    model = build_distortion_model(prior, topo, 1.0, sim_packets=500, seed=1)
+    observations, covert_for = observation_cells_reference(prior)
+    assert model.observations == observations
+    assert list(model.covert_for.items()) == list(covert_for.items())
+    classes: dict = {}
+    for (si, oi), b in covert_for.items():
+        session = prior.sessions[si]
+        assert observations[oi] == observe_by_segments(session, b)
+        key = nm._class_of(session, b, topo, 1.0, 500, 1)[0]
+        classes.setdefault(key, []).append((si, oi))
+    assert [(key, list(zip(*map(np.ndarray.tolist, cells))))
+            for key, cells in model.classes.items()] == list(classes.items())
+
+
+def test_model_observes_cut_sources_shared_fragments_and_relay_sets():
+    # A is the source of a path in the first session, so a covert A cuts
+    # it at position 0; with A covert, (A, B) is a piece of two paths in
+    # each session; the relay sets differ, and (S2, A, B) is cut in both
+    first = Session(paths=(("S1", "A", "B", "C", "D1"), ("S2", "A", "B", "D2"),
+                           ("A", "C", "D3")))
+    second = Session(paths=(("S1", "A", "B", "D1"), ("S2", "A", "B", "D3")))
+    topo, prior = _network_of([first, second], {"A": 3.0, "C": 1.0})
+    _assert_model_observes_cell_by_cell(prior, topo)
+
+
+_paths = st.lists(st.integers(0, 6), min_size=2, max_size=5, unique=True).map(
+    lambda ids: tuple(f"v{i}" for i in sorted(ids)))
+_sessions = st.lists(_paths, min_size=1, max_size=3, unique=True).map(
+    lambda paths: Session(paths=tuple(paths)))
+
+
+@given(st.lists(_sessions, min_size=1, max_size=3, unique=True),
+       st.dictionaries(st.sampled_from([f"v{i}" for i in range(7)]), st.sampled_from([1.0, 3.0])))
+@settings(max_examples=40, deadline=None)
+def test_model_observes_random_networks_cell_by_cell(sessions, caps):
+    # every path runs along one node order, so no relay graph has a cycle
+    topo, prior = _network_of(sessions, caps)
+    _assert_model_observes_cell_by_cell(prior, topo)
+
+
+@given(st.lists(st.lists(st.sampled_from([f"v{i}" for i in range(7)]), min_size=2, max_size=5,
+                         unique=True).map(tuple), min_size=1, max_size=4, unique=True))
+@settings(max_examples=200, deadline=None)
+def test_observation_names_the_covert_set(paths):
+    # an interior relay is covert exactly when no fragment holds it past
+    # its first position, so no two covert subsets share an observation
+    session = Session(paths=tuple(paths))
+    relays = sorted(session.interior_nodes)
+    seen = {}
+    for b in _subsets(relays):
+        obs = observe(session, b)
+        assert {v for v in relays if not any(v in f[1:] for f in obs)} == b
+        assert seen.setdefault(obs, b) == b
+
+
+@pytest.mark.parametrize("arg, bad", [("seed", 1.5), ("seed", True), ("seed", -1),
+                                      ("delay", -1.0), ("delay", math.nan)])
+def test_model_and_covert_rate_reject_a_bad_delay_or_seed(arg, bad):
+    topo, prior = switching_topology(2.0)
+    args = {"delay": 1.0, "sim_packets": 1_000, "seed": 1, arg: bad}
+    message = f"{arg} must be"
+    with pytest.raises(ValueError, match=message):
+        build_distortion_model(prior, topo, **args)
+    with pytest.raises(ValueError, match=message):
+        covert_sum_rate(prior.sessions[0], (), topo, **args)
+    assert not topo._classes
+    assert build_distortion_model(prior, topo, math.inf, 1_000, np.int64(0)).delay == math.inf
+
+
 def test_six_by_six_model_evaluates_each_class_once(monkeypatch):
-    # 720 sessions of 16 cells each: one observation step per cell at build,
-    # and one covert rate per relabelling class
+    # 720 sessions of 16 cells each over 12 destination-stripped paths with
+    # two relays each: one observation step per path and covert subset of
+    # its relays at build, and one covert rate per relabelling class
     calls = {"observe_single": 0, "covert_sum_rate": 0}
 
     def counting(name):
@@ -627,7 +717,7 @@ def test_six_by_six_model_evaluates_each_class_once(monkeypatch):
         monkeypatch.setattr(ao, name, counting(name))
     topo, prior = six_by_six()
     model = build_distortion_model(prior, topo, 1.0, sim_packets=2_000, seed=3)
-    assert calls == {"observe_single": 720 * 16, "covert_sum_rate": 0}
+    assert calls == {"observe_single": 12 * 4, "covert_sum_rate": 0}
     model.d
     assert calls["covert_sum_rate"] == len(model.classes) == 20
 

@@ -286,7 +286,8 @@ class DistortionModel:
     def _table(self) -> np.ndarray:
         """The loss table as read so far: NaN marks a cell not yet evaluated."""
         table = np.full((len(self.sessions), len(self.observations)), np.inf)
-        table[tuple(zip(*self.covert_for))] = np.nan
+        for rows, cols in self.classes.values():
+            table[rows, cols] = np.nan
         return table
 
     def _fill(self, keys) -> np.ndarray:
@@ -315,42 +316,67 @@ class DistortionModel:
         """The whole loss table, every class evaluated."""
         return self._fill(self.classes)
 
-    def _columns(self, covert) -> list[int]:
+    def _columns(self, covert) -> np.ndarray:
+        """Each session's column with `covert` covert in every session."""
         covert = frozenset(covert)
-        return [col[covert & s.interior_nodes] for col, s in zip(self._column, self.sessions)]
+        return np.array([col[covert & s.interior_nodes]
+                         for col, s in zip(self._column, self.sessions)], dtype=np.intp)
 
     def covert_rate(self, covert) -> float:
         """Expected sum rate with `covert` covert in every session, rate_zero
         minus sum_s p_s * d[s, col], added up as sum_s p_s * (lambda_v[s] -
         d[s, col]) so that each term is the session's covert sum rate."""
-        cols = self._columns(covert)
-        cells = range(len(cols)), cols
+        return self._rate_at(self._columns(covert))
+
+    def _rate_at(self, cols) -> float:
+        """`covert_rate` of the covert set that puts each session in column
+        `cols[s]`: its unread classes evaluated, the terms summed in session
+        order."""
+        cells = np.arange(cols.size), cols
         self._fill({_class_of(self.sessions[si], self.covert_for[(si, cols[si])], self.topo,
                               self.delay, self.sim_packets, self.seed)[0]
                     for si in np.isnan(self._table[cells]).nonzero()[0].tolist()})
-        return sum(p * (lv - loss) for p, lv, loss in
-                   zip(self.probs.tolist(), self.lambda_v, self._table[cells].tolist()))
+        terms = self.probs * (np.asarray(self.lambda_v) - self._table[cells])
+        return sum(terms.tolist())
 
     def anonymity(self, covert) -> float:
         """`anonymity_level` of a fixed covert set: a column is one
         observation, so H(S|O) sums p_s * log2(m / p_s), m the prior mass of
         the session's column; a session alone in its column adds exactly 0."""
-        h_prior = entropy_bits(self)
+        return self._anonymity_at(self._columns(covert), entropy_bits(self))
+
+    def _anonymity_at(self, cols, h_prior) -> float:
+        """`anonymity` of the covert set that puts each session in column
+        `cols[s]`, with `math.log2` per term and the terms summed in session
+        order."""
         if h_prior <= 0.0:
             return 1.0
-        cols = self._columns(covert)
-        mass = np.bincount(cols, weights=self.probs).tolist()
-        terms = zip(cols, self.probs.tolist())
-        return float(-sum(p * math.log2(p / mass[c]) for c, p in terms) / h_prior)
+        mass = np.bincount(cols, weights=self.probs)
+        logs = [math.log2(r) for r in (self.probs / mass[cols]).tolist()]
+        return float(-sum((self.probs * logs).tolist()) / h_prior)
 
     def deterministic_points(self) -> tuple[DetPoint, ...]:
         """(anonymity, expected sum rate) of every covert set fixed for all
         sessions: each subset of the relays interior to some session,
         smallest first. Its reads cover every cell, so `d` evaluates them
-        first, in family order."""
+        first, in family order. Each point is read from one table, the
+        column of every session under every fixed set, built once; sessions
+        with one set of interior relays share the intersections. Every
+        point equals `anonymity` and `covert_rate` of its set, float for
+        float."""
         self.d
-        return tuple(DetPoint(covert=b, alpha=self.anonymity(b), sum_rate=self.covert_rate(b))
-                     for b in _subsets(_fixed_relays(self.sessions)))
+        fixed = list(_subsets(_fixed_relays(self.sessions)))
+        local: dict = {}  # interior relays -> their part of each fixed set
+        table = []
+        for col, s in zip(self._column, self.sessions):
+            parts = local.get(s.interior_nodes)
+            if parts is None:
+                parts = local[s.interior_nodes] = [b & s.interior_nodes for b in fixed]
+            table.append([col[b] for b in parts])
+        h_prior = entropy_bits(self)
+        return tuple(DetPoint(covert=b, alpha=self._anonymity_at(cols, h_prior),
+                              sum_rate=self._rate_at(cols))
+                     for b, cols in zip(fixed, np.array(table, dtype=np.intp).T))
 
 
 def _bits(mask: int):
@@ -382,8 +408,10 @@ def build_distortion_model(
     covert relay, and its pieces are held as a mask with one bit per
     fragment (a node tuple). A cell's observation is the OR of its paths'
     masks, and sessions with one set of stripped paths share every
-    observation, so each set is observed once. Each column's frozenset is
-    built once, at the end.
+    observation, so each set is observed once and its columns listed once.
+    Sessions of one shape whose relays carry the same labels share each
+    subset's class, so each such group looks its classes up once. Each
+    column's frozenset is built once, at the end.
 
     Distinct subsets of one session give distinct observations. A path's
     pieces are its stretches that each start at its source or at a covert
@@ -405,14 +433,15 @@ def build_distortion_model(
         raise ValueError(f"session has {widest} interior relays, enumeration cap is {_MAX_RELAYS}")
     lambda_v = []
     obs_index: dict = {}  # observation mask -> column
-    covert_for: dict = {}
-    classes: dict = {}
-    cells_of: dict = {}  # shape -> {covert label mask: the cells of their class}
+    class_index: dict = {}  # class key -> its number
+    label_classes: dict = {}  # shape -> {covert label mask: class number}
     subsets: dict = {}  # relays -> (relay bits, subset) of each subset, smallest first
     fragments: list = []  # the fragment of each bit
     bit_of: dict = {}
     cuts: dict = {}  # (stripped path, covert position bits) -> mask of its pieces
-    observed: dict = {}  # stripped paths -> observation mask of each subset, by relay bits
+    columns_of: dict = {}  # stripped paths -> column of each subset, smallest first
+    group_classes: dict = {}  # (shape, relay labels) -> class number of each subset, smallest first
+    sizes, cell_cols, cell_sets, cell_classes = [], [], [], []  # cells in visiting order
 
     def cut(path, stripped, on):  # the piece mask of `stripped` cut at the positions `on`
         mask = cuts.get((stripped, on))
@@ -436,14 +465,13 @@ def build_distortion_model(
         relays = tuple(sorted(session.interior_nodes))
         shape, labels, _, _, lv = _session_form(session, topo)
         lambda_v.append(lv)
-        by_labels = cells_of.setdefault(shape, {})
         if relays not in subsets:
             subsets[relays] = [(sum(1 << relays.index(v) for v in b), b)
                                for b in _subsets(relays)]
-        # per subset, by relay bits: its observation mask and its covert label mask
-        stripped_paths = frozenset(p[:-1] for p in session.paths)
-        obs = observed.get(stripped_paths)
-        if obs is None:
+        # per subset, by relay bits: its observation mask, then its column
+        stripped_paths = frozenset([p[:-1] for p in session.paths])
+        cols = columns_of.get(stripped_paths)
+        if cols is None:
             index = {v: k for k, v in enumerate(relays)}
             obs = [0] * (1 << len(relays))
             for path in session.paths:
@@ -455,20 +483,35 @@ def build_distortion_model(
                 masks = {c: cut(path, stripped, p) for c, p in on.items()}
                 relay_bits = max(on)
                 obs = [m | masks[c & relay_bits] for c, m in enumerate(obs)]
-            observed[stripped_paths] = obs
-        labelled = [0]
-        for v in relays:
-            labelled += [m | 1 << labels[v] for m in labelled]
-        for c, b in subsets[relays]:
-            cell = (si, obs_index.setdefault(obs[c], len(obs_index)))
-            covert_for[cell] = b
-            cells = by_labels.get(labelled[c])
-            if cells is None:
-                key, _, _ = _class_of(session, b, topo, delay, sim_packets, seed)
-                cells = by_labels[labelled[c]] = classes.setdefault(key, [])
-            cells.append(cell)
-    for key, cells in classes.items():
-        classes[key] = tuple(np.array(cells, dtype=np.int32).T)
+            cols = columns_of[stripped_paths] = [obs_index.setdefault(obs[c], len(obs_index))
+                                                 for c, _ in subsets[relays]]
+        # per subset, by its covert label mask: its class
+        group = (shape, tuple([labels[v] for v in relays]))
+        numbers = group_classes.get(group)
+        if numbers is None:
+            by_labels = label_classes.setdefault(shape, {})
+            labelled = [0]
+            for v in relays:
+                labelled += [m | 1 << labels[v] for m in labelled]
+            numbers = group_classes[group] = []
+            for c, b in subsets[relays]:
+                k = by_labels.get(labelled[c])
+                if k is None:
+                    key, _, _ = _class_of(session, b, topo, delay, sim_packets, seed)
+                    k = by_labels[labelled[c]] = class_index.setdefault(key, len(class_index))
+                numbers.append(k)
+        sizes.append(len(cols))
+        cell_cols += cols
+        cell_classes += numbers
+        cell_sets += [b for _, b in subsets[relays]]
+    rows = np.repeat(np.arange(len(sessions), dtype=np.int32), sizes)
+    covert_for = dict(zip(zip(rows.tolist(), cell_cols), cell_sets))
+    # each class's cells in visiting order
+    cell_classes = np.array(cell_classes)
+    by_class = np.argsort(cell_classes, kind="stable")
+    ends = np.cumsum(np.bincount(cell_classes))[:-1]
+    columns = np.array(cell_cols, dtype=np.int32)[by_class]
+    classes = dict(zip(class_index, zip(np.split(rows[by_class], ends), np.split(columns, ends))))
     observations = tuple(frozenset(fragments[i] for i in _bits(m)) for m in obs_index)
     probs = np.asarray(prior.probs)
     return DistortionModel(

@@ -11,6 +11,7 @@ Precedence: built-in defaults, then command-line flags, then values from
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -149,22 +150,34 @@ def _relay_avg(args, rows):
                            "--packets / --cs + 100 max(--dbar, 1 / --cb)", {"--cb": args.cb})
     arrivals = GenSpec(args.cs, horizon, args.seed)
     departures = GenSpec(args.cb, drained, args.seed)
-    # the window follows from the rates the run measures: a counting pass comes first
+    # The window follows from the rates the run measures, so a counting read
+    # comes first. Where the flag rates already give an unbounded window,
+    # that read matches at it too, and its match stands if the counted rates
+    # give one as well; otherwise a second read matches at the counted window.
+    tallies = [0, 0.0], [0, 0.0]
+    arr, dep = (relay_core._tallied(poisson_chunks(spec, node_id=k), tally)
+                for spec, k, tally in zip((arrivals, departures), ("in", "out"), tallies))
+    flags = BatchMeans(args.packets, 100)
+    unbounded = math.isinf(analytic.solve_strict_delay(args.dbar, args.cs, args.cb))
+    if unbounded:
+        for _, step in relay_core._relays({"in": arr}, dep, [("in",)], math.inf):
+            flags.add_ones(step["in"].arrivals.size, step["in"].carried)
+    for _ in itertools.chain(arr, dep):  # counts what no match read
+        pass
     try:
-        window, cs_hat, cb_hat = relay_core.avg_delay_window(
-            poisson_chunks(arrivals, node_id="in"), poisson_chunks(departures, node_id="out"),
-            args.dbar)
+        window, cs_hat, cb_hat = relay_core._counted_window(tallies, args.dbar)
     except EmptyScheduleError as e:
         raise SystemExit(f"--packets {args.packets} at --seed {args.seed}: {e}; --mode avg "
                          "solves its window from the measured rates, so raise --packets")
     loss = analytic.loss_fraction(cs_hat, cb_hat, window)
     # the delays' batches are runs of the matched packets the closed form predicts
-    flags = BatchMeans(args.packets, 100)
     delays = BatchMeans(round(args.packets * (1.0 - loss)), 100)
-    for _, step in relay_core._streamed({"in": arrivals}, departures, [("in",)], window):
-        flags.add_ones(step["in"].arrivals.size, step["in"].carried)
-        if not math.isinf(window):  # an infinite window reads only the drop count
-            delays.add(step["in"].delays)
+    if not (unbounded and math.isinf(window)):
+        flags = BatchMeans(args.packets, 100)
+        for _, step in relay_core._streamed({"in": arrivals}, departures, [("in",)], window):
+            flags.add_ones(step["in"].arrivals.size, step["in"].carried)
+            if not math.isinf(window):  # an infinite window reads only the drop count
+                delays.add(step["in"].delays)
     if math.isinf(window):
         rows.append(_check_row("avg-mode-zero-drops", 0.0, flags.total, 0.0))
     else:

@@ -61,11 +61,11 @@ class Topology:
     """Directed graph with a per-node transmission capacity.
 
     A topology also holds what is measured or solved for the sessions
-    evaluated in it, one key per level: each session's shape (its canonical
-    form by capacities alone) and visible optimum, the class key of each
-    covert label set of a shape, each class's covert rates and each
-    cascade's loss statistics, computed once on a canonical representative,
-    a function of its key alone.
+    evaluated in it, one key per level: each path found valid, each
+    session's shape (its canonical form by capacities alone) and visible
+    optimum, the class key of each covert label set of a shape, each
+    class's covert rates and each cascade's loss statistics, computed once
+    on a canonical representative, a function of its key alone.
 
     Cascade simulations of one family, the same (seed, horizon, delay), share
     their source draws and covert relays' departure draws and joint matches
@@ -92,6 +92,10 @@ class Topology:
     @cached_property
     def capacities(self) -> dict[str, float]:
         return {b.node_id: b.capacity for b in self.bounds}
+
+    @cached_property
+    def _valid_paths(self) -> set:
+        return set()  # paths checked valid in this topology
 
     @cached_property
     def _visible_optima(self) -> dict:
@@ -129,14 +133,20 @@ class Topology:
 
 @dataclass(frozen=True)
 class Session:
-    """The set of simultaneously active paths during one observation window."""
+    """The set of simultaneously active paths during one observation window.
+
+    A session's hash is computed once, when its paths are set: the
+    topology's stores and the prior look a session up many times, and its
+    paths are nested tuples. Equal paths give equal hashes, and a pickled
+    session is rebuilt from its paths, so no held hash leaves the process.
+    """
 
     paths: tuple[Path, ...]
 
     def __post_init__(self):
         if not self.paths:
             raise NetworkConfigError("session has no paths")
-        norm = tuple(tuple(p) for p in self.paths)
+        norm = tuple([tuple(p) for p in self.paths])
         object.__setattr__(self, "paths", norm)
         for p in norm:
             if len(p) < 2:
@@ -145,6 +155,13 @@ class Session:
                 raise NetworkConfigError(f"path repeats a node: {p!r}")
         if len(set(norm)) != len(norm):
             raise NetworkConfigError("session repeats a path")
+        object.__setattr__(self, "_hash", hash((norm,)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.paths,)
 
     @cached_property
     def interior_nodes(self) -> frozenset:
@@ -156,33 +173,47 @@ class Session:
     @cached_property
     def relay_order(self) -> tuple[str, ...]:
         """Interior relays in topological order along the paths, ties by
-        name; a cyclic relay graph raises `NetworkConfigError` every time."""
-        succ: dict[str, set] = {v: set() for v in self.interior_nodes}
-        indeg = {v: 0 for v in self.interior_nodes}
-        for p in self.paths:
-            inner = p[1:-1]
-            for u, v in zip(inner, inner[1:]):
-                if v not in succ[u]:
-                    succ[u].add(v)
-                    indeg[v] += 1
-        ready = sorted(v for v, d in indeg.items() if d == 0)
-        order: list[str] = []
-        while ready:
-            v = ready.pop(0)
-            order.append(v)
-            for w in sorted(succ[v]):
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    ready.append(w)
-            ready.sort()
-        if len(order) != len(self.interior_nodes):
-            raise NetworkConfigError("session relay graph has a cycle")
-        return tuple(order)
+        name. The order depends only on the set of interior path sequences,
+        so it is solved once per such set; a cyclic relay graph raises
+        `NetworkConfigError` on every read."""
+        return _relay_order(frozenset([p[1:-1] for p in self.paths]))
 
     def validate_in(self, topo: Topology) -> None:
+        """Raise `NetworkConfigError` unless every path is valid in `topo`.
+        The topology's edges are frozen, so it holds each path found valid
+        and walks each distinct path once."""
+        valid = topo._valid_paths
         for p in self.paths:
-            if not topo.is_valid_path(p):
-                raise NetworkConfigError(f"path {p!r} is not valid in the topology")
+            if p not in valid:
+                if not topo.is_valid_path(p):
+                    raise NetworkConfigError(f"path {p!r} is not valid in the topology")
+                valid.add(p)
+
+
+@lru_cache(maxsize=4096)
+def _relay_order(inners: frozenset) -> tuple[str, ...]:
+    """The relays of the interior sequences `inners` in topological order,
+    ties by name; a cycle raises `NetworkConfigError`, which is not held."""
+    succ: dict[str, set] = {v: set() for inner in inners for v in inner}
+    indeg = dict.fromkeys(succ, 0)
+    for inner in inners:
+        for u, v in zip(inner, inner[1:]):
+            if v not in succ[u]:
+                succ[u].add(v)
+                indeg[v] += 1
+    ready = sorted(v for v, d in indeg.items() if d == 0)
+    order: list[str] = []
+    while ready:
+        v = ready.pop(0)
+        order.append(v)
+        for w in sorted(succ[v]):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                ready.append(w)
+        ready.sort()
+    if len(order) != len(succ):
+        raise NetworkConfigError("session relay graph has a cycle")
+    return tuple(order)
 
 
 @dataclass(frozen=True)
@@ -410,7 +441,11 @@ def simulate_session(
     measured per-path delivered rates plus per-relay loss statistics; the
     cascade losses measured here are the numerical ground truth where no
     closed form exists. The run shares nothing: its memo is its own.
+    `seed` must be a nonnegative integer and `horizon` finite and positive.
     """
+    check_count("seed", seed, least=0)
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
     covert = frozenset(covert) & session.interior_nodes
     _, lam_v = max_sum_rate_visible(session, topo)  # validates the session
     rates = _boosted_rates(session.paths, topo.capacities, lam_v, covert)
@@ -427,15 +462,15 @@ def _canonical_form(paths, caps, covert, rates):
 
     Sorting with ties in given order gives one such encoding; the least one
     is searched from it, once per distinct encoding."""
-    descs = [(r, tuple(caps[v] for v in p), tuple(v in covert for v in p))
+    descs = [(r, tuple([caps[v] for v in p]), tuple([v in covert for v in p]))
              for r, p in zip(rates, paths)]
     order = sorted(range(len(paths)), key=descs.__getitem__)
     label: dict = {}
-    start = tuple((descs[i], tuple(label.setdefault(v, len(label)) for v in paths[i]))
-                  for i in order)
+    start = tuple([(descs[i], tuple([label.setdefault(v, len(label)) for v in paths[i]]))
+                   for i in order])
     form, pos, labels = _least_encoding(start)
     names = tuple(label)
-    return form, tuple(order[k] for k in pos), tuple(names[v] for v in labels)
+    return form, tuple([order[k] for k in pos]), tuple([names[v] for v in labels])
 
 
 @lru_cache(maxsize=4096)
@@ -743,6 +778,13 @@ def format_network_config(topo: Topology, prior: SessionPrior) -> str:
 
 
 def parse_network_config(text: str):
+    """Topology and prior from the text `format_network_config` writes.
+
+    Every session is validated in the topology and its relay order read,
+    so a malformed line, an invalid path or a cyclic relay graph raises
+    `NetworkConfigError` here, not in the middle of a run. Sessions share
+    that work: each distinct path is walked once and each distinct set of
+    interior path sequences is ordered once."""
     bounds: list[RateBound] = []
     edges = set()
     entries: list[tuple[Session, float]] = []

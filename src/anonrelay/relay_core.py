@@ -696,14 +696,28 @@ def avg_delay_window(arrival_chunks: Iterable[np.ndarray], departure_chunks: Ite
     whose stationary mean delay equals `mean_bound`, which dominates running
     the strict matcher at the mean bound itself.
     """
-    rates = []
-    for name, chunks in (("arrivals", arrival_chunks), ("departures", departure_chunks)):
-        n, last = 0, 0.0
-        for c in chunks:
-            if c.size:
-                n, last = n + c.size, float(c[-1])
-        rates.append(_rate(n, last, name))
-    in_rate, out_rate = rates
+    tallies = [0, 0.0], [0, 0.0]
+    for chunks, tally in zip((arrival_chunks, departure_chunks), tallies):
+        for _ in _tallied(chunks, tally):
+            pass
+    return _counted_window(tallies, mean_bound)
+
+
+def _tallied(chunks: Iterable[np.ndarray], tally: list) -> Iterator[np.ndarray]:
+    """`chunks`, passed on as read, with `tally` kept at [epochs read, last
+    epoch read], what `avg_delay_window` counts of a stream."""
+    for c in chunks:
+        if c.size:
+            tally[0] += c.size
+            tally[1] = float(c[-1])
+        yield c
+
+
+def _counted_window(tallies, mean_bound: float) -> tuple[float, float, float]:
+    """`avg_delay_window` of the arrivals and departures whose
+    `_tallied` counts are `tallies`."""
+    in_rate, out_rate = (_rate(n, last, name)
+                         for (n, last), name in zip(tallies, ("arrivals", "departures")))
     return analytic.solve_strict_delay(mean_bound, in_rate, out_rate), in_rate, out_rate
 
 

@@ -415,7 +415,8 @@ def fixed_set_reference(prior, topo, covert_for, d, covert):
     """(expected sum rate, anonymity) of `covert` fixed in every session,
     read off per-cell reference data: the rate sums p_s * (visible optimum
     - loss) session by session, and the anonymity sums p_s * log2(p_s / m),
-    m the prior mass of the session's column, over minus the prior entropy."""
+    m the prior mass of the session's column, over minus the prior entropy,
+    or 1 where that entropy is 0, as `anonymity_level` scores it."""
     column = {(si, b): oi for (si, oi), b in covert_for.items()}
     covert = frozenset(covert)
     cols = [column[(si, covert & s.interior_nodes)] for si, s in enumerate(prior.sessions)]
@@ -425,6 +426,8 @@ def fixed_set_reference(prior, topo, covert_for, d, covert):
         rate += p * (max_sum_rate_visible(session, topo)[0] - d[si, c])
         mass[c] = mass.get(c, 0.0) + p
     h_prior = -sum(p * math.log2(p) for p in prior.probs)
+    if h_prior <= 0.0:
+        return rate, 1.0
     h_cond = sum(p * math.log2(p / mass[c]) for p, c in zip(prior.probs, cols))
     return rate, float(-h_cond / h_prior)
 

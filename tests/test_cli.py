@@ -470,30 +470,37 @@ def test_relay_accepts_an_unbounded_window(tmp_path):
 
 def test_streamed_avg_relay_equals_the_whole_schedule_relay(tmp_path, monkeypatch):
     # a finite window, so the report reads matched delays and drop flags;
-    # small chunks, so the streamed run crosses many chunk edges
+    # small chunks, so the streamed run crosses many chunk edges. At --cb 2
+    # the flag rates give an unbounded window, but the rates counted at
+    # seed 2 give a finite one, so the run matches again at the counted window
     monkeypatch.setattr(point_process, "_CHUNK", 1000)
     monkeypatch.setattr(relay_core, "_CHUNK", 1000)
-    n, cs, cb, dbar, seed = 20000, 1.0, 1.2, 1.0, 5
-    assert main(["relay", "--mode", "avg", "--cs", str(cs), "--cb", str(cb), "--dbar", str(dbar),
-                 "--packets", str(n), "--seed", str(seed), "--out-dir", str(tmp_path)]) == 0
-    checks = {r["check"]: r for r in
-              json.loads((tmp_path / "relay_report.json").read_text())["checks"]}
-    horizon = n / cs
-    arrivals = point_process.gen_poisson(point_process.GenSpec(cs, horizon, seed), node_id="in")
-    departures = point_process.gen_poisson(
-        point_process.GenSpec(cb, horizon + 100.0 * max(dbar, 1.0 / cb), seed), node_id="out")
-    res = relay_core.avg_delay_relay(arrivals, departures, dbar)
-    assert math.isfinite(res.delay_bound)
-    loss = analytic.loss_fraction(point_process.empirical_rate(arrivals),
-                                  point_process.empirical_rate(departures), res.delay_bound)
-    # the run batches the arrivals it expects and the matched packets it predicts
-    delays = BatchMeans(round(n * (1.0 - loss)), 100).add(res.delays)
-    assert checks["avg-mode-mean-delay"]["measured"] == delays.mean
-    assert checks["avg-mode-mean-delay"]["stderr"] == delays.stderr
-    assert checks["avg-mode-loss-fraction"]["measured"] == res.drop_fraction
-    assert checks["avg-mode-loss-fraction"]["stderr"] == \
-        BatchMeans(n, 100).add(res.dropped).stderr
-    assert checks["avg-mode-loss-fraction"]["predicted"] == loss
+    n, cs, dbar = 20000, 1.0, 1.0
+    for cb, seed in ((1.2, 5), (2.0, 2)):
+        out = tmp_path / f"cb{cb}"
+        assert main(["relay", "--mode", "avg", "--cs", str(cs), "--cb", str(cb),
+                     "--dbar", str(dbar), "--packets", str(n), "--seed", str(seed),
+                     "--out-dir", str(out)]) == 0
+        checks = {r["check"]: r for r in
+                  json.loads((out / "relay_report.json").read_text())["checks"]}
+        horizon = n / cs
+        arrivals = point_process.gen_poisson(point_process.GenSpec(cs, horizon, seed),
+                                             node_id="in")
+        departures = point_process.gen_poisson(
+            point_process.GenSpec(cb, horizon + 100.0 * max(dbar, 1.0 / cb), seed),
+            node_id="out")
+        res = relay_core.avg_delay_relay(arrivals, departures, dbar)
+        assert math.isfinite(res.delay_bound)
+        loss = analytic.loss_fraction(point_process.empirical_rate(arrivals),
+                                      point_process.empirical_rate(departures), res.delay_bound)
+        # the run batches the arrivals it expects and the matched packets it predicts
+        delays = BatchMeans(round(n * (1.0 - loss)), 100).add(res.delays)
+        assert checks["avg-mode-mean-delay"]["measured"] == delays.mean
+        assert checks["avg-mode-mean-delay"]["stderr"] == delays.stderr
+        assert checks["avg-mode-loss-fraction"]["measured"] == res.drop_fraction
+        assert checks["avg-mode-loss-fraction"]["stderr"] == \
+            BatchMeans(n, 100).add(res.dropped).stderr
+        assert checks["avg-mode-loss-fraction"]["predicted"] == loss
 
 
 RELAY_MODES = {
@@ -529,6 +536,18 @@ def _seeded_streams(monkeypatch) -> dict:
     monkeypatch.setattr(point_process, "_epoch_chunks", kept)
     monkeypatch.setattr(point_process, "_draw", drawn)
     return streams
+
+
+@pytest.mark.parametrize("mode, reads", [("avg", 1), ("avg_window", 2)])
+def test_avg_relay_reads_each_stream_once_when_the_flags_need_no_window(mode, reads, tmp_path,
+                                                                        monkeypatch):
+    # --cb 3 - --cs 1 >= 1 / --dbar: the counting read matches at the
+    # unbounded window, and the counted rates keep it; at --cb 1 the window
+    # is finite, so a second read matches at it
+    streams = _seeded_streams(monkeypatch)
+    assert main(["relay", *RELAY_MODES[mode], "--packets", "20000",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert sorted(name for name, _, _ in streams.values()) == ["in"] * reads + ["out"] * reads
 
 
 def test_priority_relay_draws_each_stream_once(tmp_path, monkeypatch):

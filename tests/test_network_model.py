@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import pickle
 import sys
 import threading
 
@@ -254,15 +255,73 @@ def test_cyclic_session_always_raises():
                          ("B", "Y"), ("Y", "X"), ("X", "D2")}),
     )
     cyclic = Session(paths=(("A", "X", "Y", "D1"), ("B", "Y", "X", "D2")))
-    for _ in range(2):
-        with pytest.raises(NetworkConfigError, match="cycle"):
-            covert_sum_rate(cyclic, frozenset(), topo, 1.0)
-        with pytest.raises(NetworkConfigError, match="cycle"):
-            simulate_session(cyclic, frozenset(), topo, 1.0, horizon=10.0, seed=0)
-    assert "relay_order" not in vars(cyclic)
+    text = format_network_config(topo, SessionPrior(entries=((cyclic, 1.0),)))
+    # the relay order is solved once per set of interior sequences, and a
+    # cycle is never held: a session built again raises again
+    for session in (cyclic, Session(paths=cyclic.paths)):
+        for _ in range(2):
+            with pytest.raises(NetworkConfigError, match="cycle"):
+                parse_network_config(text)
+            with pytest.raises(NetworkConfigError, match="cycle"):
+                session.relay_order
+            with pytest.raises(NetworkConfigError, match="cycle"):
+                covert_sum_rate(session, frozenset(), topo, 1.0)
+            with pytest.raises(NetworkConfigError, match="cycle"):
+                simulate_session(session, frozenset(), topo, 1.0, horizon=10.0, seed=0)
+        assert "relay_order" not in vars(session)
     line = Session(paths=(("A", "X", "Y", "D1"), ("B", "Y", "D2")))
     assert line.relay_order == ("X", "Y")
     assert line.relay_order is line.relay_order
+
+
+@pytest.mark.parametrize("arg, bad, message", [
+    ("seed", 1.5, "seed must be"), ("seed", True, "seed must be"),
+    ("horizon", -5.0, "horizon must be"), ("horizon", math.nan, "horizon must be"),
+])
+def test_simulate_session_rejects_a_bad_seed_or_horizon(arg, bad, message):
+    topo, prior = switching_topology(2.0)
+    args = {"delay": 1.0, "horizon": 100.0, "seed": 1, arg: bad}
+    with pytest.raises(ValueError, match=message):
+        simulate_session(prior.sessions[0], {"M1", "M2"}, topo, **args)
+
+
+def test_equal_sessions_share_a_hash_and_the_topology_stores():
+    # a session holds its hash, so an equal session built apart hashes
+    # equal and reads what the topology holds for the first
+    topo, prior = switching_topology(2.0)
+    s = prior.sessions[3]
+    twin = Session(paths=[list(p) for p in s.paths])
+    assert twin is not s and twin == s and hash(twin) == hash(s) == hash((s.paths,))
+    assert {s: 1}[twin] == 1
+    form = nm._session_form(s, topo)
+    assert nm._session_form(twin, topo) is form
+    optimum = max_sum_rate_visible(twin, topo)
+    assert max_sum_rate_visible(s, topo) is optimum
+    assert len(topo._forms) == len(topo._visible_optima) == 1
+    # a pickle carries the paths, not the hash, which another process
+    # would compute differently
+    data = pickle.dumps(s)
+    assert b"_hash" not in data
+    copy = pickle.loads(data)
+    assert copy == s and hash(copy) == hash(s)
+
+
+def test_parse_and_build_do_shared_work_once_per_structure(monkeypatch):
+    # 720 sessions of the 6x6 network share 36 paths and a few relay graphs:
+    # parsing and one model build walk each distinct path's edges once and
+    # solve each distinct set of interior path sequences' relay order once
+    text = format_network_config(*six_by_six())
+    walks = []
+    walk = Topology.is_valid_path
+    monkeypatch.setattr(Topology, "is_valid_path",
+                        lambda topo, path: walks.append(path) or walk(topo, path))
+    nm._relay_order.cache_clear()
+    topo, prior = parse_network_config(text)
+    build_distortion_model(prior, topo, 1.0, sim_packets=1_000, seed=0)
+    paths = {p for s in prior.sessions for p in s.paths}
+    graphs = {frozenset(p[1:-1] for p in s.paths) for s in prior.sessions}
+    assert len(walks) == len(set(walks)) == len(paths) == 36
+    assert nm._relay_order.cache_info().misses == len(graphs) == 3
 
 
 def test_simulate_all_visible_recovers_lp_rates():
@@ -614,6 +673,7 @@ def test_model_equals_the_per_cell_reference(network):
     assert model.metadata == metadata
     for p in model.deterministic_points():
         assert (p.sum_rate, p.alpha) == fixed_set_reference(prior, topo, covert_for, d, p.covert)
+        assert (p.sum_rate, p.alpha) == (model.covert_rate(p.covert), model.anonymity(p.covert))
 
 
 def _network_of(sessions, caps=None):
@@ -629,7 +689,9 @@ def _network_of(sessions, caps=None):
 def _assert_model_observes_cell_by_cell(prior, topo):
     # the model's columns and cells, in order, against `observe` cell by
     # cell, each observation against the paths' runs between covert relays,
-    # and each class against the cells whose class key names it, in order
+    # each class against the cells whose class key names it, in order, and
+    # each deterministic point, read from the model's column table, against
+    # its covert set's own reads and the per-cell reference, float for float
     model = build_distortion_model(prior, topo, 1.0, sim_packets=500, seed=1)
     observations, covert_for = observation_cells_reference(prior)
     assert model.observations == observations
@@ -642,6 +704,10 @@ def _assert_model_observes_cell_by_cell(prior, topo):
         classes.setdefault(key, []).append((si, oi))
     assert [(key, list(zip(*map(np.ndarray.tolist, cells))))
             for key, cells in model.classes.items()] == list(classes.items())
+    for p in model.deterministic_points():
+        assert (p.sum_rate, p.alpha) == (model.covert_rate(p.covert), model.anonymity(p.covert))
+        assert (p.sum_rate, p.alpha) == fixed_set_reference(prior, topo, covert_for, model.d,
+                                                            p.covert)
 
 
 def test_model_observes_cut_sources_shared_fragments_and_relay_sets():

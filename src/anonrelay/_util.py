@@ -9,14 +9,19 @@ import numpy as np
 
 
 def substream(seed: int, *tags) -> np.random.Generator:
-    """Counter-based generator for an independent, reproducible random stream.
+    """PCG64 generator for an independent, reproducible random stream.
 
-    Distinct tag tuples yield statistically independent streams under the
-    same master seed, so parallel components never share randomness.
+    The stream is seeded by a SeedSequence of the master seed whose spawn
+    key is the tags' CRC-32s, the spawning numpy documents for independent
+    PCG64 streams: distinct tag tuples yield statistically independent
+    streams under the same master seed, so parallel components never share
+    randomness. Every seeded draw passes through here, so here `seed` is
+    checked: ValueError unless it is an integer of at least 0.
     """
+    check_count("seed", seed, least=0)
     key = tuple(zlib.crc32(repr(t).encode("utf-8")) for t in tags)
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.PCG64(ss))
 
 
 class BatchMeans:

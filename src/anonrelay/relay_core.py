@@ -747,6 +747,9 @@ class WalkOracleResult:
     steps: int
 
 
+_WALK_ROWS = 64  # step rows per block of walk draws: 64 x 512 chains is 256 KB a buffer
+
+
 def random_walk_oracle(
     input_rate: float,
     relay_rate: float,
@@ -764,9 +767,10 @@ def random_walk_oracle(
     mean-delay estimates are an independent check on both the matcher and
     the closed forms.
 
-    Steps are drawn in blocks of up to 512 rows, one row per step across
-    the `chains` independent chains, into two buffers allocated once, so
-    memory is O(chains) whatever `steps` is. Each row is added to the state
+    Steps are drawn in blocks of up to _WALK_ROWS rows, one row per step
+    across the `chains` independent chains, into two buffers allocated once
+    and small enough, at the default chains, to stay in a core's L2 cache,
+    so memory is O(chains) whatever `steps` is. Each row is added to the state
     and clamped to the window in place, the block's barrier hits are counted
     column by column, and each chain's interior sum is carried into the
     block's first row and summed down its column, in step order.
@@ -796,17 +800,16 @@ def random_walk_oracle(
 
     scale_in = 1.0 / input_rate
     scale_out = 1.0 / relay_rate
-    block = 512
-    z_buf = np.empty((block, chains))  # the block's steps, then its unclipped states
-    w_buf = np.empty((block, chains))  # the input gaps
-    up_buf = np.empty((block, chains), dtype=bool)
-    lo_buf = np.empty((block, chains), dtype=bool)
+    z_buf = np.empty((_WALK_ROWS, chains))  # the block's steps, then its unclipped states
+    w_buf = np.empty((_WALK_ROWS, chains))  # the input gaps
+    up_buf = np.empty((_WALK_ROWS, chains), dtype=bool)
+    lo_buf = np.empty((_WALK_ROWS, chains), dtype=bool)
 
     def advance(iters: int, measure: bool) -> None:
         nonlocal upper, lower, interior_cnt, interior_sum
         left = iters
         while left > 0:
-            m = min(block, left)
+            m = min(_WALK_ROWS, left)
             z, w = z_buf[:m], w_buf[:m]
             # scale × standard draw is rng.exponential(scale) bit for bit
             rng.standard_exponential(out=z)

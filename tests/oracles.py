@@ -21,6 +21,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import minimize
 
+from anonrelay import relay_core
 from anonrelay.network_model import covert_sum_rate, max_sum_rate_visible, observe
 
 
@@ -147,7 +148,7 @@ def walk_oracle_reference(input_rate, relay_rate, delay, steps, rng, chains=512,
                           burn_in=1000):
     """The clipped delay walk with every barrier statistic updated step by
     step, drawing from `rng` exactly as `random_walk_oracle` draws from its
-    substream.
+    substream, in blocks of `relay_core._WALK_ROWS` step rows.
 
     Returns (p_lower, p_upper, loss_fraction, mean_interior_delay,
     loss_stderr, delay_stderr, steps)."""
@@ -165,7 +166,7 @@ def walk_oracle_reference(input_rate, relay_rate, delay, steps, rng, chains=512,
         nonlocal upper, lower, interior_cnt, interior_sum
         left = iters
         while left > 0:
-            m = min(512, left)
+            m = min(relay_core._WALK_ROWS, left)
             z = (rng.exponential(1.0 / relay_rate, (m, chains))
                  - rng.exponential(1.0 / input_rate, (m, chains)))
             for r in range(m):

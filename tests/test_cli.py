@@ -207,12 +207,13 @@ def test_relay_check_without_error_bar_fails(tmp_path, capsys):
 
 
 def test_relay_check_on_an_empty_stream_fails(tmp_path, capsys):
-    # at seed 0 the one-packet horizon draws no arrivals: the loss of 0 that
+    # at seed 4 the one-packet horizon draws no arrivals: the loss of 0 that
     # an infinite window predicts matches the empty measurement, but nothing
     # was measured, so the row has no error bar and cannot pass
+    assert len(point_process.gen_poisson(point_process.GenSpec(1.0, 1.0, 4), "in")) == 0
     assert main([
         "relay", "--cs", "1", "--cb", "2", "--delta", "inf", "--packets", "1",
-        "--seed", "0", "--out-dir", str(tmp_path),
+        "--seed", "4", "--out-dir", str(tmp_path),
     ]) == 1
     assert "[FAIL] strict-loss-fraction" in capsys.readouterr().out
     row, = json.loads((tmp_path / "relay_report.json").read_text())["checks"]
@@ -221,10 +222,11 @@ def test_relay_check_on_an_empty_stream_fails(tmp_path, capsys):
 
 
 def test_avg_relay_on_an_empty_draw_exits_with_a_message(tmp_path):
-    # at seed 0 the one-packet horizon draws no arrivals, so avg mode has no
+    # at seed 4 the one-packet horizon draws no arrivals, so avg mode has no
     # input rate to solve its window from
-    with pytest.raises(SystemExit, match="^--packets 1 at --seed 0: .*raise --packets"):
-        main(["relay", "--mode", "avg", "--packets", "1", "--seed", "0",
+    assert len(point_process.gen_poisson(point_process.GenSpec(1.0, 1.0, 4), "in")) == 0
+    with pytest.raises(SystemExit, match="^--packets 1 at --seed 4: .*raise --packets"):
+        main(["relay", "--mode", "avg", "--packets", "1", "--seed", "4",
               "--out-dir", str(tmp_path)])
     assert not any(tmp_path.iterdir())
 
@@ -472,11 +474,11 @@ def test_streamed_avg_relay_equals_the_whole_schedule_relay(tmp_path, monkeypatc
     # a finite window, so the report reads matched delays and drop flags;
     # small chunks, so the streamed run crosses many chunk edges. At --cb 2
     # the flag rates give an unbounded window, but the rates counted at
-    # seed 2 give a finite one, so the run matches again at the counted window
+    # seed 0 give a finite one, so the run matches again at the counted window
     monkeypatch.setattr(point_process, "_CHUNK", 1000)
     monkeypatch.setattr(relay_core, "_CHUNK", 1000)
     n, cs, dbar = 20000, 1.0, 1.0
-    for cb, seed in ((1.2, 5), (2.0, 2)):
+    for cb, seed in ((1.2, 5), (2.0, 0)):
         out = tmp_path / f"cb{cb}"
         assert main(["relay", "--mode", "avg", "--cs", str(cs), "--cb", str(cb),
                      "--dbar", str(dbar), "--packets", str(n), "--seed", str(seed),

@@ -362,17 +362,19 @@ def _sim_digest(sim) -> str:
 def test_simulated_stats_are_pinned():
     # a covert relay feeding two others (M1 feeds both M2 and M4), and two
     # covert relays with visible ones between (n1 -> n2 -> n3 -> n4): every
-    # count and statistic stays what the run that also kept every schedule
-    # and routed chaff measured
+    # count and statistic stays as pinned. The digests were re-taken when the
+    # seeded streams moved from Philox to PCG64; the same code with Philox
+    # still gave the digests of the run that also kept every schedule and
+    # routed chaff
     topo, prior = switching_topology(2.0)
     mixed = prior.sessions[2]
     assert len({p[2] for p in mixed.paths[:2]}) == 2  # M1 feeds both M2 and M4
     sim = simulate_session(mixed, {"M1", "M3"}, topo, 1.0, horizon=2_000.0, seed=9)
-    assert _sim_digest(sim) == "b9af32e39490a8a7899e7d336395b73e844ff631a694a1393948fa75a2372cdf"
+    assert _sim_digest(sim) == "3f5249b1221930a44881d0d31fc9f930505890b628c90ad55239afffa1904a34"
     line, nodes = line_topology([2.0] * 6)
     sim = simulate_session(Session(paths=(nodes,)), {"n1", "n4"}, line, 1.0,
                            horizon=2_000.0, seed=9)
-    assert _sim_digest(sim) == "02043e101bc4f3d0d9deb5a1e70967e3bac35a58534d3a15eb7306411f0570bd"
+    assert _sim_digest(sim) == "01f0cbc2b918e14de100048dbb97e997249d17b85ac0564ca824737e93dd77e5"
 
 
 def test_cascade_cache_deterministic_and_shared():

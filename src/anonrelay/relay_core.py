@@ -9,23 +9,27 @@ arrivals consumed, and the arrivals not yet settled, from one chunk to the
 next, so its scratch is O(_CHUNK) whatever the horizon. The whole-schedule
 matchers feed it one chunk; `stream_relay` feeds it chunks of epochs as they
 are drawn, through the same successive and equal-priority logic, and its read
-loop, `_relays`, can feed one read to several matchers. It returns, per
-departure, the index of the arrival it carries. Its window bounds, per
-departure t the arrivals before the exact t - delay and those at or before
-t, are counted by merging, not by a binary search per departure: `_ranks`
-merges the sorted departures, then the cuts (the least double at or above
-t - delay, clamped to 0), with the arrivals that fall between the first and
-the last of them, each in one stable sort of uint64 keys. A key is an epoch's float64 bits shifted left
-by 1, which keeps its order because epochs are finite and nonnegative
-(-0.0 keys as 0.0); the freed low bit is a tag that settles ties, arrivals
-before equal departures and cuts before equal arrivals. Where more than
-_MERGE_MAX_RATIO arrivals fall there per departure, as at an overloaded
-relay, binary searches cost less and are used instead, so a pass ranks
-O(_CHUNK) values whatever the backlog. A `MatchResult` keeps, beside the
-epochs, only the carried pairs, `carried` arrival indices and departure
-`slots`, and derives pairs, drops, dummies and delays from them on demand,
-so an equal-priority step over S streams does O(departures) bookkeeping,
-not O(S x departures).
+loop, `_relays`, can feed one read to several matchers. It returns the
+carried pairs, the positions of the departures that carry a packet and the
+index of the arrival each carries, and every matcher builds its
+`MatchResult` from them; no matcher builds a per-departure index. Its
+window bounds, per departure t the arrivals before the exact t - delay and
+those at or before t, are counted by merging, not by a binary search per
+departure: `_ranks` merges the sorted departures, then the cuts (the least
+double at or above t - delay, clamped to 0), with the arrivals that fall
+between the first and the last of them, each in one stable sort of uint64
+keys. A key is an epoch's float64 bits shifted left by 1, which keeps its
+order because epochs are finite and nonnegative (-0.0 keys as 0.0); the
+freed low bit is a tag that settles ties, arrivals before equal departures
+and cuts before equal arrivals. Where more than _MERGE_MAX_RATIO arrivals
+fall there per departure, as at an overloaded relay, binary searches cost
+less and are used instead, so a pass ranks O(_CHUNK) values whatever the
+backlog. The bounds are solved in blocks laid out position major, row r
+holding departure r of every block, so each numpy call of the block solve
+reads contiguous memory. A `MatchResult` keeps, beside the epochs, only the
+carried pairs, `carried` arrival indices and departure `slots`, and derives
+pairs, drops, dummies and delays from them on demand, so an equal-priority
+step over S streams does O(departures) bookkeeping, not O(S x departures).
 """
 from __future__ import annotations
 
@@ -37,7 +41,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from . import analytic
-from ._util import BatchMeans, check_count, fmt, substream
+from ._util import BatchMeans, check_count, check_delay, fmt, substream
 from .point_process import (GenSpec, Schedule, ScheduleError, _check_epochs, _rate,
                             poisson_chunks)
 
@@ -81,11 +85,12 @@ class MatchResult:
     packet, all those outside `slots` unless `dummies` is given (the results
     of an equal-priority match share that one array, and the rest carried
     other streams' packets); `delays`; and `index`, per departure the
-    arrival it carries, DUMMY (-1) or OTHER (-2). Construction raises
-    ValueError unless the slots strictly increase within `departures`,
-    `carried` holds one arrival index per slot in FIFO order, and each pair
-    departs within [0, delay_bound] of its arrival; the checks read the
-    carried pairs only.
+    arrival it carries, DUMMY (-1) or OTHER (-2), a reader that no matcher
+    calls, as none calls `from_index`. Construction raises ValueError
+    unless `delay_bound` is nonnegative (inf is, NaN is not), the slots
+    strictly increase within `departures`, `carried` holds one arrival
+    index per slot in FIFO order, and each pair departs within
+    [0, delay_bound] of its arrival; the checks read the carried pairs only.
     """
 
     arrivals: np.ndarray
@@ -96,6 +101,7 @@ class MatchResult:
     dummies: InitVar[Optional[np.ndarray]] = None
 
     def __post_init__(self, dummies):
+        check_delay(self.delay_bound)
         for name, dtype in (("arrivals", float), ("departures", float),
                             ("carried", np.int64), ("slots", np.int64)):
             object.__setattr__(self, name, _readonly(getattr(self, name), dtype))
@@ -121,7 +127,7 @@ class MatchResult:
     @classmethod
     def from_index(cls, arrivals, departures, index, delay_bound: float) -> "MatchResult":
         """The result of a per-departure `index` of arrivals, DUMMY and OTHER,
-        as the kernel writes it; with an OTHER, the DUMMY departures are the
+        as `index` gives it; with an OTHER, the DUMMY departures are the
         shared `dummies`. Raises ValueError as the constructor does, and
         unless `index` holds one arrival index, DUMMY or OTHER per departure."""
         departures, index = np.asarray(departures, dtype=float), np.asarray(index, dtype=np.int64)
@@ -223,10 +229,12 @@ _CHUNK = 1 << 16  # departures per kernel pass: the kernel's scratch is O(_CHUNK
 _MERGE_MAX_RATIO = 8
 
 
-def _ranks(arr: np.ndarray, needles: np.ndarray, right: bool, out: np.ndarray) -> None:
-    """Write into `out`, per needle k, k plus the count of arrivals in `arr`
-    at or before it if `right`, else before it: `np.searchsorted` on that
-    side, plus k. Both arrays are sorted and nonempty.
+def _ranks(arr: np.ndarray, needles: np.ndarray, right: bool, out: Sequence[np.ndarray]) -> None:
+    """Write, per needle k, k plus the count of arrivals in `arr` at or
+    before it if `right`, else before it: `np.searchsorted` on that side,
+    plus k. Both arrays are sorted and nonempty. `out` is a sequence of
+    arrays that take the values in turn, each in its own C order, so a
+    caller can lay them out in strided views.
 
     The arrivals before the first needle's rank count for every needle and
     those from the last needle's rank on count for none, so two scalar
@@ -248,31 +256,42 @@ def _ranks(arr: np.ndarray, needles: np.ndarray, right: bool, out: np.ndarray) -
     arr = arr[first:last]
     n, m = arr.size, needles.size
     if n > _MERGE_MAX_RATIO * m:
-        np.add(np.searchsorted(arr, needles, side=side), np.arange(first, first + m), out=out)
-        return
-    keys = np.empty(n + m, dtype=np.uint64)
-    np.left_shift(arr.view(np.uint64), 1, out=keys[:n])
-    np.left_shift(needles.view(np.uint64), 1, out=keys[n:])
-    # A needle tagged 1 follows the arrivals it equals (side="right"); an
-    # arrival tagged 1 follows the needles it equals (side="left").
-    tagged = keys[n:] if right else keys[:n]
-    tagged |= 1
-    keys.sort(kind="stable")
-    is_needle = np.bitwise_and(keys, 1, out=np.empty(keys.size, dtype=bool), casting="unsafe")
-    if not right:
-        np.logical_not(is_needle, out=is_needle)
-    # from a bool array: several times faster than from an int one
-    np.add(np.flatnonzero(is_needle), first, out=out)
+        ranks = np.searchsorted(arr, needles, side=side)
+        ranks += np.arange(m)
+    else:
+        keys = np.empty(n + m, dtype=np.uint64)
+        np.left_shift(arr.view(np.uint64), 1, out=keys[:n])
+        np.left_shift(needles.view(np.uint64), 1, out=keys[n:])
+        # A needle tagged 1 follows the arrivals it equals (side="right"); an
+        # arrival tagged 1 follows the needles it equals (side="left").
+        tagged = keys[n:] if right else keys[:n]
+        tagged |= 1
+        keys.sort(kind="stable")
+        is_needle = np.bitwise_and(keys, 1, out=np.empty(keys.size, dtype=bool), casting="unsafe")
+        if not right:
+            np.logical_not(is_needle, out=is_needle)
+        # from a bool array: several times faster than from an int one
+        ranks = np.flatnonzero(is_needle)
+    at = 0
+    for part in out:
+        np.add(ranks[at:at + part.size].reshape(part.shape), first, out=part)
+        at += part.size
 
 
-def _scan(arr: np.ndarray, dep: np.ndarray, delay: float, offset: int, out: np.ndarray) -> int:
+# A pass over n arrivals and m departures holds no count, its padding's
+# included, of magnitude n + 4m or more, so it keeps its scratch in int32
+# while n + 4m stays below this, and in int64 beyond.
+_NARROW_LIMIT = 1 << 31
+
+
+def _scan(arr: np.ndarray, dep: np.ndarray, delay: float) -> tuple[np.ndarray, np.ndarray, int]:
     """One pass of the greedy kernel over a chunk of departures.
 
     `arr` holds the arrivals from the first not yet consumed up to the last
-    at or before the chunk's last departure. Writes into `out`, per
-    departure, `offset` plus the index in `arr` of the arrival it carries,
-    or DUMMY, and returns `offset` plus the arrivals of `arr` consumed by
-    the end of the chunk.
+    at or before the chunk's last departure. Returns the carried pairs and
+    a count: `slots`, the increasing positions in `dep` of the departures
+    that carry a packet, `carried`, the index in `arr` of the arrival each
+    carries, and the arrivals of `arr` consumed by the end of the chunk.
 
     In `arr`'s own indices, let lo_k count the arrivals before t_k - delay,
     taken exactly, and hi_k those at or before t_k. `_ranks` counts both,
@@ -292,7 +311,11 @@ def _scan(arr: np.ndarray, dep: np.ndarray, delay: float, offset: int, out: np.n
     blocks' start values, and a second pass replays each block, in place.
     Blocks of about sqrt(chunk / 8) departures balance the passes, which
     cost one numpy call per position in a block, against the loop, which
-    costs one Python step per block.
+    costs one Python step per block. The bounds are laid out position
+    major, row r holding departure r of every block, so each of those calls
+    reads one contiguous row; they are held in int32 unless the pass's
+    counts could pass 2^31 (`_NARROW_LIMIT`). Only the carried departures'
+    values are read back, in departure order.
 
     An unbounded window (`delay` infinite) has no cut: lo_k = 0, and since
     y_{k-1} = i_{k-1} - k >= -k the floor never binds. The recursion is then
@@ -302,65 +325,73 @@ def _scan(arr: np.ndarray, dep: np.ndarray, delay: float, offset: int, out: np.n
     """
     m = dep.size
     if arr.size == 0:
-        out[:] = DUMMY
-        return offset
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0
+    dtype = np.int32 if arr.size + 4 * m < _NARROW_LIMIT else np.int64
     if math.isinf(delay):
-        y = np.empty(m + 1, dtype=np.int64)  # y[k + 1] holds y_k
-        _ranks(arr, dep, True, y[1:])
-        k = np.arange(m, dtype=np.int64)
+        y = np.empty(m + 1, dtype=dtype)  # y[k + 1] holds y_k
+        _ranks(arr, dep, True, (y[1:],))
+        k = np.arange(m, dtype=dtype)
         y[1:] -= 2 * k + 1  # hi_k - k - 1
         y[0] = 0  # y_{-1}
         np.minimum.accumulate(y, out=y)
         # departure k carries exactly when the minimum holds: y_k = y_{k-1}
-        np.add(y[:-1], k + offset, out=out)
-        out[y[1:] != y[:-1]] = DUMMY
-        return offset + m + int(y[-1])
-    # Departure k = b * block + r sits at [b, r], so column r holds departure
-    # r of every block; the zero padding after departure m - 1 ends the last
+        slots = np.flatnonzero(y[1:] == y[:-1])
+        return slots, np.add(y[slots], slots), m + int(y[-1])
+    # Departure k = b * block + r sits at [r, b], so row r holds departure
+    # r of every block; the padding after departure m - 1 ends the last
     # block and is never read back.
     block = math.isqrt((m - 1) // 8) + 1
     nblocks = -(-m // block)
-    k_block = np.arange(0, nblocks * block, block, dtype=np.int64)[:, None]
-    k_row = np.arange(block, dtype=np.int64)
-    floor = np.zeros((nblocks, block), dtype=np.int64)  # lo_k - k
-    ceil = np.zeros((nblocks, block), dtype=np.int64)  # hi_k - k - 1
+    full, rem = divmod(m, block)
+    floor = np.empty((block, nblocks), dtype=dtype)  # lo_k - k
+    ceil = np.empty((block, nblocks), dtype=dtype)  # hi_k - k - 1
+    if rem:
+        floor[rem:, -1] = ceil[rem:, -1] = 0
+
+    def by_departure(a):  # views of `a` that hold the departures in order
+        return (a[:, :full].T, a[:rem, full]) if rem else (a.T,)
+
     # Each bound is written plus k, as `_ranks` gives it; the two k come off
     # together below.
-    _ranks(arr, dep, True, ceil.reshape(-1)[:m])
-    cut = floor.reshape(-1)[:m]
-    t = cut.view(np.float64)  # the least double at or above t_k - delay, in floor's memory
-    np.subtract(dep, delay, out=t)
+    _ranks(arr, dep, True, by_departure(ceil))
+    t = np.subtract(dep, delay)  # the least double at or above t_k - delay
     # Where t_k >= delay, t_k - t is exact (Fast2Sum), so a rounded-down cut
     # shows as t_k - t > delay and is lifted one step; where t_k < delay,
     # the cut is negative either way and clamps to 0.
     np.nextafter(t, math.inf, out=t, where=np.subtract(dep, t) > delay)
     np.maximum(t, 0.0, out=t)
-    _ranks(arr, t, False, cut)
-    floor -= 2 * k_block
-    floor -= 2 * k_row
-    ceil -= 2 * k_block
-    ceil -= 2 * k_row + 1
+    _ranks(arr, t, False, by_departure(floor))
+    del t
+    # 2k = 2b * block + 2r at [r, b]: both bounds lose it, the ceiling 1 more
+    two_b = np.arange(0, 2 * nblocks * block, 2 * block, dtype=dtype)
+    two_r = np.arange(0, 2 * block, 2, dtype=dtype)[:, None]
+    floor -= two_b
+    floor -= two_r
+    ceil -= two_b
+    ceil -= two_r + 1
 
     # clamp(clamp(y, a1, b1), a2, b2) = clamp(y, max(a1, a2), min(max(b1, a2), b2))
-    f, c = floor[:, 0].copy(), ceil[:, 0].copy()
+    f, c = floor.max(axis=0), ceil[0].copy()
     for r in range(1, block):
-        np.maximum(f, floor[:, r], out=f)
-        np.minimum(np.maximum(c, floor[:, r], out=c), ceil[:, r], out=c)
-    starts = [0]
-    for a, b in zip(f.tolist(), c.tolist()):
-        starts.append(min(max(starts[-1], a), b))
-    y = np.asarray(starts[:-1], dtype=np.int64)
-    for r in range(block):  # in place: floor[:, r] becomes max(y_{k-1}, lo_k - k)
-        np.minimum(np.maximum(y, floor[:, r], out=floor[:, r]), ceil[:, r], out=y)
+        np.minimum(np.maximum(c, floor[r], out=c), ceil[r], out=c)
+    starts, y0 = [], 0
+    for a, b in zip(f.tolist(), c.tolist()):  # conditionals cost less than min and max calls
+        starts.append(y0)
+        y0 = a if y0 < a else y0
+        y0 = b if y0 > b else y0
+    y = np.asarray(starts, dtype=dtype)
+    for r in range(block):  # in place: floor[r] becomes max(y_{k-1}, lo_k - k)
+        np.minimum(np.maximum(y, floor[r], out=floor[r]), ceil[r], out=y)
 
-    last = divmod(m - 1, block)
-    consumed = offset + m + int(min(floor[last], ceil[last]))  # i_{m-1} = y_{m-1} + m
-    dummy = floor > ceil
-    floor += k_block
-    floor += k_row + offset
-    floor[dummy] = DUMMY
-    out[:] = floor.reshape(-1)[:m]
-    return consumed
+    last = (m - 1) % block, (m - 1) // block
+    consumed = m + int(min(floor[last], ceil[last]))  # i_{m-1} = y_{m-1} + m
+    carries = np.less_equal(floor, ceil)
+    if rem:
+        carries[rem:, -1] = False
+    slots = np.flatnonzero(carries.T)  # in departure order
+    # a gather from the transposed copy costs less than one by mask or by
+    # computed positions in the layout
+    return slots, np.add(floor.T.ravel()[slots], slots), consumed
 
 
 class _Window:
@@ -402,17 +433,17 @@ class _Greedy:
     """
 
     def __init__(self, delay: float):
-        if not (delay >= 0.0):
-            raise ValueError(f"delay must be nonnegative, got {delay}")
+        check_delay(delay)
         self.delay = delay
         self.arrivals = _Window()
         self.done = 0  # arrivals consumed: every one before it is matched or dropped
 
-    def match(self, dep: np.ndarray) -> np.ndarray:
-        """Per departure, the arrival it carries, counted from the first one
-        not consumed before this call, or DUMMY."""
+    def passes(self, dep: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Match `dep` in passes of at most _CHUNK departures, yielding each
+        pass's carried pairs: the positions in `dep` of the departures that
+        carry a packet, and the arrival each carries, counted from the first
+        one not consumed before this call."""
         first = self.done
-        index = np.empty(dep.size, dtype=np.int64)
         passes = -(-dep.size // _CHUNK)
         size = -(-dep.size // passes) if passes else 1  # passes of equal size
         for a in range(0, dep.size, size):
@@ -421,8 +452,24 @@ class _Greedy:
             # last departure can be carried, so the pass sees only those.
             arr = self.arrivals.after(self.done)
             arr = arr[:np.searchsorted(arr, t[-1], side="right")]
-            self.done = first + _scan(arr, t, self.delay, self.done - first, index[a:a + t.size])
-        return index
+            slots, carried, consumed = _scan(arr, t, self.delay)
+            if a:
+                slots += a
+            if self.done > first:
+                carried += self.done - first
+            self.done += consumed
+            yield slots, carried
+
+    def match(self, dep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`passes` of `dep` joined: the carried pairs' departure positions
+        and arrival indices."""
+        parts = list(self.passes(dep))
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:  # no departures
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        slots, carried = zip(*parts)
+        return np.concatenate(slots), np.concatenate(carried)
 
     def settle(self, final: bool) -> np.ndarray:
         """Remove and return the arrivals settled: those consumed, or, once
@@ -433,16 +480,20 @@ class _Greedy:
 
     def step(self, dep: np.ndarray, final: bool) -> MatchResult:
         """Match `dep`; the result covers it and the arrivals it settled."""
-        index = self.match(dep)
-        return MatchResult.from_index(self.settle(final), dep, index, self.delay)
+        slots, carried = self.match(dep)
+        return MatchResult(self.settle(final), dep, carried, slots, self.delay)
 
 
 def _match_index(arr: np.ndarray, dep: np.ndarray, delay: float) -> np.ndarray:
-    """The kernel over whole arrays: the resumable matcher fed one chunk.
-    Its scratch beyond the returned index is O(_CHUNK)."""
+    """The kernel over whole arrays, read as a per-departure index: each
+    pass's carried pairs are scattered into it, DUMMY elsewhere. Its scratch
+    beyond the index is O(_CHUNK)."""
     g = _Greedy(delay)
     g.arrivals.feed(arr)
-    return g.match(dep)
+    index = np.full(dep.size, DUMMY, dtype=np.int64)
+    for slots, carried in g.passes(dep):
+        index[slots] = carried
+    return index
 
 
 def bounded_greedy_match(arrivals, departures, delay: float) -> MatchResult:
@@ -456,7 +507,9 @@ def bounded_greedy_match(arrivals, departures, delay: float) -> MatchResult:
     """
     arr = _checked_epoch_array(arrivals)
     dep = _checked_epoch_array(departures)
-    return MatchResult.from_index(arr, dep, _match_index(arr, dep, delay), delay)
+    g = _Greedy(delay)
+    g.arrivals.feed(arr)
+    return g.step(dep, final=True)
 
 
 class _Successive:
@@ -515,11 +568,10 @@ class _Joint:
             w.feed(new[k])
         if final or dep.size:
             self._merge(math.inf if final else dep[-1])
-        m = self.merged.match(dep)
+        slots, carried = self.merged.match(dep)
         self.merged.settle(final)
-        slots = np.flatnonzero(m >= 0)
-        src = self.tags.settle(self.merged.done)[m[slots]]
-        dummies = dep[m == DUMMY]
+        src = self.tags.settle(self.merged.done)[carried]
+        dummies = np.delete(dep, slots)
         low = (1 << self.shift) - 1
         stream = (src & low).astype(np.min_scalar_type(len(self.ids)))
         # one stable sort by stream makes each stream's pairs a run, in order
@@ -540,8 +592,7 @@ def _matcher(ids, ordering: Optional[Sequence[str]], delay: float):
     """The resumable matcher of the streams `ids`: successive under an
     `ordering` (every id once, highest priority first), equal priority under
     None. The delay is checked here, so even no streams reject a bad one."""
-    if not (delay >= 0.0):
-        raise ValueError(f"delay must be nonnegative, got {delay}")
+    check_delay(delay)
     if ordering is None:
         return _Joint(ids, delay)
     if sorted(ordering) != sorted(ids):
@@ -551,7 +602,7 @@ def _matcher(ids, ordering: Optional[Sequence[str]], delay: float):
 
 def _joint_match(streams: dict[str, np.ndarray], departures, delay):
     """Equal-priority matching of whole streams: merge them (ties broken by
-    node id), match the union, and split the kernel's index back per stream.
+    node id), match the union, and split its carried pairs by stream.
     Every stream's result shares the departures and one dummies array."""
     streams = {k: np.asarray(v, dtype=float) for k, v in streams.items()}
     return _Joint(streams, delay).step(_epoch_array(departures), streams, final=True)

@@ -371,9 +371,12 @@ _CHAIN = ["src"] + [f"r{k:02d}" for k in range(21)] + ["dst"]
     ("relay", "--config", None),
     ("relay", "--stats-from", "match window 1.0\n[pairs]\n"),
     ("relay", "--stats-from", None),
+    ("relay", "--stats-from", "match delay nan\n[pairs]\n0.0 1.0\n[dropped]\n[dummies]\n"),
+    ("relay", "--stats-from", "match delay -inf\n[pairs]\n[dropped]\n0.0\n[dummies]\n"),
 ], ids=["topology-malformed", "topology-missing", "topology-cyclic",
         "topology-over-the-enumeration-cap", "config-malformed", "config-not-an-object",
-        "config-missing", "stats-from-bad-header", "stats-from-missing"])
+        "config-missing", "stats-from-bad-header", "stats-from-missing",
+        "stats-from-nan-delay", "stats-from-negative-delay"])
 def test_bad_file_flags_exit_with_a_message(command, flag, text, tmp_path):
     # None: the file is missing
     path = tmp_path / "input"
@@ -558,6 +561,45 @@ def test_priority_relay_draws_each_stream_once(tmp_path, monkeypatch):
     assert main(["relay", *RELAY_MODES["priority"], "--packets", "20000",
                  "--out-dir", str(tmp_path)]) == 0
     assert sorted(name for name, _, _ in streams.values()) == ["out", "src1", "src2"]
+
+
+# The README avg setting solves an unbounded window, so its golden report
+# holds one zero-drops row whatever is drawn. What it counts of its draws,
+# the epochs read and the last epoch of each stream, is pinned here instead.
+def test_readme_avg_setting_counts_pinned_draws(tmp_path, monkeypatch):
+    counted, window = [], relay_core._counted_window
+
+    def spy(tallies, mean_bound):
+        counted.append([(n, float.hex(last)) for n, last in tallies])
+        return window(tallies, mean_bound)
+
+    monkeypatch.setattr(relay_core, "_counted_window", spy)
+    assert main(["relay", *RELAY_MODES["avg"], "--packets", "20000", "--seed", "0",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert counted == [[(19987, "0x1.387d3ee67caa7p+14"), (60240, "0x1.3a0f4d7f0507cp+14")]]
+
+
+def _no_index(*args):
+    raise AssertionError("a matcher went through a per-departure index")
+
+
+# Every matcher builds its results from the kernel's carried pairs, none
+# through a per-departure index and back: the successive matcher (strict
+# and priority relays, the region's corners), the equal-priority one
+# (priority relays, the switching network's cascades) and avg mode at the
+# finite window of its default rates.
+@pytest.mark.parametrize("argv", [
+    ["relay", *RELAY_MODES["strict"], "--packets", "5000", "--dump-match", "match.txt"],
+    ["relay", *RELAY_MODES["priority"], "--packets", "5000"],
+    ["relay", *RELAY_MODES["avg_window"], "--packets", "5000"],
+    ["region", "--corner-events", "5000"],
+    ["tradeoff", "--alpha-points", "3", "--sim-packets", "5000"],
+], ids=["strict", "priority", "avg_window", "region", "tradeoff"])
+def test_no_matcher_builds_a_per_departure_index(argv, tmp_path, monkeypatch):
+    monkeypatch.setattr(relay_core.MatchResult, "from_index", classmethod(_no_index))
+    monkeypatch.setattr(relay_core.MatchResult, "index", property(_no_index))
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out-dir", "out"]) == 0
 
 
 # A streamed draw is sized to the epochs still expected before the horizon,

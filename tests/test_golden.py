@@ -34,8 +34,10 @@ COMMANDS = {
 # (exit code, {file name: sha256}) per command. The hashes that moved when
 # the seeded streams went from Philox to PCG64 were re-taken then; the rest
 # date from before the index-based match results replaced the epoch-array
-# ones (relay_avg's window is unbounded, so it reports zero drops whatever
-# is drawn)
+# ones. relay_avg's window is unbounded, so its report holds one zero-drops
+# row whatever is drawn: that entry guards only the report format. Its
+# draws are pinned by test_cli.py's test_readme_avg_setting_counts_pinned_draws,
+# and avg mode's matching by relay_avg_window.
 GOLDEN = {
     "relay_strict": (0, {
         "match.txt":

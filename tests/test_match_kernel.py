@@ -107,7 +107,7 @@ def test_ranks_equal_searchsorted(ratio, arr, needles):
     saved, relay_core._MERGE_MAX_RATIO = relay_core._MERGE_MAX_RATIO, ratio
     try:
         for right, side in ((True, "right"), (False, "left")):
-            relay_core._ranks(arr, needles, right, out)
+            relay_core._ranks(arr, needles, right, (out,))
             assert np.array_equal(out - np.arange(needles.size),
                                   np.searchsorted(arr, needles, side=side)), side
     finally:
@@ -135,6 +135,21 @@ def test_kernel_matches_loop_at_block_edges(n, delay):
         arr = _grid(rng.choice(4 * n + 4, size=n_arr, replace=False))
         dep = _grid(rng.choice(4 * n + 4, size=n, replace=False))
         assert_same(bounded_greedy_match(arr, dep, delay), greedy_match_reference(arr, dep, delay))
+
+
+# A pass keeps its block scratch in int32 below relay_core._NARROW_LIMIT and
+# in int64 beyond, where its counts could pass 2^31; a limit of 0 forces the
+# wide path on every pass, through block and chunk edges, merge and search.
+@pytest.mark.parametrize("delay", [0.0, 0.75, math.inf])
+def test_wide_scratch_matches_loop(delay, monkeypatch):
+    monkeypatch.setattr(relay_core, "_NARROW_LIMIT", 0)
+    rng = np.random.default_rng(11)
+    for n, rate, chunk in ((99, 1.0, 1 << 16), (101, 1.0, 10), (400, 16.0, 50)):
+        arr = np.cumsum(rng.exponential(1 / rate, int(n * rate)))
+        dep = np.cumsum(rng.exponential(1.0, n))
+        monkeypatch.setattr(relay_core, "_CHUNK", chunk)
+        assert_same(bounded_greedy_match(arr, dep, delay),
+                    greedy_match_reference(arr, dep, delay))
 
 
 # Up to six streams, as a 6x6 cascade relay merges: three tag bits.

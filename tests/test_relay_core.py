@@ -316,6 +316,18 @@ def test_match_result_rejects_bad_pairs():
                                    delay_bound=5.0)
 
 
+# A NaN or negative bound admits no delay at all: construction rejects it
+# with pairs or without, and so does the text loader.
+@pytest.mark.parametrize("bound", [math.nan, -3.0, -math.inf])
+@pytest.mark.parametrize("carried, slots", [([0], [0]), ([], [])])
+def test_match_result_rejects_a_nan_or_negative_delay_bound(bound, carried, slots):
+    with pytest.raises(ValueError, match="delay must be nonnegative"):
+        MatchResult([0.0], [1.0], carried, slots, bound)
+    text = f"match delay {bound}\n[pairs]\n[dropped]\n0.0\n[dummies]\n1.0\n"
+    with pytest.raises(ValueError, match="delay must be nonnegative"):
+        match_result_from_text(text)
+
+
 # Each fault planted into carried pairs that are otherwise valid: arrivals
 # 1, 2, 3 leave at departures 1.5, 2.5, 3.5 (positions 0, 2, 4) within 1.
 @pytest.mark.parametrize("carried, slots, message", [

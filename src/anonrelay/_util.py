@@ -35,9 +35,14 @@ class BatchMeans:
     A piece comes as its values (`add`) or, for a 0/1 stream such as drop
     flags, as its length and the sorted positions of its zeros (`add_ones`):
     the running sum of 0/1 values is a whole number, so both give the same
-    result bit for bit, and the second never builds the flags."""
+    result bit for bit, and the second never builds the flags.
+
+    ValueError unless `n` is an integer of at least 0 and `batches` a
+    positive integer."""
 
     def __init__(self, n: int, batches: int = 32):
+        check_count("n", n, least=0)
+        check_count("batches", batches)
         self.b = min(batches, n // 2)
         self.k = n // self.b if self.b > 0 else 1  # with no batches, any k finds no edge
         self.edges = np.zeros(self.b + 1)  # the running sum at each batch edge
@@ -77,7 +82,8 @@ class BatchMeans:
 
 def batch_stderr(values, batches: int = 32) -> float:
     """Standard error of the mean of `values` via batch means, which absorb the
-    short-range correlation of matcher output that an i.i.d. error bar misses."""
+    short-range correlation of matcher output that an i.i.d. error bar misses.
+    `batches` is checked as `BatchMeans` checks it."""
     return BatchMeans(np.size(values), batches).add(values).stderr
 
 

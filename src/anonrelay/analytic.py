@@ -67,8 +67,12 @@ def erasure_capacity(input_rate: float, relay_rate: float, delay: float) -> floa
 def shared_relay_rates(input_rates, relay_rate: float, delay: float) -> tuple[float, ...]:
     """Per-source delivered rates when a relay serves all sources through one
     merged first-come queue: every stream keeps the same delivered fraction,
-    set by the total input rate."""
+    set by the total input rate. A per-source rate that is negative, NaN or
+    infinite raises ValueError naming its position."""
     rates = tuple(float(t) for t in input_rates)
+    for i, t in enumerate(rates):
+        if not (math.isfinite(t) and t >= 0.0):
+            raise ValueError(f"input_rates[{i}] must be finite and nonnegative, got {t}")
     if not rates:
         return ()
     total = sum(rates)

@@ -134,18 +134,36 @@ class CovertPolicy:
             raise KeyError("session not covered by policy") from None
 
 
+def _covert_set(covert, sessions) -> frozenset:
+    """`covert` as a frozenset; ValueError unless it is a collection of
+    relay names, not a bare str, each interior to some session."""
+    if isinstance(covert, str):
+        raise ValueError(f"covert set must be a collection of relay names, got the str {covert!r}")
+    covert = frozenset(covert)
+    unknown = covert.difference(*(s.interior_nodes for s in sessions))
+    if unknown:
+        raise ValueError(f"covert relays {sorted(unknown, key=str)} are interior to no session "
+                         "of the prior")
+    return covert
+
+
 def _as_policy(policy_or_covert, prior: SessionPrior) -> CovertPolicy:
     if isinstance(policy_or_covert, CovertPolicy):
         return policy_or_covert
-    return CovertPolicy.deterministic(frozenset(policy_or_covert), prior)
+    return CovertPolicy.deterministic(_covert_set(policy_or_covert, prior.sessions), prior)
 
 
 def anonymity_level(policy_or_covert, prior: SessionPrior) -> float:
     """Normalised equivocation H(S|observation)/H(S) of a covert strategy.
 
-    Accepts a fixed covert set or a randomized per-session policy. The
-    observation is the schedule-level eavesdropper's sufficient statistic, so
-    this ratio is exactly the anonymity the strategy guarantees. A
+    Accepts a fixed covert set or a randomized per-session policy; a fixed
+    set that is a bare str, or names a relay interior to no session, raises
+    ValueError. The observation is `observe`'s fragments, which is not all a
+    schedule-level eavesdropper sees: one that also counts each source's
+    transmissions tells apart sessions that share an observation, and on the
+    switching network lowers M2+M4 from 1.000 to 0.800 (ROADMAP, "What an
+    eavesdropper that counts transmissions learns"). The ratio is the
+    anonymity against an eavesdropper that sees the fragments only. A
     zero-entropy prior has nothing to hide and scores 1.
     """
     policy = _as_policy(policy_or_covert, prior)
@@ -317,8 +335,9 @@ class DistortionModel:
         return self._fill(self.classes)
 
     def _columns(self, covert) -> np.ndarray:
-        """Each session's column with `covert` covert in every session."""
-        covert = frozenset(covert)
+        """Each session's column with `covert` covert in every session; a
+        bare str, or a relay interior to no session, raises ValueError."""
+        covert = _covert_set(covert, self.sessions)
         return np.array([col[covert & s.interior_nodes]
                          for col, s in zip(self._column, self.sessions)], dtype=np.intp)
 
@@ -816,10 +835,14 @@ def deterministic_hull(points: Sequence[tuple[float, float]]) -> list[tuple[floa
     point strictly below some convex combination of others. Anonymity can
     always be thrown away, so the envelope extends flat to the left: it is
     the upper chain of the convex hull (monotone chain) from the best-rate
-    point rightwards, plus that rate at the smallest alpha.
+    point rightwards, plus that rate at the smallest alpha. A point with a
+    NaN or infinite coordinate raises ValueError naming its position.
     """
     if not points:
         raise ValueError("need at least one point")
+    for k, (r, a) in enumerate(points):
+        if not (math.isfinite(r) and math.isfinite(a)):
+            raise ValueError(f"points[{k}] must be finite, got {(r, a)}")
     ccw = convex_hull((a, r) for r, a in points)  # (alpha, rate), counter-clockwise
     right = ccw.index(max(ccw))
     upper = (ccw[right:] + ccw[:1])[::-1]  # over the top, left to right
@@ -832,7 +855,8 @@ def deterministic_hull(points: Sequence[tuple[float, float]]) -> list[tuple[floa
 
 def deterministic_hull_value(points: Sequence[tuple[float, float]], alpha: float) -> float:
     """Best rate reachable at anonymity >= alpha by mixing deterministic
-    strategies across sessions: the hull interpolated at alpha."""
+    strategies across sessions: the hull interpolated at alpha. Points are
+    checked as `deterministic_hull` checks them."""
     if math.isnan(alpha):
         raise ValueError(f"alpha must be a number, got {alpha}")
     hull = deterministic_hull(points)

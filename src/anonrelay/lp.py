@@ -7,6 +7,7 @@ degeneracy. An exact mode runs the identical pivoting over `Fraction`.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 __all__ = ["solve_packing_lp", "SimplexError"]
@@ -22,7 +23,8 @@ def solve_packing_lp(a_rows, b, c, exact: bool = False):
     Returns (optimal value, x as list). `a_rows` is a dense row-major matrix.
     With `exact=True` all arithmetic is rational and the result is converted
     back to float at the end (ties in degenerate bases resolve identically on
-    every run either way, via Bland's rule).
+    every run either way, via Bland's rule). A NaN or infinite entry in
+    `a_rows`, `b` or `c` raises ValueError naming the argument.
     """
     m = len(a_rows)
     n = len(c)
@@ -30,6 +32,9 @@ def solve_packing_lp(a_rows, b, c, exact: bool = False):
         raise ValueError("ragged constraint matrix")
     if len(b) != m:
         raise ValueError("capacity vector length mismatch")
+    for name, values in (("a_rows", [v for r in a_rows for v in r]), ("b", b), ("c", c)):
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{name} must hold finite numbers only")
     if exact:
         conv = Fraction
         zero = Fraction(0)

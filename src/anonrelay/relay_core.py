@@ -12,7 +12,7 @@ are drawn, through the same successive and equal-priority logic, and its read
 loop, `_relays`, can feed one read to several matchers. It returns the
 carried pairs, the positions of the departures that carry a packet and the
 index of the arrival each carries, and every matcher builds its
-`MatchResult` from them; no matcher builds a per-departure index. Its
+`MatchResult` from them. Its
 window bounds, per departure t the arrivals before the exact t - delay and
 those at or before t, are counted by merging, not by a binary search per
 departure: `_ranks` merges the sorted departures, then the cuts (the least
@@ -60,10 +60,6 @@ __all__ = [
 ]
 
 
-DUMMY = -1  # index of a departure that carried no packet
-OTHER = -2  # index of a departure that carried another stream's packet
-
-
 def _readonly(a, dtype) -> np.ndarray:
     """A read-only view of `a` as `dtype`; a caller's own array stays
     writable."""
@@ -84,9 +80,7 @@ class MatchResult:
     `dropped_arrivals`; `dummy_departures`, the departures that carried no
     packet, all those outside `slots` unless `dummies` is given (the results
     of an equal-priority match share that one array, and the rest carried
-    other streams' packets); `delays`; and `index`, per departure the
-    arrival it carries, DUMMY (-1) or OTHER (-2), a reader that no matcher
-    calls, as none calls `from_index`. Construction raises ValueError
+    other streams' packets); and `delays`. Construction raises ValueError
     unless `delay_bound` is nonnegative (inf is, NaN is not), the slots
     strictly increase within `departures`, `carried` holds one arrival
     index per slot in FIFO order, and each pair departs within
@@ -123,29 +117,6 @@ class MatchResult:
                 raise ValueError("matched pair departs before it arrives")
             if d.max() > self.delay_bound:
                 raise ValueError("matched pair exceeds the delay bound")
-
-    @classmethod
-    def from_index(cls, arrivals, departures, index, delay_bound: float) -> "MatchResult":
-        """The result of a per-departure `index` of arrivals, DUMMY and OTHER,
-        as `index` gives it; with an OTHER, the DUMMY departures are the
-        shared `dummies`. Raises ValueError as the constructor does, and
-        unless `index` holds one arrival index, DUMMY or OTHER per departure."""
-        departures, index = np.asarray(departures, dtype=float), np.asarray(index, dtype=np.int64)
-        lowest = index.min(initial=DUMMY)
-        if index.shape == departures.shape and lowest >= OTHER:
-            slots = np.flatnonzero(index >= 0)
-            carried = index[slots]
-            if not carried.size or carried[-1] < np.size(arrivals):  # the constructor checks FIFO
-                dummies = departures[index == DUMMY] if lowest == OTHER else None
-                return cls(arrivals, departures, carried, slots, delay_bound, dummies)
-        raise ValueError("index must hold one arrival index, DUMMY or OTHER per departure")
-
-    @property
-    def index(self) -> np.ndarray:
-        index = np.full(self.departures.size, OTHER, dtype=np.int64)
-        index[np.searchsorted(self.departures, self.dummy_departures)] = DUMMY
-        index[self.slots] = self.carried
-        return _readonly(index, np.int64)
 
     @property
     def pairs(self) -> np.ndarray:
@@ -482,18 +453,6 @@ class _Greedy:
         """Match `dep`; the result covers it and the arrivals it settled."""
         slots, carried = self.match(dep)
         return MatchResult(self.settle(final), dep, carried, slots, self.delay)
-
-
-def _match_index(arr: np.ndarray, dep: np.ndarray, delay: float) -> np.ndarray:
-    """The kernel over whole arrays, read as a per-departure index: each
-    pass's carried pairs are scattered into it, DUMMY elsewhere. Its scratch
-    beyond the index is O(_CHUNK)."""
-    g = _Greedy(delay)
-    g.arrivals.feed(arr)
-    index = np.full(dep.size, DUMMY, dtype=np.int64)
-    for slots, carried in g.passes(dep):
-        index[slots] = carried
-    return index
 
 
 def bounded_greedy_match(arrivals, departures, delay: float) -> MatchResult:

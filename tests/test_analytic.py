@@ -82,6 +82,16 @@ def test_shared_relay_rates():
     assert shared_relay_rates((), 2.0, 1.0) == ()
 
 
+# A negative rate used to shrink the total, and so every share, and one
+# that zeroed the total was blamed on the total.
+@pytest.mark.parametrize("rates, at", [
+    ((-1.0, 3.0), 0), ((-1.0, 1.0), 0), ((1.0, math.nan), 1), ((2.0, 1.0, math.inf), 2),
+])
+def test_shared_relay_rates_rejects_a_bad_source_rate(rates, at):
+    with pytest.raises(ValueError, match=rf"input_rates\[{at}\] must be finite and nonnegative"):
+        shared_relay_rates(rates, 2.0, 1.0)
+
+
 def test_erasure_capacity():
     assert erasure_capacity(1.0, 1.0, 1.0) == pytest.approx(0.5)
     assert erasure_capacity(1.0, 2.0, math.inf) == 1.0

@@ -417,6 +417,36 @@ def test_hull_value_rejects_a_nan_alpha():
         deterministic_hull_value([(4.0, 0.2), (2.0, 1.0)], math.nan)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("coord", [0, 1])
+def test_hull_rejects_a_non_finite_point(bad, coord):
+    pts = [(4.0, 0.2), (2.0, 1.0), (3.0, 0.5)]
+    pts[2] = (bad, 0.5) if coord == 0 else (3.0, bad)
+    with pytest.raises(ValueError, match=r"points\[2\] must be finite"):
+        deterministic_hull(pts)
+    with pytest.raises(ValueError, match=r"points\[2\] must be finite"):
+        deterministic_hull_value(pts, 0.3)
+
+
+# A bare str is not a covert set, though iterating it gives one-letter
+# names, and a relay interior to no session would be dropped from every
+# session's part; either used to read as the all-visible set.
+@pytest.mark.parametrize("covert, message", [
+    ("M1", "got the str 'M1'"),
+    ({"ZZ"}, r"covert relays \['ZZ'\] are interior to no session"),
+    ({"M1", "ZZ", "S1"}, r"covert relays \['S1', 'ZZ'\] are interior to no session"),
+])
+def test_bad_covert_sets_are_rejected(switching, switching_model, covert, message):
+    _, prior = switching
+    with pytest.raises(ValueError, match=message):
+        switching_model.anonymity(covert)
+    with pytest.raises(ValueError, match=message):
+        switching_model.covert_rate(covert)
+    with pytest.raises(ValueError, match=message):
+        anonymity_level(covert, prior)
+    assert switching_model.anonymity({"M1"}) == anonymity_level({"M1"}, prior)
+
+
 def test_hull_excludes_dominated_points():
     pts = [(4.0, 0.4), (3.9, 0.4), (1.0, 0.7), (2.0, 1.0)]
     hull = deterministic_hull(pts)

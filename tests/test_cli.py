@@ -579,29 +579,6 @@ def test_readme_avg_setting_counts_pinned_draws(tmp_path, monkeypatch):
     assert counted == [[(19987, "0x1.387d3ee67caa7p+14"), (60240, "0x1.3a0f4d7f0507cp+14")]]
 
 
-def _no_index(*args):
-    raise AssertionError("a matcher went through a per-departure index")
-
-
-# Every matcher builds its results from the kernel's carried pairs, none
-# through a per-departure index and back: the successive matcher (strict
-# and priority relays, the region's corners), the equal-priority one
-# (priority relays, the switching network's cascades) and avg mode at the
-# finite window of its default rates.
-@pytest.mark.parametrize("argv", [
-    ["relay", *RELAY_MODES["strict"], "--packets", "5000", "--dump-match", "match.txt"],
-    ["relay", *RELAY_MODES["priority"], "--packets", "5000"],
-    ["relay", *RELAY_MODES["avg_window"], "--packets", "5000"],
-    ["region", "--corner-events", "5000"],
-    ["tradeoff", "--alpha-points", "3", "--sim-packets", "5000"],
-], ids=["strict", "priority", "avg_window", "region", "tradeoff"])
-def test_no_matcher_builds_a_per_departure_index(argv, tmp_path, monkeypatch):
-    monkeypatch.setattr(relay_core.MatchResult, "from_index", classmethod(_no_index))
-    monkeypatch.setattr(relay_core.MatchResult, "index", property(_no_index))
-    monkeypatch.chdir(tmp_path)
-    assert main([*argv, "--out-dir", "out"]) == 0
-
-
 # A streamed draw is sized to the epochs still expected before the horizon,
 # plus the margin 6 sqrt(n) + 16, so a stream draws its kept epochs and about
 # one margin more, not the rest of a chunk. The last draw keeps its expected

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -73,3 +75,14 @@ def test_input_validation():
         solve_packing_lp([[1.0, 2.0]], [1.0], [1.0])
     with pytest.raises(ValueError):
         solve_packing_lp([[1.0]], [-1.0], [1.0])
+
+
+# A NaN objective used to solve to (nan, [0.0]) and an infinite capacity to
+# (inf, [inf]), in either arithmetic.
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_entries_are_rejected(bad, exact):
+    for args, name in ((([[bad]], [1.0], [1.0]), "a_rows"), (([[1.0]], [bad], [1.0]), "b"),
+                       (([[1.0]], [1.0], [bad]), "c")):
+        with pytest.raises(ValueError, match=f"{name} must hold finite numbers only"):
+            solve_packing_lp(*args, exact=exact)

@@ -17,12 +17,9 @@ from anonrelay import point_process, relay_core
 from anonrelay.point_process import (GenSpec, Schedule, ScheduleError, gen_poisson,
                                      poisson_chunks)
 from anonrelay.relay_core import (
-    DUMMY,
-    OTHER,
-    MatchResult,
     _concat_results,
+    _Greedy,
     _joint_match,
-    _match_index,
     _matcher,
     bounded_greedy_match,
     priority_relay,
@@ -176,18 +173,12 @@ def test_kernel_matches_loop_on_poisson_pair():
 def test_joint_tie_goes_to_first_node_id():
     got = _joint_match({"b": np.array([1.0]), "a": np.array([1.0])}, np.array([1.5]), 1.0)
     assert got["a"].pairs.tolist() == [[1.0, 1.5]]
-    assert got["a"].index.tolist() == [0]
-    assert got["b"].index.tolist() == [OTHER]
+    assert (got["a"].carried.tolist(), got["a"].slots.tolist()) == ([0], [0])
+    # the departure carried a's packet: it is neither b's slot nor a dummy
+    assert got["b"].carried.size == got["b"].slots.size == 0
+    assert got["b"].dummy_departures.size == 0
     assert got["b"].n_matched == 0
     assert got["b"].dropped_arrivals.tolist() == [1.0]
-
-
-def test_index_round_trips_through_the_sparse_form():
-    for index in ([0, OTHER, DUMMY, 1], [DUMMY, 0, DUMMY], [], [OTHER, OTHER]):
-        dep = np.arange(len(index)) + 1.0
-        r = MatchResult.from_index([0.5, 1.5], dep, index, 3.0)
-        assert r.index.tolist() == index
-        assert r.dummy_departures.tolist() == dep[np.equal(index, DUMMY)].tolist()
 
 
 def test_joint_empty_stream_shares_dummies():
@@ -215,8 +206,8 @@ def test_priority_relay_rejects_bad_delay(delay, order):
         priority_relay([s1, s2], out, order, delay)
 
 
-# Scratch of the kernel at a million departures, the returned index included,
-# in units of one input-sized int64 array (8n bytes).
+# Scratch of the kernel at a million departures, each pass's carried pairs
+# let go as they come, in units of one input-sized int64 array (8n bytes).
 @pytest.mark.parametrize("delay", [1.0, math.inf])
 def test_kernel_scratch_is_bounded(delay):
     _assert_kernel_scratch_is_bounded(delay, 1.0)
@@ -235,14 +226,16 @@ def _assert_kernel_scratch_is_bounded(delay, rate):
     rng = np.random.default_rng(5)
     arr = np.cumsum(rng.exponential(1.0 / rate, n))
     dep = np.cumsum(rng.exponential(1.0, n))
+    g = _Greedy(delay)
+    g.arrivals.feed(arr)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        index = _match_index(arr, dep, delay)
+        passes = sum(1 for _ in g.passes(dep))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert index.size == n
+    assert passes == -(-n // relay_core._CHUNK)
     assert peak <= 1.5 * 8 * n, peak / (8 * n)
 
 
@@ -306,7 +299,8 @@ def _pieces(x, cuts):
 def assert_equal_results(got, want):
     assert np.array_equal(got.arrivals, want.arrivals)
     assert np.array_equal(got.departures, want.departures)
-    assert np.array_equal(got.index, want.index)
+    assert np.array_equal(got.carried, want.carried)
+    assert np.array_equal(got.slots, want.slots)
     assert np.array_equal(got.dummy_departures, want.dummy_departures)
 
 

@@ -303,17 +303,16 @@ def test_match_result_text_rejects_an_epoch_listed_twice():
 
 def test_match_result_rejects_bad_pairs():
     with pytest.raises(ValueError, match="departs before it arrives"):
-        MatchResult.from_index(arrivals=[2.0], departures=[1.0], index=[0], delay_bound=1.0)
+        MatchResult(arrivals=[2.0], departures=[1.0], carried=[0], slots=[0], delay_bound=1.0)
     with pytest.raises(ValueError, match="exceeds the delay bound"):
-        MatchResult.from_index(arrivals=[0.0], departures=[2.0], index=[0], delay_bound=1.0)
+        MatchResult(arrivals=[0.0], departures=[2.0], carried=[0], slots=[0], delay_bound=1.0)
     with pytest.raises(ValueError, match="not in FIFO order"):
-        MatchResult.from_index(arrivals=[1.0, 2.0], departures=[2.5, 3.0], index=[1, 0],
-                               delay_bound=2.5)
-    for arrivals, departures, index in (([1.0], [2.0], [1]), ([1.0], [2.0], [-3]),
-                                        ([1.0], [2.0, 3.0], [0])):
-        with pytest.raises(ValueError, match="one arrival index, DUMMY or OTHER"):
-            MatchResult.from_index(arrivals=arrivals, departures=departures, index=index,
-                                   delay_bound=5.0)
+        MatchResult(arrivals=[1.0, 2.0], departures=[2.5, 3.0], carried=[1, 0], slots=[0, 1],
+                    delay_bound=2.5)
+    for carried, slots in (([1], [0]), ([-3], [0]), ([0], [])):
+        with pytest.raises(ValueError, match="one arrival index per slot"):
+            MatchResult(arrivals=[1.0], departures=[2.0, 3.0], carried=carried, slots=slots,
+                        delay_bound=5.0)
 
 
 # A NaN or negative bound admits no delay at all: construction rejects it

@@ -63,6 +63,24 @@ def test_fewer_than_four_values_have_no_error_bar(n):
     assert math.isfinite(batch_stderr(np.arange(4.0), 2))
 
 
+# batches=-3 used to fail in numpy, batches=0 to give NaN silently and
+# batches=1.5 to raise a TypeError.
+@pytest.mark.parametrize("n, batches, message", [
+    (100, -3, "batches must be a positive integer"),
+    (100, 0, "batches must be a positive integer"),
+    (100, 1.5, "batches must be a positive integer"),
+    (100, True, "batches must be a positive integer"),
+    (-1, 32, "n must be an integer of at least 0"),
+    (10.0, 32, "n must be an integer of at least 0"),
+])
+def test_batch_means_checks_its_counts(n, batches, message):
+    with pytest.raises(ValueError, match=message):
+        BatchMeans(n, batches)
+    if n == 100:
+        with pytest.raises(ValueError, match=message):
+            batch_stderr(np.arange(100.0), batches)
+
+
 def test_an_empty_stream_has_no_mean():
     acc = BatchMeans(1000, 100)
     assert math.isnan(acc.add([]).mean) and math.isnan(acc.stderr)
